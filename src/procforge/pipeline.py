@@ -147,10 +147,7 @@ def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConf
 
     sample = doc.get("sample", {})
     noise_doc = sample.get("noise", {})
-    extraction = ExtractionConfig(**doc.get("extraction", {}))
     repair_doc = doc.get("repair", {})
-    weights = RepairWeights(**repair_doc.get("weights", {}))
-    search = SearchParams(**repair_doc.get("search", {}))
     raw_penalty = repair_doc.get("raw_penalty", RAW_BINARY)
     if raw_penalty not in (RAW_BINARY, RAW_GAP):
         raise ConfigError(f"repair.raw_penalty must be 'binary' or 'gap', got {raw_penalty!r}")
@@ -177,9 +174,9 @@ def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConf
                 effect_corrupt_rate=float(noise_doc.get("effect_corrupt_rate", 0.0)),
                 seed=0,
             ),
-            extraction=extraction,
-            weights=weights,
-            search=search,
+            extraction=ExtractionConfig(**doc.get("extraction", {})),
+            weights=RepairWeights(**repair_doc.get("weights", {})),
+            search=SearchParams(**repair_doc.get("search", {})),
             raw_penalty=raw_penalty,
             perturbation=perturbation,
             tune_grid={k: list(v) for k, v in doc.get("tune", {}).get("grid", {}).items()},

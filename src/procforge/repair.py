@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -86,6 +87,8 @@ class RepairWeights:
 
     def __post_init__(self):
         values = (self.lambda_pos, self.lambda_edge, self.lambda_cluster, self.lambda_raw)
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError("weights must be finite")
         if any(v < 0 for v in values):
             raise ValueError("weights must be non-negative")
         if not any(v > 0 for v in values):
@@ -138,10 +141,6 @@ class MappingResult:
     constraints: tuple[PrecedenceConstraint, ...]
     unmatched: tuple[CausalRule, ...]
     dropped: tuple[PrecedenceConstraint, ...] = ()
-
-    def __iter__(self):
-        # unpacks as (constraints, unmatched) for the common case
-        return iter((list(self.constraints), list(self.unmatched)))
 
 
 def map_rules_to_constraints(proc: Procedure, rules: list[CausalRule]) -> MappingResult:
@@ -228,11 +227,19 @@ class _Instance:
         if missing:
             raise ProcforgeError(f"constraint references unknown step ids: {missing[0]}")
         self.constraints = [(self.index[c.predecessor], self.index[c.successor]) for c in constraints]
-        self.cluster_pairs: list[tuple[int, int]] = []
+        self.succs: list[list[int]] = [[] for _ in range(self.n)]
+        self.preds: list[list[int]] = [[] for _ in range(self.n)]
+        for a, b in self.constraints:
+            self.succs[a].append(b)
+            self.preds[b].append(a)
+        # Label 0 is every step outside the constrained clusters;
+        # cluster_counts[a][b] counts the constraints "a before b".
+        names = sorted({lab for cc in clusters for lab in (cc.earlier, cc.later)})
+        labels = {lab: k for k, lab in enumerate(names, start=1)}
+        self.cluster_of = [labels.get(s.cluster, 0) for s in draft.steps]
+        self.cluster_counts = [[0] * (len(labels) + 1) for _ in range(len(labels) + 1)]
         for cc in clusters:
-            earlier = [i for i, s in enumerate(draft.steps) if s.cluster == cc.earlier]
-            later = [i for i, s in enumerate(draft.steps) if s.cluster == cc.later]
-            self.cluster_pairs.extend((u, v) for u in earlier for v in later)
+            self.cluster_counts[labels[cc.earlier]][labels[cc.later]] += 1
 
     def order_to_indices(self, order: list[str]) -> list[int]:
         if sorted(order) != sorted(self.ids):
@@ -245,7 +252,15 @@ class _Instance:
             pos[idx] = p
         position = float(sum(abs(pos[i] - i) for i in range(self.n)))
         edge = float(sum(1 for i in range(self.n - 1) if pos[i + 1] != pos[i] + 1))
-        cluster = float(sum(1 for u, v in self.cluster_pairs if pos[v] < pos[u]))
+        # A step inverts, once per constraint, each earlier-placed step
+        # whose label should come after its own.
+        inversions = 0
+        placed = [0] * len(self.cluster_counts)  # steps placed so far, per label
+        for idx in perm:
+            lab = self.cluster_of[idx]
+            inversions += sum(c * k for c, k in zip(self.cluster_counts[lab], placed))
+            placed[lab] += 1
+        cluster = float(inversions)
         raw = 0.0
         for pred, succ in self.constraints:
             deficit = pos[pred] - pos[succ]
@@ -287,87 +302,93 @@ def _reinsert(perm: list[int], i: int, j: int) -> list[int]:
     return out
 
 
-def _move_deltas(inst: _Instance, perm: list[int], pos: list[int], i: int, j: int):
-    """Exact cost-term deltas for reinserting the element at position i to
-    position j, without materializing the candidate permutation.
+def _neighbourhood(inst: _Instance, perm: list[int]):
+    """Yield ``(i, d_total, d_pos)`` for every source position i of perm.
 
-    Only the moved element and the block between i and j change position;
-    the moved element is the only one whose relative order with others
-    flips, and adjacency changes at the removal seam and insertion point.
+    ``d_total[j]`` and ``d_pos[j]`` are the exact changes of the total cost
+    and of the displacement term when the element at position i is
+    reinserted at position j (``d_total[i]`` is inf).  Each row sweeps j
+    right from i+1, then left from i-1.  A step moves the element x over
+    one element e, which shifts one place, so every running term changes
+    only by what involves e: its displacement, its cluster order against
+    x, and the precedence constraints incident to x or e.  Broken
+    adjacencies change only at the removal seam and the insertion point.
+    One call costs O(n² + m) for n steps and m constraints.
     """
     n = inst.n
-    x = perm[i]
-    d_pos = abs(j - x) - abs(i - x)
-    if i < j:
-        for p in range(i + 1, j + 1):
-            e = perm[p]
-            d_pos += abs(p - 1 - e) - abs(p - e)
-    else:
-        for p in range(j, i):
-            e = perm[p]
-            d_pos += abs(p + 1 - e) - abs(p - e)
-    lo, hi = (i, j) if i < j else (j, i)
-
-    d_matches = 0
-    if i < j:
-        right = perm[i + 1]
-        if i > 0:
-            left = perm[i - 1]
-            d_matches += (left + 1 == right) - (left + 1 == x)
-        d_matches -= x + 1 == right
-        d_matches += perm[j] + 1 == x
-        if j + 1 < n:
-            after = perm[j + 1]
-            d_matches += (x + 1 == after) - (perm[j] + 1 == after)
-    else:
-        left = perm[i - 1]
-        d_matches -= left + 1 == x
-        if i + 1 < n:
-            right = perm[i + 1]
-            d_matches += (left + 1 == right) - (x + 1 == right)
-        d_matches += x + 1 == perm[j]
-        if j > 0:
-            before = perm[j - 1]
-            d_matches += (before + 1 == x) - (before + 1 == perm[j])
-    d_edge = -d_matches
-
-    gap_mode = inst.raw_mode == RAW_GAP
-    shift = -1 if i < j else 1
-
-    def new_pos(p: int) -> int:
-        if p == i:
-            return j
-        if lo <= p <= hi:
-            return p + shift
-        return p
-
-    d_raw = 0.0
-    for a, b in inst.constraints:
-        pa, pb = pos[a], pos[b]
-        if not (lo <= pa <= hi or lo <= pb <= hi):
-            continue
-        old = pa - pb
-        new = new_pos(pa) - new_pos(pb)
-        if gap_mode:
-            d_raw += (new if new > 0 else 0) - (old if old > 0 else 0)
-        else:
-            d_raw += (1 if new > 0 else 0) - (1 if old > 0 else 0)
-
-    d_cluster = 0.0
-    for u, v in inst.cluster_pairs:
-        pu, pv = pos[u], pos[v]
-        if not (lo <= pu <= hi or lo <= pv <= hi):
-            continue
-        d_cluster += (new_pos(pv) < new_pos(pu)) - (pv < pu)
-
     w = inst.weights
-    d_total = (
-        w.lambda_pos * d_pos
-        + w.lambda_edge * d_edge
-        + w.lambda_cluster * d_cluster
-        + w.lambda_raw * d_raw
-    )
-    return d_total, d_pos
+    lambda_pos, lambda_edge, lambda_cluster, lambda_raw = w.lambda_pos, w.lambda_edge, w.lambda_cluster, w.lambda_raw
+    gap_mode = inst.raw_mode == RAW_GAP
+    pos = [0] * n
+    for p, e in enumerate(perm):
+        pos[e] = p
+    ext = perm + [-2]  # ext[n] == ext[-1] == -2: a sentinel no step is adjacent to
+    kept = [ext[p] + 1 == ext[p + 1] for p in range(n)]
+    # Gap mode: a violated constraint without x changes by one when one of
+    # its endpoints shifts; net[e] counts e's violated constraints as
+    # predecessor minus those as successor.
+    net = [0] * n
+    if gap_mode:
+        for a, b in inst.constraints:
+            if pos[a] > pos[b]:
+                net[a] += 1
+                net[b] -= 1
+    label = inst.cluster_of
+    counts = inst.cluster_counts
+    inf = float("inf")
+    for i in range(n):
+        x = perm[i]
+        # rel[e]: constraints between x and e, as (x, e) + (e, x) in gap
+        # mode and (x, e) - (e, x) in binary mode
+        rel = [0] * n
+        for y in inst.succs[x]:
+            rel[y] += 1
+        for y in inst.preds[x]:
+            rel[y] += 1 if gap_mode else -1
+        # Gap mode: how much x's own violated gaps grow per step as x starts
+        # moving right (successors before x lengthen, predecessors after x
+        # shorten); each crossed step then adds its rel entry.
+        growing = sum(pos[y] < i for y in inst.succs[x]) - sum(pos[y] > i for y in inst.preds[x])
+        # flip[b]: change of cluster inversions when x moves right past a step of label b
+        lx = label[x]
+        flip = [counts[lx][b] - counts[b][lx] for b in range(len(counts))]
+        seam = (ext[i - 1] + 1 == ext[i + 1]) - (ext[i - 1] + 1 == x) - (x + 1 == ext[i + 1])
+        base = abs(i - x)
+        d_total = [inf] * n
+        d_pos = [0] * n
+
+        run_pos = run_cluster = run_raw = 0
+        active = growing
+        for j in range(i + 1, n):
+            e = ext[j]
+            run_pos += 1 if e >= j else -1
+            run_cluster += flip[label[e]]
+            if gap_mode:
+                active += rel[e]
+                run_raw += active - net[e]
+            else:
+                run_raw += rel[e]
+            dp = run_pos + abs(j - x) - base
+            d_edge = kept[j] - seam - (e + 1 == x) - (x + 1 == ext[j + 1])
+            d_pos[j] = dp
+            d_total[j] = lambda_pos * dp + lambda_edge * d_edge + lambda_cluster * run_cluster + lambda_raw * run_raw
+
+        run_pos = run_cluster = run_raw = 0
+        active = -growing
+        for j in range(i - 1, -1, -1):
+            e = ext[j]
+            run_pos += 1 if e <= j else -1
+            run_cluster -= flip[label[e]]
+            if gap_mode:
+                active += rel[e]
+                run_raw += active + net[e]
+            else:
+                run_raw -= rel[e]
+            dp = run_pos + abs(j - x) - base
+            d_edge = kept[j - 1] - seam - (x + 1 == e) - (ext[j - 1] + 1 == x)
+            d_pos[j] = dp
+            d_total[j] = lambda_pos * dp + lambda_edge * d_edge + lambda_cluster * run_cluster + lambda_raw * run_raw
+        yield i, d_total, d_pos
 
 
 def _descend(inst: _Instance, start: list[int], max_stale: int):
@@ -378,9 +399,6 @@ def _descend(inst: _Instance, start: list[int], max_stale: int):
     """
     n = inst.n
     current = list(start)
-    pos = [0] * n
-    for p, e in enumerate(current):
-        pos[e] = p
     current_cost = inst.cost(current).total
     best = list(current)
     best_cost = current_cost
@@ -391,16 +409,16 @@ def _descend(inst: _Instance, start: list[int], max_stale: int):
         iterations += 1
         best_delta = None
         ties: list[tuple[int, int, int]] = []  # (d_pos, i, j)
-        for i in range(n):
+        for i, row_total, row_pos in _neighbourhood(inst, current):
             for j in range(n):
                 if j == i:
                     continue
-                d_total, d_pos = _move_deltas(inst, current, pos, i, j)
+                d_total = row_total[j]
                 if best_delta is None or d_total < best_delta - 1e-12:
                     best_delta = d_total
-                    ties = [(d_pos, i, j)]
+                    ties = [(row_pos[j], i, j)]
                 elif d_total <= best_delta + 1e-12:
-                    ties.append((d_pos, i, j))
+                    ties.append((row_pos[j], i, j))
         if best_delta is None:
             break
         min_disp = min(t[0] for t in ties)
@@ -413,8 +431,6 @@ def _descend(inst: _Instance, start: list[int], max_stale: int):
         else:
             break
         current = _reinsert(current, i, j)
-        for p, e in enumerate(current):
-            pos[e] = p
         current_cost = inst.cost(current).total
         if current_cost < best_cost - 1e-12:
             best = list(current)
@@ -493,15 +509,8 @@ def brute_force_repair(
     return RepairResult(
         order=order,
         cost=inst.cost(list(best_perm)),
-        trace={"method": "brute_force", "evaluated": _factorial(inst.n)},
+        trace={"method": "brute_force", "evaluated": math.factorial(inst.n)},
     )
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
 
 
 # ── serialization ─────────────────────────────────────────────────────────

@@ -158,6 +158,24 @@ def test_cli_validation_failure_exit_code(workdir, capsys):
     assert "validation error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "line, bad",
+    [
+        ("lambda_pos = 0.5", "lambda_pos = -1.0"),
+        ("lambda_pos = 0.5", "lambda_pos = nan"),
+        ("restarts = 8", "restarts = 0"),
+    ],
+)
+def test_cli_bad_weight_or_search_value_is_config_error(workdir, capsys, line, bad):
+    config = workdir / "config.toml"
+    text = config.read_text()
+    assert line in text
+    config.write_text(text.replace(line, bad))
+    code = cli_main(["template", "--config", str(config)])
+    assert code == 1
+    assert "invalid config value" in capsys.readouterr().err
+
+
 def test_cli_missing_config_exit_code(tmp_path, capsys):
     code = cli_main(["template", "--config", str(tmp_path / "nope.toml")])
     assert code == 1

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from procforge.errors import PermutationError, ProcforgeError
-from procforge.metrics import RAW_GAP
+from procforge.metrics import RAW_BINARY, RAW_GAP
 from procforge.repair import (
     ClusterConstraint,
     PrecedenceConstraint,
@@ -19,6 +19,7 @@ from procforge.repair import (
     procedure_to_dict,
     repair,
 )
+from procforge.repair import _Instance, _neighbourhood, _reinsert
 from procforge.rules import INITIAL_STATE, CausalRule
 from procforge.templates import bound_action_from_parts
 
@@ -128,17 +129,15 @@ def rule(action, var, value, producers, strength="strong"):
 def test_open_before_draw_mapping():
     draft = proc("open", "draw", actions=[OPEN, DRAW])
     mapping = map_rules_to_constraints(draft, [rule(DRAW, "cap", "opened", [OPEN])])
-    constraints, unmatched = mapping
-    assert [(c.predecessor, c.successor) for c in constraints] == [("open", "draw")]
-    assert unmatched == []
+    assert [(c.predecessor, c.successor) for c in mapping.constraints] == [("open", "draw")]
+    assert mapping.unmatched == ()
 
 
 def test_rule_without_matching_steps_unmatched():
     draft = proc("open", "draw", actions=[OPEN, DRAW])
     mapping = map_rules_to_constraints(draft, [rule("other.action", "v", "x", [OPEN])])
-    constraints, unmatched = mapping
-    assert constraints == []
-    assert len(unmatched) == 1
+    assert mapping.constraints == ()
+    assert len(mapping.unmatched) == 1
 
 
 def test_nearest_preceding_producer_chosen():
@@ -257,6 +256,50 @@ def test_local_search_matches_brute_force_quick():
         assert ls.cost.total == pytest.approx(bf.cost.total)
 
 
+LABELS = ("wash", "dry", "heat")
+
+
+@st.composite
+def neighbourhood_cases(draw):
+    """A random permutation of a random instance: constraints may repeat
+    and form 2-cycles, and steps carry cluster labels under random
+    (also repeated or contradictory) cluster constraints."""
+    n = draw(st.integers(min_value=2, max_value=14))
+    ids = [f"s{k}" for k in range(n)]
+    labels = draw(st.lists(st.sampled_from((None,) + LABELS), min_size=n, max_size=n))
+    draft = Procedure(steps=tuple(Step(id=sid, cluster=lab) for sid, lab in zip(ids, labels)))
+    pair = st.tuples(st.sampled_from(ids), st.sampled_from(ids)).filter(lambda p: p[0] != p[1])
+    pairs = draw(st.lists(pair, max_size=2 * n))
+    if pairs:
+        pairs += draw(st.lists(st.sampled_from(pairs), max_size=3))  # duplicates
+        pairs += [(b, a) for a, b in draw(st.lists(st.sampled_from(pairs), max_size=2))]  # 2-cycles
+    constraints = [PrecedenceConstraint(a, b) for a, b in pairs]
+    label_pair = st.tuples(st.sampled_from(LABELS), st.sampled_from(LABELS)).filter(lambda p: p[0] != p[1])
+    clusters = [ClusterConstraint(a, b) for a, b in draw(st.lists(label_pair, max_size=4))]
+    values = draw(st.lists(st.sampled_from([0.0, 0.1, 0.5, 1.0, 2.0, 3.7]), min_size=4, max_size=4))
+    weights = RepairWeights(*values) if any(values) else RepairWeights()
+    mode = draw(st.sampled_from([RAW_BINARY, RAW_GAP]))
+    perm = draw(st.permutations(range(n)))
+    return _Instance(draft, constraints, clusters, weights, mode), list(perm)
+
+
+@settings(max_examples=300, deadline=None)
+@given(neighbourhood_cases())
+def test_neighbourhood_matches_full_cost_recompute(case):
+    inst, perm = case
+    before = inst.cost(perm)
+    rows = 0
+    for i, d_total, d_pos in _neighbourhood(inst, perm):
+        rows += 1
+        for j in range(inst.n):
+            if j == i:
+                continue
+            moved = _reinsert(perm, i, j)
+            assert d_pos[j] == inst.displacement(moved) - inst.displacement(perm)
+            assert d_total[j] == pytest.approx(inst.cost(moved).total - before.total, abs=1e-9)
+    assert rows == inst.n
+
+
 # ── brute force ───────────────────────────────────────────────────────────
 
 
@@ -321,6 +364,15 @@ def test_weights_invariants():
         RepairWeights(0, 0, 0, 0)
     with pytest.raises(ValueError):
         RepairWeights(-1, 1, 0, 1)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("slot", range(4))
+def test_non_finite_weights_rejected(value, slot):
+    values = [0.5, 1.0, 0.0, 2.0]
+    values[slot] = value
+    with pytest.raises(ValueError, match="finite"):
+        RepairWeights(*values)
 
 
 def test_unmapped_steps_get_no_constraints():
