@@ -14,7 +14,7 @@ import itertools
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 
@@ -129,12 +129,30 @@ def _load_config_doc(path: Path) -> tuple[dict, str]:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
 
 
+def _config_table(table: object, where: str, allowed) -> dict:
+    """``table``, checked to be a table whose keys are all in ``allowed``.
+
+    A misspelt key or section fails loudly instead of leaving its
+    defaults in force.
+    """
+    if not isinstance(table, dict):
+        raise ConfigError(f"config [{where}] must be a table" if where else "config must be a table")
+    unknown = sorted(set(table) - set(allowed))
+    if unknown:
+        names = ", ".join(repr(f"{where}.{key}" if where else key) for key in unknown)
+        raise ConfigError(f"unknown config key {names}")
+    return table
+
+
 def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConfig:
     """Load a TOML or JSON pipeline config; CLI overrides take precedence."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     doc, digest = _load_config_doc(path)
+    # [extraction], [repair.weights], [repair.search] and [endpoint] are
+    # checked by the dataclasses they are passed to.
+    _config_table(doc, "", ("seed", "paths", "sample", "extraction", "repair", "perturb", "tune", "endpoint"))
     overrides = overrides or {}
     if "seed" in overrides and overrides["seed"] is not None:
         doc["seed"] = overrides["seed"]
@@ -142,23 +160,26 @@ def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConf
         raise ConfigError("config must set a master seed")
     base = path.parent
     paths = dict(DEFAULT_PATHS)
-    paths.update(doc.get("paths", {}))
+    paths.update(_config_table(doc.get("paths", {}), "paths", DEFAULT_PATHS))
     resolved = {k: (base / v) for k, v in paths.items()}
 
-    sample = doc.get("sample", {})
-    noise_doc = sample.get("noise", {})
-    repair_doc = doc.get("repair", {})
+    sample = _config_table(doc.get("sample", {}), "sample", ("n", "source", "objects", "noise"))
+    noise_doc = _config_table(sample.get("noise", {}), "sample.noise", ("reward_flip_rate", "effect_corrupt_rate"))
+    repair_doc = _config_table(doc.get("repair", {}), "repair", ("weights", "search", "raw_penalty"))
     raw_penalty = repair_doc.get("raw_penalty", RAW_BINARY)
     if raw_penalty not in (RAW_BINARY, RAW_GAP):
         raise ConfigError(f"repair.raw_penalty must be 'binary' or 'gap', got {raw_penalty!r}")
     perturb_doc = doc.get("perturb")
     perturbation = None
     if perturb_doc:
+        _config_table(perturb_doc, "perturb", ("n_misorderings", "kinds"))
         perturbation = PerturbationSpec(
             n_misorderings=int(perturb_doc["n_misorderings"]),
             kinds=tuple(perturb_doc["kinds"]),
             seed=derive_seed(doc["seed"], "perturb"),
         )
+    tune_doc = _config_table(doc.get("tune", {}), "tune", ("grid",))
+    tune_grid = _config_table(tune_doc.get("grid", {}), "tune.grid", [f.name for f in fields(RepairWeights)])
     endpoint_doc = doc.get("endpoint")
     endpoint = EndpointConfig(**endpoint_doc) if endpoint_doc else None
     try:
@@ -179,7 +200,7 @@ def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConf
             search=SearchParams(**repair_doc.get("search", {})),
             raw_penalty=raw_penalty,
             perturbation=perturbation,
-            tune_grid={k: list(v) for k, v in doc.get("tune", {}).get("grid", {}).items()},
+            tune_grid={k: list(v) for k, v in tune_grid.items()},
             endpoint=endpoint,
             strict=bool(overrides.get("strict", False)),
             config_hash=digest,
@@ -298,17 +319,24 @@ def stage_sample(cfg: PipelineConfig) -> list[Path]:
             )
             batch = simulate_oracle(tpl, oracle, cfg.sample_n, noise)
             inputs.append(cfg.path("oracles"))
-        elif cfg.sample_source == SOURCE_FILE:
-            if not out.exists():
-                raise ConfigError(f"sample source 'file' expects an existing file: {out}")
-            report = ingest_samples(out.read_text("utf-8").splitlines(), tpl, strict=cfg.strict)
-            batch = report.batch
         else:
-            if cfg.endpoint is None:
-                raise ConfigError("sample source 'endpoint' needs an [endpoint] config section")
-            prompt = build_prompt(tpl, cfg.sample_n)
-            report = fetch_samples(cfg.endpoint, prompt, tpl, strict=cfg.strict)
+            if cfg.sample_source == SOURCE_FILE:
+                if not out.exists():
+                    raise ConfigError(f"sample source 'file' expects an existing file: {out}")
+                report = ingest_samples(out.read_text("utf-8").splitlines(), tpl, strict=cfg.strict)
+                rejection_inputs = [*inputs, out]  # hashed before the accepted lines replace it
+            else:
+                if cfg.endpoint is None:
+                    raise ConfigError("sample source 'endpoint' needs an [endpoint] config section")
+                prompt = build_prompt(tpl, cfg.sample_n)
+                report = fetch_samples(cfg.endpoint, prompt, tpl, strict=cfg.strict)
+                rejection_inputs = inputs
             batch = report.batch
+            # [line, reason] pairs; the rewritten samples file keeps only accepted lines.
+            rejected = out.with_name(f"{tpl.focal_object}.rejections.json")
+            text = json.dumps(report.rejections, indent=2) + "\n"
+            write_artifact(rejected, text, cfg, "sample", rejection_inputs)
+            outputs.append(rejected)
         write_artifact(out, batch.to_jsonl(), cfg, "sample", inputs)
         outputs.append(out)
     return outputs

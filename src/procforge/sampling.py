@@ -53,12 +53,22 @@ class TransitionSample:
 
 @dataclass(frozen=True)
 class SampleBatch:
+    """Samples in source order.
+
+    The oracle and ingestion hand out one shared :class:`TransitionSample`
+    per distinct record, so a record that repeats is the same object
+    repeated; consumers read ``state`` and ``next_state`` and never mutate
+    them.  Per-record work is done once per distinct object.
+    """
+
     template: MdpTemplate
     samples: tuple[TransitionSample, ...]
     source: str
 
     def to_jsonl(self) -> str:
-        return "".join(s.to_json_line() + "\n" for s in self.samples)
+        distinct = {id(s): s for s in self.samples}
+        lines = {key: s.to_json_line() + "\n" for key, s in distinct.items()}
+        return "".join(lines[id(s)] for s in self.samples)
 
 
 @dataclass(frozen=True)
@@ -163,31 +173,31 @@ def simulate_oracle(
 
     states = [tpl.state_tuple(s) for s in enumerate_states(tpl)]
     var_index = {v.id: i for i, v in enumerate(tpl.variables)}
-    candidates: dict[str, list[tuple[str, ...]]] = {}
+    # Per bound action: its state pool and its preconditions and effects
+    # as (variable index, value) pairs.
+    plans = []
     for b in bound:
         rule = oracle.rules[b.key]
+        pre = [(var_index[v], val) for v, val in rule.preconditions.items()]
+        effects = [(var_index[v], val) for v, val in rule.effects.items()]
+        pool = states
         if rule.valid_only:
-            pool = [
-                s for s in states if all(s[var_index[v]] == val for v, val in rule.preconditions.items())
-            ]
+            pool = [s for s in states if all(s[i] == val for i, val in pre)]
             if not pool:
                 raise OracleCoverageError(f"{b.key}: no state satisfies the preconditions")
-            candidates[b.key] = pool
-        else:
-            candidates[b.key] = states
+        plans.append((b, pool, pre, effects))
 
     rng = random.Random(noise.seed)
+    made: dict[tuple, TransitionSample] = {}  # one object per distinct record
     samples = []
     for _ in range(n):
-        action = bound[rng.randrange(len(bound))]
-        rule = oracle.rules[action.key]
-        pool = candidates[action.key]
+        index = rng.randrange(len(plans))
+        action, pool, pre, effects = plans[index]
         state = pool[rng.randrange(len(pool))]
-        ok = all(state[var_index[v]] == val for v, val in rule.preconditions.items())
-        if ok:
+        if all(state[i] == val for i, val in pre):
             next_state = list(state)
-            for v, val in rule.effects.items():
-                next_state[var_index[v]] = val
+            for i, val in effects:
+                next_state[i] = val
             next_state = tuple(next_state)
             reward = 1
         else:
@@ -201,14 +211,16 @@ def simulate_oracle(
             reward = 1 - reward
         if corrupt_u < noise.effect_corrupt_rate:
             next_state = states[rng.randrange(len(states))]
-        samples.append(
-            TransitionSample(
+        key = (index, state, next_state, reward)
+        sample = made.get(key)
+        if sample is None:
+            sample = made[key] = TransitionSample(
                 state=tpl.state_dict(state),
                 action=action,
                 next_state=tpl.state_dict(next_state),
                 reward=reward,
             )
-        )
+        samples.append(sample)
     return SampleBatch(template=tpl, samples=tuple(samples), source=SOURCE_ORACLE)
 
 
@@ -278,23 +290,29 @@ def ingest_samples(
 
     Malformed lines are collected into the rejection report (line number,
     reason) rather than raised, unless ``strict`` is set.  Blank lines are
-    ignored.
+    ignored.  Each distinct valid line is parsed once and its repeats share
+    the sample; an invalid line is parsed and reported at every occurrence.
     """
     if isinstance(stream, str):
         stream = stream.splitlines()
     action_keys = tpl.action_keys()
+    parsed: dict[str, TransitionSample] = {}  # valid line text -> its one sample
     accepted = []
     rejections = []
     for lineno, line in enumerate(stream, start=1):
         line = line.strip()
         if not line:
             continue
-        try:
-            accepted.append(parse_sample_line(tpl, line, action_keys))
-        except SampleValidationError as exc:
-            if strict:
-                raise SampleValidationError(f"line {lineno}: {exc}") from exc
-            rejections.append((lineno, str(exc)))
+        sample = parsed.get(line)
+        if sample is None:
+            try:
+                sample = parsed[line] = parse_sample_line(tpl, line, action_keys)
+            except SampleValidationError as exc:
+                if strict:
+                    raise SampleValidationError(f"line {lineno}: {exc}") from exc
+                rejections.append((lineno, str(exc)))
+                continue
+        accepted.append(sample)
     batch = SampleBatch(template=tpl, samples=tuple(accepted), source=source)
     return IngestReport(batch=batch, rejections=tuple(rejections))
 

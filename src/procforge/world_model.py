@@ -9,6 +9,7 @@ rule extraction.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import SampleValidationError
@@ -92,15 +93,19 @@ def aggregate(batch: SampleBatch) -> WorldModel:
     tpl = batch.template
     acc: dict[EntryKey, dict[StateTuple, list[int]]] = {}
     actions: dict[str, BoundAction] = {}
-    for sample in batch.samples:
+    # Each distinct sample object is converted once and counted with its
+    # multiplicity; first-occurrence order keeps every dict's order.
+    multiplicity = Counter(map(id, batch.samples))
+    for sample in {id(s): s for s in batch.samples}.values():
+        count = multiplicity[id(sample)]
         state = tpl.state_tuple(sample.state)
         next_state = tpl.state_tuple(sample.next_state)
         key = (sample.action.key, state)
         actions.setdefault(sample.action.key, sample.action)
         per_outcome = acc.setdefault(key, {})
         slot = per_outcome.setdefault(next_state, [0, 0])
-        slot[0] += 1
-        slot[1] += sample.reward
+        slot[0] += count
+        slot[1] += sample.reward * count
     return _finalize(tpl, acc, actions)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -12,10 +13,13 @@ from procforge.sampling import (
     build_prompt,
     fetch_samples,
     ingest_samples,
+    parse_sample_line,
     simulate_oracle,
 )
+from procforge import build_template, parse_inventory, resolve_dynamic_domains
+from procforge.repair import derive_seed
 
-from conftest import DRAW, POUR, V_CAP, V_FLASK, V_MATERIAL, V_POWER
+from conftest import BENCHMARK, DRAW, POUR, V_CAP, V_FLASK, V_MATERIAL, V_POWER
 
 
 @pytest.fixture(scope="module")
@@ -112,6 +116,28 @@ def test_action_filter_restricts_generation(pipette_template, pipette_oracle):
     assert {s.action.key for s in batch.samples} == {DRAW}
 
 
+# sha256 of to_jsonl() at the mining workload's settings: 5000 samples per
+# object with reward_flip_rate 0.05 and effect_corrupt_rate 0.02, seeded as
+# the sample stage seeds it from the benchmark's master seed 20240.
+# Recorded before generation was made to share one object per distinct
+# record; the bytes must not change.
+MINING_JSONL_SHA256 = {
+    "electronic_pipette": "bbbf2407ee78f1f2da9ba89acad39623f7f78cc39b4fb8247eabafa6ee4de2c4",
+    "magnetic_stirrer": "565ab2d5403e8cbfbabf4a66c733aa89acb956cf2775aa28c321e5d9920bdbca",
+}
+
+
+@pytest.mark.parametrize("obj", sorted(MINING_JSONL_SHA256))
+def test_oracle_jsonl_matches_recorded_digest(obj):
+    inv = resolve_dynamic_domains(parse_inventory((BENCHMARK / "inventory.json").read_text()))
+    oracle = OracleSpec.from_dict(json.loads((BENCHMARK / "oracles.json").read_text())[obj])
+    noise = NoiseSpec(reward_flip_rate=0.05, effect_corrupt_rate=0.02, seed=derive_seed(20240, f"sample:{obj}"))
+    batch = simulate_oracle(build_template(inv, obj), oracle, 5000, noise)
+    assert hashlib.sha256(batch.to_jsonl().encode()).hexdigest() == MINING_JSONL_SHA256[obj]
+    # repeated records are one shared object
+    assert len({id(s) for s in batch.samples}) == len(set(batch.to_jsonl().splitlines())) < 5000
+
+
 def test_oracle_must_cover_every_action(pipette_template, pipette_oracle):
     incomplete = OracleSpec(rules={DRAW: pipette_oracle.rules[DRAW]})
     with pytest.raises(OracleCoverageError):
@@ -172,6 +198,52 @@ def test_ingest_fuzz_never_accepts_invalid_samples(pipette_template_fuzz, line):
             assert set(assignment) == set(domains)
             for var, value in assignment.items():
                 assert value in domains[var]
+
+
+@pytest.fixture(scope="session")
+def ingest_lines(pipette_template, pipette_oracles):
+    """Valid, invalid and blank lines for mixing into ingest streams."""
+    oracle = full_sampling(pipette_oracles["electronic_pipette"])
+    valid = simulate_oracle(pipette_template, oracle, 12, NoiseSpec(seed=8)).to_jsonl().splitlines()
+    record = json.loads(valid[0])
+    bad_domain = json.dumps({**record, "state": {**record["state"], V_CAP: "ajar"}})
+    invalid = ["not json", "[1, 2]", '{"state": {}}', bad_domain, json.dumps({**record, "reward": 2})]
+    padded = ["  " + valid[1], valid[1] + "\t"]  # equal to valid[1] once stripped
+    return valid + padded + invalid + ["", "   "]
+
+
+def per_line_ingest(lines, tpl):
+    """The slow reference: parse every non-blank line on its own."""
+    accepted, rejections = [], []
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            accepted.append(parse_sample_line(tpl, line.strip()))
+        except SampleValidationError as exc:
+            rejections.append((lineno, str(exc)))
+    return accepted, rejections
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_memoised_ingest_matches_per_line_parsing(pipette_template_fuzz, ingest_lines, data):
+    tpl = pipette_template_fuzz
+    lines = data.draw(st.lists(st.sampled_from(ingest_lines), max_size=40))
+    accepted, rejections = per_line_ingest(lines, tpl)
+    report = ingest_samples(lines, tpl)
+    assert list(report.batch.samples) == accepted
+    assert list(report.rejections) == rejections
+    rejected = {lineno for lineno, _ in rejections}
+    accepted_text = {line.strip() for n, line in enumerate(lines, start=1) if line.strip() and n not in rejected}
+    assert len({id(s) for s in report.batch.samples}) == len(accepted_text)
+    if rejections:
+        lineno, reason = rejections[0]
+        with pytest.raises(SampleValidationError) as err:
+            ingest_samples(lines, tpl, strict=True)
+        assert str(err.value) == f"line {lineno}: {reason}"
+    else:
+        assert list(ingest_samples(lines, tpl, strict=True).batch.samples) == accepted
 
 
 @pytest.fixture(scope="session")

@@ -1,3 +1,4 @@
+import copy
 import json
 
 import pytest
@@ -133,6 +134,20 @@ def test_merge_equals_aggregate_of_concatenation(pipette_template, pipette_oracl
     assert serialize_world_model(merged) == serialize_world_model(whole)
     flipped = merge(aggregate(second), aggregate(first))
     assert serialize_world_model(flipped) == serialize_world_model(whole)
+
+
+@settings(max_examples=60, deadline=None)
+@given(picks=st.lists(st.integers(min_value=0, max_value=59), max_size=150), seed=st.integers(0, 50))
+def test_aggregate_of_shared_samples_equals_aggregate_of_copies(pipette_template, pipette_oracles, picks, seed):
+    oracle = pipette_oracles["electronic_pipette"]
+    pool = simulate_oracle(
+        pipette_template, oracle, 60, NoiseSpec(reward_flip_rate=0.1, effect_corrupt_rate=0.1, seed=seed)
+    ).samples
+    shared = SampleBatch(pipette_template, tuple(pool[i] for i in picks), "file")
+    copies = SampleBatch(pipette_template, tuple(copy.deepcopy(pool[i]) for i in picks), "file")
+    fast, slow = aggregate(shared), aggregate(copies)
+    assert list(fast.entries.items()) == list(slow.entries.items())
+    assert serialize_world_model(fast) == serialize_world_model(slow)
 
 
 def test_serialization_round_trip(pipette_template, pipette_oracles):
