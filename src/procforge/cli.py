@@ -9,33 +9,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import (
-    ConfigError,
-    DanglingReferenceError,
-    DomainResolutionError,
-    DuplicateIdError,
-    InventorySchemaError,
-    InventorySyntaxError,
-    OracleCoverageError,
-    PermutationError,
-    ProcforgeError,
-    SampleValidationError,
-    SequenceMismatchError,
-)
-from .pipeline import STAGES, load_config, run_stage
-
-_VALIDATION_ERRORS = (
-    ConfigError,
-    DanglingReferenceError,
-    DomainResolutionError,
-    DuplicateIdError,
-    InventorySchemaError,
-    InventorySyntaxError,
-    OracleCoverageError,
-    PermutationError,
-    SampleValidationError,
-    SequenceMismatchError,
-)
+from .errors import ProcforgeError, ValidationError
+from .pipeline import STAGES, load_config, run_all, run_stage
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -44,7 +19,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Pipeline stages: structured inventory -> templates -> samples -> "
         "world models -> rules -> constraint-guided repair.",
     )
-    parser.add_argument("stage", choices=STAGES + ("all",), help="pipeline stage to run")
+    parser.add_argument("stage", choices=[*STAGES, "all"], help="pipeline stage to run")
     parser.add_argument("--config", required=True, help="pipeline config file (TOML or JSON)")
     parser.add_argument("--seed", type=int, default=None, help="override the master seed")
     parser.add_argument("--strict", action="store_true", help="fail instead of skipping bad records")
@@ -67,15 +42,13 @@ def main(argv: list[str] | None = None) -> int:
         if args.n is not None:
             cfg.sample_n = args.n
         if args.stage == "all":
-            from .pipeline import run_all
-
             written = [p for paths in run_all(cfg).values() for p in paths]
         else:
             written = run_stage(args.stage, cfg)
         for path in written:
             print(path)
         return 0
-    except _VALIDATION_ERRORS as exc:
+    except ValidationError as exc:
         print(f"procforge: validation error: {exc}", file=sys.stderr)
         return 1
     except ProcforgeError as exc:

@@ -7,7 +7,11 @@ class ProcforgeError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class InventorySyntaxError(ProcforgeError):
+class ValidationError(ProcforgeError):
+    """An input (config, inventory or artifact) is invalid; the CLI exits 1."""
+
+
+class InventorySyntaxError(ValidationError):
     """The inventory document is not well-formed JSON."""
 
     def __init__(self, message: str, line: int | None = None, column: int | None = None):
@@ -18,7 +22,7 @@ class InventorySyntaxError(ProcforgeError):
         super().__init__(message)
 
 
-class InventorySchemaError(ProcforgeError):
+class InventorySchemaError(ValidationError):
     """The document parses but violates the inventory schema."""
 
     def __init__(self, message: str, path: str = ""):
@@ -26,15 +30,15 @@ class InventorySchemaError(ProcforgeError):
         super().__init__(f"{path}: {message}" if path else message)
 
 
-class DuplicateIdError(ProcforgeError):
+class DuplicateIdError(ValidationError):
     """Two entities share an identifier that must be unique."""
 
 
-class DanglingReferenceError(ProcforgeError):
+class DanglingReferenceError(ValidationError):
     """A reference names an object or component that does not exist."""
 
 
-class DomainResolutionError(ProcforgeError):
+class DomainResolutionError(ValidationError):
     """A dynamic state domain cannot be resolved from the interactions."""
 
 
@@ -51,11 +55,11 @@ class StateSpaceLimitError(ProcforgeError):
         super().__init__(f"state space has {size} states, exceeding the limit of {limit}")
 
 
-class SampleValidationError(ProcforgeError):
+class SampleValidationError(ValidationError):
     """A transition sample does not fit its template."""
 
 
-class OracleCoverageError(ProcforgeError):
+class OracleCoverageError(ValidationError):
     """The oracle spec does not cover an action of the template."""
 
 
@@ -67,13 +71,13 @@ class EndpointAuthError(EndpointError):
     """The endpoint rejected the configured credentials."""
 
 
-class PermutationError(ProcforgeError):
+class PermutationError(ValidationError):
     """A candidate permutation is not a bijection over the expected steps."""
 
 
-class SequenceMismatchError(ProcforgeError):
+class SequenceMismatchError(ValidationError):
     """Two sequences that must be permutations of each other are not."""
 
 
-class ConfigError(ProcforgeError):
+class ConfigError(ValidationError):
     """A pipeline configuration file is missing or invalid."""

@@ -21,6 +21,7 @@ from .errors import (
     InventorySchemaError,
     InventorySyntaxError,
 )
+from .schemas import first_violation
 
 SCHEMA_VERSION = "1"
 
@@ -29,10 +30,6 @@ DYNAMIC = "dynamic"
 
 #: Sentinel value meaning "nothing placed / nothing contained".
 NONE_VALUE = "none"
-
-OBJECT_CATEGORIES = ("instrument", "container", "tool", "material")
-COMPONENT_KINDS = ("button", "display", "platform", "receptor", "selector", "cap", "other")
-INTERACTION_KINDS = ("move_to_receptor", "transfer_material")
 
 
 @dataclass(frozen=True)
@@ -170,166 +167,87 @@ class DomainInventory:
 
 
 # ── parsing ──────────────────────────────────────────────────────────────
-
-_ID_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_")
-
-
-def _check_identifier(value: object, path: str) -> str:
-    if not isinstance(value, str) or not value:
-        raise InventorySchemaError("identifier must be a non-empty string", path)
-    if not set(value) <= _ID_CHARS or value[0].isdigit():
-        raise InventorySchemaError(f"invalid identifier {value!r}", path)
-    return value
+#
+# inventory.schema.json is the one structural check: types, enums, required
+# keys, identifier and reference syntax.  The code below adds only what the
+# schema cannot state: uniqueness, reference resolution, the material rule
+# per interaction kind, and initial values against the declared variables.
 
 
-def _check_value(value: object, path: str) -> str:
-    if not isinstance(value, str) or not value:
-        raise InventorySchemaError("value must be a non-empty string", path)
-    return value
-
-
-def _parse_domain(raw: object, path: str) -> tuple[str, ...] | str:
+def _parse_domain(raw: list[str] | str, path: str) -> tuple[str, ...] | str:
     if raw == DYNAMIC:
         return DYNAMIC
-    if not isinstance(raw, list) or not raw:
-        raise InventorySchemaError("domain must be 'dynamic' or a non-empty list", path)
-    values = [_check_value(v, f"{path}[{i}]") for i, v in enumerate(raw)]
-    if len(set(values)) != len(values):
-        raise DuplicateIdError(f"{path}: duplicate domain values in {values}")
-    return tuple(values)
+    if len(set(raw)) != len(raw):
+        raise DuplicateIdError(f"{path}: duplicate domain values in {raw}")
+    return tuple(raw)
 
 
-def _parse_states(raw: object, prefix: str, path: str) -> tuple[StateVariable, ...]:
-    if not isinstance(raw, list):
-        raise InventorySchemaError("states must be a list", path)
-    out = []
-    for i, item in enumerate(raw):
-        p = f"{path}[{i}]"
-        if not isinstance(item, dict):
-            raise InventorySchemaError("state variable must be an object", p)
-        local = _check_identifier(item.get("id"), f"{p}.id")
-        domain = _parse_domain(item.get("domain"), f"{p}.domain")
-        resolved_from = item.get("resolved_from")
-        if resolved_from is not None and resolved_from not in INTERACTION_KINDS:
-            raise InventorySchemaError(f"invalid resolved_from {resolved_from!r}", p)
-        out.append(
-            StateVariable(
-                id=f"{prefix}.{local}",
-                domain=domain,
-                description=str(item.get("description", "")),
-                resolved_from=resolved_from,
-            )
+def _parse_states(raw: list[dict], prefix: str, path: str) -> tuple[StateVariable, ...]:
+    states = tuple(
+        StateVariable(
+            id=f"{prefix}.{item['id']}",
+            domain=_parse_domain(item["domain"], f"{path}[{i}].domain"),
+            description=item.get("description", ""),
+            resolved_from=item.get("resolved_from"),
         )
-    return tuple(out)
+        for i, item in enumerate(raw)
+    )
+    if len({s.name for s in states}) != len(states):
+        raise DuplicateIdError(f"{path}: duplicate variable names in {prefix!r}")
+    return states
 
 
-def _parse_actions(raw: object, prefix: str, path: str) -> tuple[ActionDef, ...]:
-    if not isinstance(raw, list):
-        raise InventorySchemaError("actions must be a list", path)
-    out = []
-    for i, item in enumerate(raw):
-        p = f"{path}[{i}]"
-        if not isinstance(item, dict):
-            raise InventorySchemaError("action must be an object", p)
-        local = _check_identifier(item.get("id"), f"{p}.id")
-        params_raw = item.get("params", [])
-        if not isinstance(params_raw, list):
-            raise InventorySchemaError("params must be a list", f"{p}.params")
-        params = []
-        for j, pr in enumerate(params_raw):
-            pp = f"{p}.params[{j}]"
-            if not isinstance(pr, dict):
-                raise InventorySchemaError("param must be an object", pp)
-            name = _check_identifier(pr.get("name"), f"{pp}.name")
-            dom = pr.get("domain")
-            if not isinstance(dom, list) or not dom:
-                raise InventorySchemaError("param domain must be a non-empty list", pp)
-            params.append((name, tuple(_check_value(v, f"{pp}.domain[{k}]") for k, v in enumerate(dom))))
-        out.append(
-            ActionDef(
-                id=f"{prefix}.{local}",
-                params=tuple(params),
-                description=str(item.get("description", "")),
-            )
+def _parse_actions(raw: list[dict], prefix: str) -> tuple[ActionDef, ...]:
+    return tuple(
+        ActionDef(
+            id=f"{prefix}.{item['id']}",
+            params=tuple((p["name"], tuple(p["domain"])) for p in item.get("params", [])),
+            description=item.get("description", ""),
         )
-    return tuple(out)
+        for item in raw
+    )
 
 
-def _parse_object(item: object, path: str) -> LabObject:
-    if not isinstance(item, dict):
-        raise InventorySchemaError("object must be a JSON object", path)
-    obj_id = _check_identifier(item.get("id"), f"{path}.id")
-    category = item.get("category")
-    if category not in OBJECT_CATEGORIES:
-        raise InventorySchemaError(f"invalid category {category!r}", f"{path}.category")
+def _parse_object(item: dict, path: str) -> LabObject:
+    obj_id = item["id"]
     components = []
-    comp_raw = item.get("components", [])
-    if not isinstance(comp_raw, list):
-        raise InventorySchemaError("components must be a list", f"{path}.components")
-    for i, citem in enumerate(comp_raw):
-        cp = f"{path}.components[{i}]"
-        if not isinstance(citem, dict):
-            raise InventorySchemaError("component must be an object", cp)
-        comp_id = _check_identifier(citem.get("id"), f"{cp}.id")
-        kind = citem.get("kind")
-        if kind not in COMPONENT_KINDS:
-            raise InventorySchemaError(f"invalid component kind {kind!r}", f"{cp}.kind")
-        comp_prefix = f"{obj_id}.{comp_id}"
-        states = _parse_states(citem.get("states", []), comp_prefix, f"{cp}.states")
-        if len({s.name for s in states}) != len(states):
-            raise DuplicateIdError(f"{cp}: duplicate variable names in component {comp_id!r}")
-        actions = _parse_actions(citem.get("actions", []), comp_prefix, f"{cp}.actions")
-        components.append(Component(id=comp_id, kind=kind, states=states, actions=actions))
+    for i, citem in enumerate(item.get("components", [])):
+        prefix = f"{obj_id}.{citem['id']}"
+        states = _parse_states(citem.get("states", []), prefix, f"{path}.components[{i}].states")
+        actions = _parse_actions(citem.get("actions", []), prefix)
+        components.append(Component(id=citem["id"], kind=citem["kind"], states=states, actions=actions))
     if len({c.id for c in components}) != len(components):
         raise DuplicateIdError(f"{path}: duplicate component ids in object {obj_id!r}")
-    states = _parse_states(item.get("states", []), obj_id, f"{path}.states")
-    if len({s.name for s in states}) != len(states):
-        raise DuplicateIdError(f"{path}: duplicate object-level variable names in {obj_id!r}")
-    actions = _parse_actions(item.get("actions", []), obj_id, f"{path}.actions")
-    initial_raw = item.get("initial_state", {})
-    if not isinstance(initial_raw, dict):
-        raise InventorySchemaError("initial_state must be an object", f"{path}.initial_state")
-    initial_state = {str(k): _check_value(v, f"{path}.initial_state.{k}") for k, v in initial_raw.items()}
     return LabObject(
         id=obj_id,
-        category=category,
+        category=item["category"],
         components=tuple(components),
-        states=states,
-        actions=actions,
-        initial_state=initial_state,
+        states=_parse_states(item.get("states", []), obj_id, f"{path}.states"),
+        actions=_parse_actions(item.get("actions", []), obj_id),
+        initial_state=dict(item.get("initial_state", {})),
     )
 
 
 def _resolve_ref(inv_objects: dict[str, LabObject], ref: str, path: str) -> tuple[LabObject, Component | None]:
-    parts = ref.split(".")
-    if len(parts) > 2 or not parts[0]:
-        raise InventorySchemaError(f"malformed reference {ref!r}", path)
-    obj = inv_objects.get(parts[0])
+    obj_id, _, comp_id = ref.partition(".")
+    obj = inv_objects.get(obj_id)
     if obj is None:
-        raise DanglingReferenceError(f"{path}: unknown object {parts[0]!r} in reference {ref!r}")
-    if len(parts) == 1:
+        raise DanglingReferenceError(f"{path}: unknown object {obj_id!r} in reference {ref!r}")
+    if not comp_id:
         return obj, None
     for comp in obj.components:
-        if comp.id == parts[1]:
+        if comp.id == comp_id:
             return obj, comp
-    raise DanglingReferenceError(f"{path}: unknown component {parts[1]!r} in reference {ref!r}")
+    raise DanglingReferenceError(f"{path}: unknown component {comp_id!r} in reference {ref!r}")
 
 
-def _normalize_interaction(inv_objects: dict[str, LabObject], item: object, path: str) -> Interaction:
-    if not isinstance(item, dict):
-        raise InventorySchemaError("interaction must be an object", path)
-    kind = item.get("kind")
-    if kind not in INTERACTION_KINDS:
-        raise InventorySchemaError(f"invalid interaction kind {kind!r}", f"{path}.kind")
-    source = item.get("source")
-    target = item.get("target")
-    if not isinstance(source, str) or not isinstance(target, str):
-        raise InventorySchemaError("source and target must be reference strings", path)
+def _normalize_interaction(inv_objects: dict[str, LabObject], item: dict, path: str) -> Interaction:
+    kind, source, target = item["kind"], item["source"], item["target"]
+    material = item.get("material")
     _resolve_ref(inv_objects, source, f"{path}.source")
     tgt_obj, tgt_comp = _resolve_ref(inv_objects, target, f"{path}.target")
-    material = item.get("material")
     if kind == "transfer_material":
-        if not isinstance(material, str) or not material:
+        if material is None:
             raise InventorySchemaError("transfer_material requires a material", f"{path}.material")
     else:
         if material is not None:
@@ -353,56 +271,47 @@ def _normalize_interaction(inv_objects: dict[str, LabObject], item: object, path
     return Interaction(kind=kind, source=source, target=target, material=material)
 
 
-def _validate_initial_state(obj: LabObject, check_values: bool) -> None:
+def _validate_initial_state(obj: LabObject, path: str) -> None:
     declared = {var.id.split(".", 1)[1]: var for var in obj.all_variables()}
     for local, value in obj.initial_state.items():
         var = declared.get(local)
         if var is None:
             raise InventorySchemaError(
-                f"initial_state assigns undeclared variable {local!r}",
-                f"objects[{obj.id}].initial_state",
+                f"initial_state assigns undeclared variable {local!r}", f"{path}.initial_state"
             )
-        if var.is_dynamic:
-            continue  # value checked after resolution
-        if check_values and value not in var.domain:
+        # A dynamic variable's value is checked after resolution.
+        if not var.is_dynamic and value not in var.domain:
             raise InventorySchemaError(
-                f"initial value {value!r} not in domain of {var.id}",
-                f"objects[{obj.id}].initial_state.{local}",
+                f"initial value {value!r} not in domain of {var.id}", f"{path}.initial_state.{local}"
             )
 
 
 def parse_inventory(text: str) -> DomainInventory:
     """Parse and validate a serialized inventory document.
 
-    Dynamic domains are kept unresolved; call
+    A syntax error reports its line and column, a schema violation its
+    ``$.…`` path.  Dynamic domains are kept unresolved; call
     :func:`resolve_dynamic_domains` afterwards.
     """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InventorySyntaxError(exc.msg, exc.lineno, exc.colno) from exc
-    if not isinstance(doc, dict):
-        raise InventorySchemaError("top level must be a JSON object", "$")
-    version = doc.get("schema_version")
-    if not isinstance(version, str):
-        raise InventorySchemaError("schema_version must be a string", "$.schema_version")
-    objects_raw = doc.get("objects")
-    if not isinstance(objects_raw, list):
-        raise InventorySchemaError("objects must be a list", "$.objects")
-    objects = [_parse_object(item, f"$.objects[{i}]") for i, item in enumerate(objects_raw)]
+    violation = first_violation("inventory", doc)
+    if violation is not None:
+        path, message = violation
+        raise InventorySchemaError(message, path)
+    objects = [_parse_object(item, f"$.objects[{i}]") for i, item in enumerate(doc["objects"])]
     if len({o.id for o in objects}) != len(objects):
         raise DuplicateIdError("duplicate object ids in inventory")
     by_id = {o.id: o for o in objects}
-    interactions_raw = doc.get("interactions", [])
-    if not isinstance(interactions_raw, list):
-        raise InventorySchemaError("interactions must be a list", "$.interactions")
     interactions = tuple(
         _normalize_interaction(by_id, item, f"$.interactions[{i}]")
-        for i, item in enumerate(interactions_raw)
+        for i, item in enumerate(doc.get("interactions", []))
     )
-    for obj in objects:
-        _validate_initial_state(obj, check_values=True)
-    return DomainInventory(objects=tuple(objects), interactions=interactions, schema_version=version)
+    for i, obj in enumerate(objects):
+        _validate_initial_state(obj, f"$.objects[{i}]")
+    return DomainInventory(objects=tuple(objects), interactions=interactions, schema_version=doc["schema_version"])
 
 
 # ── serialization ─────────────────────────────────────────────────────────
@@ -502,11 +411,11 @@ def resolve_dynamic_domains(inv: DomainInventory) -> DomainInventory:
         return tuple(_resolved_domain(inv, v, holder) if v.is_dynamic else v for v in states)
 
     objects = []
-    for obj in inv.objects:
+    for i, obj in enumerate(inv.objects):
         components = tuple(
             replace(c, states=resolve_states(c.states, f"{obj.id}.{c.id}")) for c in obj.components
         )
         new_obj = replace(obj, states=resolve_states(obj.states, obj.id), components=components)
-        _validate_initial_state(new_obj, check_values=True)
+        _validate_initial_state(new_obj, f"$.objects[{i}]")
         objects.append(new_obj)
     return replace(inv, objects=tuple(objects))

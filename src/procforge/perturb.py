@@ -196,7 +196,6 @@ def perturb(truth: Procedure, spec: PerturbationSpec, strict: bool = False) -> t
     seq = list(truth.steps)
     log = PerturbationLog()
     applied = 0
-    cycles_without_progress = 0
     while applied < spec.n_misorderings:
         progressed = False
         for kind in spec.kinds:
@@ -215,9 +214,5 @@ def perturb(truth: Procedure, spec: PerturbationSpec, strict: bool = False) -> t
             applied += 1
             progressed = True
         if not progressed:
-            cycles_without_progress += 1
-            if cycles_without_progress >= 1:
-                break
-        else:
-            cycles_without_progress = 0
+            break
     return Procedure(steps=tuple(seq)), log

@@ -15,10 +15,7 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass, field, fields
-from importlib import resources
 from pathlib import Path
-
-import jsonschema
 
 from . import __version__
 from .errors import ConfigError
@@ -39,28 +36,17 @@ from .repair import (
 from .rules import ExtractionConfig, extract_rules, rule_set_from_dict, rule_set_to_dict
 from .sampling import NoiseSpec, OracleSpec, build_prompt, fetch_samples, ingest_samples, simulate_oracle
 from .sampling import EndpointConfig, SOURCE_ENDPOINT, SOURCE_FILE, SOURCE_ORACLE
+from .schemas import first_violation
 from .templates import build_template, serialize_template, template_from_dict
 from .world_model import aggregate, serialize_world_model, world_model_from_dict
-
-STAGES = ("template", "sample", "aggregate", "extract", "map", "repair", "evaluate", "perturb", "tune")
-
-
-# ── schema registry ───────────────────────────────────────────────────────
-
-
-def load_schema(name: str) -> dict:
-    text = resources.files("procforge.schemas").joinpath(f"{name}.schema.json").read_text("utf-8")
-    return json.loads(text)
 
 
 def validate_artifact(name: str, doc: object, source: str = "<memory>") -> None:
     """Validate a document against one of the shipped artifact schemas."""
-    validator = jsonschema.Draft202012Validator(load_schema(name))
-    errors = sorted(validator.iter_errors(doc), key=lambda e: list(e.absolute_path))
-    if errors:
-        first = errors[0]
-        path = "$" + "".join(f"[{p!r}]" for p in first.absolute_path)
-        raise ConfigError(f"{source}: schema {name} violation at {path}: {first.message}")
+    violation = first_violation(name, doc)
+    if violation is not None:
+        path, message = violation
+        raise ConfigError(f"{source}: schema {name} violation at {path}: {message}")
     if name == "world_model" and isinstance(doc, dict) and "template" in doc:
         validate_artifact("template", doc["template"], source)
 
@@ -170,19 +156,19 @@ def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConf
     if raw_penalty not in (RAW_BINARY, RAW_GAP):
         raise ConfigError(f"repair.raw_penalty must be 'binary' or 'gap', got {raw_penalty!r}")
     perturb_doc = doc.get("perturb")
-    perturbation = None
     if perturb_doc:
         _config_table(perturb_doc, "perturb", ("n_misorderings", "kinds"))
-        perturbation = PerturbationSpec(
-            n_misorderings=int(perturb_doc["n_misorderings"]),
-            kinds=tuple(perturb_doc["kinds"]),
-            seed=derive_seed(doc["seed"], "perturb"),
-        )
     tune_doc = _config_table(doc.get("tune", {}), "tune", ("grid",))
     tune_grid = _config_table(tune_doc.get("grid", {}), "tune.grid", [f.name for f in fields(RepairWeights)])
     endpoint_doc = doc.get("endpoint")
-    endpoint = EndpointConfig(**endpoint_doc) if endpoint_doc else None
     try:
+        perturbation = None
+        if perturb_doc:
+            perturbation = PerturbationSpec(
+                n_misorderings=int(perturb_doc["n_misorderings"]),
+                kinds=tuple(perturb_doc["kinds"]),
+                seed=derive_seed(doc["seed"], "perturb"),
+            )
         cfg = PipelineConfig(
             base_dir=base,
             paths=resolved,
@@ -201,10 +187,12 @@ def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConf
             raw_penalty=raw_penalty,
             perturbation=perturbation,
             tune_grid={k: list(v) for k, v in tune_grid.items()},
-            endpoint=endpoint,
+            endpoint=EndpointConfig(**endpoint_doc) if endpoint_doc else None,
             strict=bool(overrides.get("strict", False)),
             config_hash=digest,
         )
+    except KeyError as exc:  # [perturb] holds the only keys read without a default
+        raise ConfigError(f"missing config key 'perturb.{exc.args[0]}'") from exc
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid config value: {exc}") from exc
     if cfg.sample_source not in (SOURCE_ORACLE, SOURCE_FILE, SOURCE_ENDPOINT):
@@ -262,10 +250,7 @@ def _load_inventory(cfg: PipelineConfig) -> DomainInventory:
     path = cfg.path("inventory")
     if not path.exists():
         raise ConfigError(f"missing input artifact: {path}")
-    text = path.read_text("utf-8")
-    inv = parse_inventory(text)  # position-reporting syntax + structure checks
-    validate_artifact("inventory", json.loads(text), str(path))
-    return resolve_dynamic_domains(inv)
+    return resolve_dynamic_domains(parse_inventory(path.read_text("utf-8")))
 
 
 def _load_template_files(cfg: PipelineConfig, objects: list[str] | None = None):
@@ -510,27 +495,27 @@ def stage_tune(cfg: PipelineConfig) -> list[Path]:
     return [out]
 
 
-_STAGE_FUNCS = {
+#: Every stage in standard order; ``run_all`` runs all but the last, ``tune``.
+STAGES = {
     "template": stage_template,
     "sample": stage_sample,
     "aggregate": stage_aggregate,
     "extract": stage_extract,
+    "perturb": stage_perturb,
     "map": stage_map,
     "repair": stage_repair,
     "evaluate": stage_evaluate,
-    "perturb": stage_perturb,
     "tune": stage_tune,
 }
 
 
 def run_stage(stage: str, cfg: PipelineConfig) -> list[Path]:
     """Run one pipeline stage; returns the artifact paths it wrote."""
-    if stage not in _STAGE_FUNCS:
+    if stage not in STAGES:
         raise ConfigError(f"unknown stage {stage!r}; expected one of {', '.join(STAGES)}")
-    return _STAGE_FUNCS[stage](cfg)
+    return STAGES[stage](cfg)
 
 
-def run_all(cfg: PipelineConfig, stages: list[str] | None = None) -> dict[str, list[Path]]:
-    """Run the standard stage order (template through evaluate)."""
-    order = stages or ["template", "sample", "aggregate", "extract", "perturb", "map", "repair", "evaluate"]
-    return {stage: run_stage(stage, cfg) for stage in order}
+def run_all(cfg: PipelineConfig) -> dict[str, list[Path]]:
+    """Run every stage but ``tune``, in standard order (template through evaluate)."""
+    return {stage: run_stage(stage, cfg) for stage in list(STAGES)[:-1]}

@@ -200,6 +200,15 @@ class ExtractionReport:
         }
 
 
+def _required_strength(domain: tuple[str, ...], value: str, forbidden: set[str]) -> str:
+    """Strong exactly when every alternative value of the variable is forbidden.
+
+    A single-value domain has no alternative left to rule out, so its
+    required value is strong.
+    """
+    return STRONG if set(domain) - {value} <= forbidden else WEAK
+
+
 def extract_preconditions(
     pools: EvidencePools, cfg: ExtractionConfig, report: ExtractionReport | None = None
 ) -> list[Precondition]:
@@ -271,11 +280,8 @@ def extract_preconditions(
                         )
                     )
         for pre in required:
-            domain = template.domain_of(pre.variable)
-            alternatives = set(domain) - {pre.value}
-            strength = STRONG if alternatives and alternatives <= forbidden.get(pre.variable, set()) else WEAK
-            if not alternatives:
-                strength = STRONG  # single-value domain: nothing left to rule out
+            forbidden_values = forbidden.get(pre.variable, set())
+            strength = _required_strength(template.domain_of(pre.variable), pre.value, forbidden_values)
             out.append(replace(pre, strength=strength))
     out.sort(key=lambda p: (p.action, p.variable, p.value, p.kind))
     return out
@@ -319,13 +325,8 @@ def merge_preconditions(
     final = []
     for pre in merged:
         if pre.kind == REQUIRED:
-            alternatives = set(domains[pre.variable]) - {pre.value}
-            strength = (
-                STRONG
-                if not alternatives or alternatives <= forbidden.get((pre.action, pre.variable), set())
-                else WEAK
-            )
-            pre = replace(pre, strength=strength)
+            forbidden_values = forbidden.get((pre.action, pre.variable), set())
+            pre = replace(pre, strength=_required_strength(domains[pre.variable], pre.value, forbidden_values))
         final.append(pre)
     final.sort(key=lambda p: (p.action, p.variable, p.value, p.kind))
     return final

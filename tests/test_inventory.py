@@ -45,6 +45,67 @@ def test_schema_violation_reports_path():
     assert "$.objects[0]" in str(err.value)
 
 
+_SPOON = {"id": "spoon", "category": "tool"}
+_BOTTLE = {"id": "bottle", "category": "container", "states": [{"id": "level", "domain": ["empty", "full"]}]}
+
+
+def _inventory(*objects, interactions=()):
+    return {"schema_version": "1", "objects": list(objects), "interactions": list(interactions)}
+
+
+@pytest.mark.parametrize(
+    "doc, path",
+    [
+        pytest.param(_inventory({**_SPOON, "id": "1spoon"}), "$.objects[0].id", id="bad-identifier"),
+        pytest.param(
+            _inventory({**_BOTTLE, "initial_state": {"level": ""}}),
+            "$.objects[0].initial_state.level",
+            id="empty-value",
+        ),
+        pytest.param(_inventory({**_SPOON, "category": "widget"}), "$.objects[0].category", id="unknown-category"),
+        pytest.param(
+            _inventory({**_SPOON, "components": [{"id": "tip", "kind": "nozzle"}]}),
+            "$.objects[0].components[0].kind",
+            id="unknown-component-kind",
+        ),
+        pytest.param(
+            _inventory(_SPOON, _BOTTLE, interactions=[{"kind": "pour", "source": "spoon", "target": "bottle"}]),
+            "$.interactions[0].kind",
+            id="unknown-interaction-kind",
+        ),
+        pytest.param(_inventory({**_BOTTLE, "states": {"id": "level"}}), "$.objects[0].states", id="states-not-a-list"),
+        pytest.param(
+            _inventory({**_BOTTLE, "states": [{"id": "level", "domain": []}]}),
+            "$.objects[0].states[0].domain",
+            id="empty-domain",
+        ),
+        pytest.param(
+            _inventory(
+                _SPOON,
+                _BOTTLE,
+                interactions=[{"kind": "transfer_material", "source": "a.b.c", "target": "bottle", "material": "x"}],
+            ),
+            "$.interactions[0].source",
+            id="malformed-reference",
+        ),
+        pytest.param({"objects": []}, "$", id="missing-schema-version"),
+    ],
+)
+def test_schema_violation_raises_with_its_path(doc, path):
+    with pytest.raises(InventorySchemaError) as err:
+        parse_inventory(json.dumps(doc))
+    assert err.value.path == path
+    assert str(err.value).startswith(f"{path}: ")
+
+
+def test_unknown_key_is_a_schema_violation():
+    doc = _inventory({**_BOTTLE, "initial_sate": {"level": "full"}})
+    with pytest.raises(InventorySchemaError) as err:
+        parse_inventory(json.dumps(doc))
+    assert err.value.path == "$.objects[0]"
+    assert "initial_sate" in str(err.value)
+
+
 def test_duplicate_object_ids_rejected():
     doc = {
         "schema_version": "1",

@@ -8,7 +8,22 @@ from pathlib import Path
 import pytest
 
 from procforge.cli import main as cli_main
-from procforge.errors import ConfigError
+from procforge.errors import (
+    ConfigError,
+    DanglingReferenceError,
+    DomainResolutionError,
+    DuplicateIdError,
+    EndpointAuthError,
+    EndpointError,
+    InventorySchemaError,
+    InventorySyntaxError,
+    OracleCoverageError,
+    PermutationError,
+    SampleValidationError,
+    SequenceMismatchError,
+    StateSpaceLimitError,
+    UnknownObjectError,
+)
 from procforge.metrics import kendall_tau
 from procforge.pipeline import load_config, run_all, run_stage, validate_artifact
 
@@ -47,6 +62,13 @@ def test_config_json_and_toml_equivalent(workdir):
     json_cfg = load_config(workdir / "c.json")
     assert json_cfg.seed == toml_cfg.seed
     assert json_cfg.raw_penalty == toml_cfg.raw_penalty
+
+
+def test_validate_artifact_path_format_matches_parse_inventory():
+    doc = {"schema_version": "1", "objects": [{"id": "x", "category": "widget"}]}
+    with pytest.raises(ConfigError) as err:
+        validate_artifact("inventory", doc, "inventory.json")
+    assert "inventory.json: schema inventory violation at $.objects[0].category: " in str(err.value)
 
 
 def test_missing_input_artifact_names_file(cfg):
@@ -243,6 +265,27 @@ def test_cli_misspelt_config_key_is_config_error(workdir, capsys, line, typo, ke
     assert f"unknown config key {key}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "line, edit, message",
+    [
+        ("n_misorderings = 6\n", "", "missing config key 'perturb.n_misorderings'"),
+        ("n_misorderings = 6", "n_misorderings = 0", "n_misorderings must be >= 1"),
+        ("[tune.grid]", '[endpoint]\nbase_url = "http://localhost"\nmodle = "m"\n\n[tune.grid]', "'modle'"),
+    ],
+    ids=["missing-n-misorderings", "zero-misorderings", "misspelt-endpoint-key"],
+)
+def test_cli_bad_perturb_or_endpoint_table_is_config_error(workdir, capsys, line, edit, message):
+    config = workdir / "config.toml"
+    text = config.read_text()
+    assert text.count(line) == 1
+    config.write_text(text.replace(line, edit))
+    code = cli_main(["template", "--config", str(config)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "validation error" in err
+    assert message in err
+
+
 def test_cli_missing_config_exit_code(tmp_path, capsys):
     code = cli_main(["template", "--config", str(tmp_path / "nope.toml")])
     assert code == 1
@@ -254,9 +297,41 @@ def test_cli_runtime_error_exit_code(workdir, capsys, monkeypatch):
     def boom(cfg):
         raise RuntimeError("disk on fire")
 
-    monkeypatch.setitem(pipeline_mod._STAGE_FUNCS, "template", boom)
+    monkeypatch.setitem(pipeline_mod.STAGES, "template", boom)
     code = cli_main(["template", "--config", str(workdir / "config.toml")])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "exc, code",
+    [
+        *((cls("bad input"), 1) for cls in (
+            ConfigError,
+            DanglingReferenceError,
+            DomainResolutionError,
+            DuplicateIdError,
+            InventorySchemaError,
+            InventorySyntaxError,
+            OracleCoverageError,
+            PermutationError,
+            SampleValidationError,
+            SequenceMismatchError,
+        )),
+        (UnknownObjectError("no such object"), 2),
+        (StateSpaceLimitError(10, 5), 2),
+        (EndpointError("request failed"), 2),
+        (EndpointAuthError("bad key"), 2),
+    ],
+    ids=lambda value: type(value).__name__ if isinstance(value, Exception) else str(value),
+)
+def test_cli_exit_code_follows_error_taxonomy(workdir, monkeypatch, exc, code):
+    import procforge.pipeline as pipeline_mod
+
+    def fail(cfg):
+        raise exc
+
+    monkeypatch.setitem(pipeline_mod.STAGES, "template", fail)
+    assert cli_main(["template", "--config", str(workdir / "config.toml")]) == code
 
 
 def test_cli_entry_point_installed(workdir):
