@@ -57,15 +57,19 @@ class PerturbationLog:
 
 
 def _is_open(step: Step) -> bool:
-    return step.action_key is not None and step.action.id.endswith(".open")
+    return step.action is not None and step.action.id.endswith(".open")
 
 
 def _is_close(step: Step) -> bool:
-    return step.action_key is not None and step.action.id.endswith(".close")
+    return step.action is not None and step.action.id.endswith(".close")
 
 
 def _is_transfer(step: Step) -> bool:
-    return step.action_key is not None and step.action.id.startswith("transfer_material:")
+    return step.action is not None and step.action.id.startswith("transfer_material:")
+
+
+def _is_power_off(step: Step) -> bool:
+    return _power_value(step) == "off"
 
 
 def _power_value(step: Step) -> str | None:
@@ -86,6 +90,10 @@ def _transfer_source_object(step: Step) -> str:
     return body.split("->", 1)[0].split(".")[0]
 
 
+def _object(step: Step) -> str:
+    return step.action.id.split(".")[0]
+
+
 def _move(seq: list[Step], i: int, j: int) -> None:
     step = seq.pop(i)
     seq.insert(j, step)
@@ -95,22 +103,38 @@ def _pick(rng: random.Random, items: list):
     return items[rng.randrange(len(items))] if items else None
 
 
+def _after_last_anchor(seq: list[Step], is_target, target_object, is_anchor):
+    """Yield (i, a) for each target step i whose object has an anchor step
+    before it, a being the index of the last such anchor.
+
+    One pass: each step is tested as a target before it is recorded as an
+    anchor, so a step that matches both anchors later steps but never
+    itself, as a scan of the prefix ``seq[:i]`` would have it.
+    """
+    last = {}  # object -> index of its last anchor step so far
+    for i, step in enumerate(seq):
+        if is_target(step):
+            a = last.get(target_object(step))
+            if a is not None:
+                yield i, a
+        if is_anchor(step):
+            last[_object(step)] = i
+
+
 def _candidates_early_transfer(seq: list[Step]) -> list[tuple[int, int, int]]:
     """(transfer index, open index, lowest landing index) triples."""
-    out = []
-    for ti, step in enumerate(seq):
-        if not _is_transfer(step):
-            continue
-        source = _transfer_source_object(step)
-        opens = [
-            oi
-            for oi, s in enumerate(seq[:ti])
-            if _is_open(s) and s.action.id.split(".")[0] == source
-        ]
-        if opens:
-            oi = max(opens)
-            out.append((ti, oi, max(0, oi - 4)))
-    return out
+    pairs = _after_last_anchor(seq, _is_transfer, _transfer_source_object, _is_open)
+    return [(ti, oi, max(0, oi - 4)) for ti, oi in pairs]
+
+
+def _candidates_early_close(seq: list[Step]) -> list[tuple[int, int]]:
+    """(close index, open index) pairs at least 3 steps apart."""
+    return [(ci, oi) for ci, oi in _after_last_anchor(seq, _is_close, _object, _is_open) if ci - oi >= 3]
+
+
+def _candidates_early_power_off(seq: list[Step]) -> list[tuple[int, int]]:
+    """(power-off index, zero-reset index) pairs."""
+    return list(_after_last_anchor(seq, _is_power_off, _object, _is_reset))
 
 
 def _apply_kind(kind: str, seq: list[Step], rng: random.Random) -> dict | None:
@@ -124,15 +148,7 @@ def _apply_kind(kind: str, seq: list[Step], rng: random.Random) -> dict | None:
         _move(seq, ti, j)
         return {"from": ti, "to": j}
     if kind == KIND_EARLY_CLOSE:
-        closes = []
-        for ci, step in enumerate(seq):
-            if not _is_close(step):
-                continue
-            obj = step.action.id.split(".")[0]
-            opens = [oi for oi, s in enumerate(seq[:ci]) if _is_open(s) and s.action.id.split(".")[0] == obj]
-            if opens and ci - max(opens) >= 3:
-                closes.append((ci, max(opens)))
-        cand = _pick(rng, closes)
+        cand = _pick(rng, _candidates_early_close(seq))
         if cand is None:
             return None
         ci, oi = cand
@@ -148,15 +164,7 @@ def _apply_kind(kind: str, seq: list[Step], rng: random.Random) -> dict | None:
         _move(seq, i, j)
         return {"from": i, "to": j}
     if kind == KIND_EARLY_POWER_OFF:
-        cands = []
-        for fi, step in enumerate(seq):
-            if _power_value(step) != "off":
-                continue
-            obj = step.action.id.split(".")[0]
-            resets = [zi for zi, s in enumerate(seq[:fi]) if _is_reset(s) and s.action.id.split(".")[0] == obj]
-            if resets:
-                cands.append((fi, max(resets)))
-        cand = _pick(rng, cands)
+        cand = _pick(rng, _candidates_early_power_off(seq))
         if cand is None:
             return None
         fi, zi = cand

@@ -12,8 +12,6 @@ import json
 import os
 import random
 import time
-import urllib.error
-import urllib.request
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -259,6 +257,8 @@ def parse_sample_line(tpl: MdpTemplate, line: str, action_keys: set[str] | None 
         doc = json.loads(line)
     except json.JSONDecodeError as exc:
         raise SampleValidationError(f"invalid JSON: {exc.msg}") from exc
+    except RecursionError as exc:  # nesting deeper than the decoder's recursion limit
+        raise SampleValidationError("invalid JSON: nested too deeply") from exc
     if not isinstance(doc, dict):
         raise SampleValidationError("record must be a JSON object")
     for key in ("state", "action", "next_state", "reward"):
@@ -373,6 +373,11 @@ class EndpointConfig:
 
 
 def _urllib_transport(url: str, headers: dict[str, str], body: bytes, timeout: float) -> tuple[int, str]:
+    # Imported here, its only use: loading urllib.request pulls in
+    # http.client, ssl and email, which no other source needs.
+    import urllib.error
+    import urllib.request
+
     req = urllib.request.Request(url, data=body, headers=headers, method="POST")
     try:
         with urllib.request.urlopen(req, timeout=timeout) as resp:

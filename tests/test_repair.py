@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from procforge.errors import PermutationError, ProcforgeError
 from procforge.metrics import RAW_BINARY, RAW_GAP
@@ -186,6 +186,56 @@ def test_contradictory_toggle_cycle_dropped():
     mapping = map_rules_to_constraints(draft, rules)
     assert [(c.predecessor, c.successor) for c in mapping.constraints] == [("on1", "off1")]
     assert [(c.predecessor, c.successor) for c in mapping.dropped] == [("off1", "on1")]
+
+
+MAP_ACTIONS = ("dev.a", "dev.b", "dev.c")
+
+
+@st.composite
+def mapping_cases(draw):
+    """A draft over three actions, some steps unmapped, and rules whose
+    producers may list ``initial_state``; each rule has its own origin."""
+    n = draw(st.integers(min_value=2, max_value=8))
+    actions = draw(st.lists(st.sampled_from(MAP_ACTIONS + (None,)), min_size=n, max_size=n))
+    draft = proc(*[f"s{k}" for k in range(n)], actions=actions)
+    producers = st.lists(st.sampled_from(MAP_ACTIONS + (INITIAL_STATE,)), min_size=1, max_size=3, unique=True)
+    rules = [
+        rule(draw(st.sampled_from(MAP_ACTIONS)), f"v{k}", "x", draw(producers))
+        for k in range(draw(st.integers(min_value=0, max_value=6)))
+    ]
+    return draft, rules
+
+
+@settings(max_examples=300, deadline=None)
+@given(mapping_cases())
+@example(
+    (
+        proc("b1", "a1", actions=["dev.b", "dev.a"]),
+        [rule("dev.a", "v0", "x", [INITIAL_STATE, "dev.b"]), rule("dev.b", "v1", "x", ["dev.a"])],
+    )
+)
+@example(
+    (
+        proc("b1", "a1", actions=["dev.b", "dev.a"]),
+        [rule("dev.a", "v0", "x", ["dev.b"]), rule("dev.b", "v1", "x", ["dev.a"])],
+    )
+)
+def test_two_cycle_drops_the_direction_whose_rule_lists_initial_state(case):
+    draft, rules = case
+    mapping = map_rules_to_constraints(draft, rules)
+    lists_initial = {f"{r.action}<-{r.variable}={r.value}": INITIAL_STATE in r.producers for r in rules}
+    emitted = mapping.constraints + mapping.dropped
+    pairs = {(c.predecessor, c.successor) for c in emitted}
+    kept = {(c.predecessor, c.successor) for c in mapping.constraints}
+    for c in emitted:
+        if (c.successor, c.predecessor) in pairs and lists_initial[c.origin]:
+            assert c in mapping.dropped
+            assert c not in mapping.constraints
+    for c in mapping.constraints:  # a 2-cycle left in constraints
+        if (c.successor, c.predecessor) in kept:
+            assert not lists_initial[c.origin]
+    for c in mapping.dropped:
+        assert (c.successor, c.predecessor) in pairs and lists_initial[c.origin]
 
 
 def test_duplicate_step_ids_rejected():

@@ -188,10 +188,13 @@ def test_ingest_strict_raises(pipette_template):
 @given(st.text(max_size=120))
 def test_ingest_fuzz_never_accepts_invalid_samples(pipette_template_fuzz, line):
     tpl = pipette_template_fuzz
-    report = ingest_samples([line], tpl)
+    assert_samples_fit_template(ingest_samples([line], tpl).batch.samples, tpl)
+
+
+def assert_samples_fit_template(samples, tpl):
     domains = {v.id: v.domain for v in tpl.variables}
     keys = tpl.action_keys()
-    for sample in report.batch.samples:
+    for sample in samples:
         assert sample.action.key in keys
         assert sample.reward in (0, 1)
         for assignment in (sample.state, sample.next_state):
@@ -244,6 +247,69 @@ def test_memoised_ingest_matches_per_line_parsing(pipette_template_fuzz, ingest_
         assert str(err.value) == f"line {lineno}: {reason}"
     else:
         assert list(ingest_samples(lines, tpl, strict=True).batch.samples) == accepted
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=8,
+)
+RECORD_KEYS = ("state", "action", "params", "next_state", "reward")
+NEAR_MISSES = st.sampled_from((2, -1, 0.5, True, "1", None, [], {}))
+
+
+@st.composite
+def fuzzed_lines(draw, known: list[str], values: list[str]):
+    """One of the ``known`` lines, arbitrary text, an arbitrary JSON value,
+    or the first known line with fields dropped or replaced and a state
+    value swapped for any domain value."""
+    form = draw(st.sampled_from(("known", "text", "json", "record")))
+    if form == "known":
+        return draw(st.sampled_from(known))
+    if form == "text":
+        return draw(st.text(max_size=80))
+    if form == "json":
+        return json.dumps(draw(JSON_VALUES))
+    doc = json.loads(known[0])
+    for key in draw(st.lists(st.sampled_from(RECORD_KEYS), max_size=3, unique=True)):
+        if draw(st.booleans()):
+            del doc[key]
+        else:
+            doc[key] = draw(NEAR_MISSES | JSON_VALUES)
+    if isinstance(doc.get("state"), dict) and doc["state"] and draw(st.booleans()):
+        doc["state"][draw(st.sampled_from(sorted(doc["state"])))] = draw(st.sampled_from(values))
+    return json.dumps(doc)
+
+
+def assert_each_line_parses_or_is_rejected(lines, tpl):
+    report = ingest_samples(lines, tpl)
+    assert_samples_fit_template(report.batch.samples, tpl)
+    nonblank = [n for n, line in enumerate(lines, start=1) if line.strip()]
+    rejected = [n for n, _ in report.rejections]
+    assert all(isinstance(reason, str) and reason for _, reason in report.rejections)
+    assert set(rejected) <= set(nonblank)
+    assert rejected == sorted(set(rejected))
+    assert len(report.batch.samples) + len(rejected) == len(nonblank)
+    if rejected:
+        with pytest.raises(SampleValidationError, match=rf"^line {rejected[0]}: "):
+            ingest_samples(lines, tpl, strict=True)
+    else:
+        assert ingest_samples(lines, tpl, strict=True).batch.samples == report.batch.samples
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_ingest_fuzz_each_line_parses_or_is_rejected(pipette_template_fuzz, ingest_lines, data):
+    tpl = pipette_template_fuzz
+    values = sorted({value for v in tpl.variables for value in v.domain})
+    lines = data.draw(st.lists(fuzzed_lines(ingest_lines, values), max_size=12))
+    assert_each_line_parses_or_is_rejected(lines, tpl)
+
+
+def test_ingest_rejects_a_line_nested_past_the_decoder_limit(pipette_template, ingest_lines):
+    lines = [ingest_lines[0], "[" * 100_000, '{"state": ' * 50_000]
+    assert_each_line_parses_or_is_rejected(lines, pipette_template)
+    assert ingest_samples(lines, pipette_template).rejections[0] == (2, "invalid JSON: nested too deeply")
 
 
 @pytest.fixture(scope="session")
