@@ -373,11 +373,6 @@ def serialize_inventory(inv: DomainInventory) -> str:
 # ── dynamic-domain resolution ─────────────────────────────────────────────
 
 
-def _holder_of(var_id: str, obj: LabObject) -> str:
-    parts = var_id.split(".")
-    return parts[0] if len(parts) == 2 else f"{parts[0]}.{parts[1]}"
-
-
 def _resolved_domain(inv: DomainInventory, var: StateVariable, holder: str) -> StateVariable:
     placed: set[str] = set()
     transferred: set[str] = set()

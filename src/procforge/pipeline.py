@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from . import __version__
-from .errors import ConfigError
+from .errors import ConfigError, SampleValidationError
 from .inventory import DomainInventory, parse_inventory, resolve_dynamic_domains
 from .metrics import RAW_BINARY, RAW_GAP, evaluate, format_table, reports_to_json, sequence_report
 from .perturb import PerturbationSpec, perturb
@@ -308,7 +308,7 @@ def stage_sample(cfg: PipelineConfig) -> list[Path]:
             if cfg.sample_source == SOURCE_FILE:
                 if not out.exists():
                     raise ConfigError(f"sample source 'file' expects an existing file: {out}")
-                report = ingest_samples(out.read_text("utf-8").splitlines(), tpl, strict=cfg.strict)
+                report = ingest_samples(out.read_text("utf-8"), tpl, strict=cfg.strict)
                 rejection_inputs = [*inputs, out]  # hashed before the accepted lines replace it
             else:
                 if cfg.endpoint is None:
@@ -339,7 +339,7 @@ def stage_aggregate(cfg: PipelineConfig) -> list[Path]:
         if obj not in by_object:
             raise ConfigError(f"samples file {sample_path} has no matching template")
         tpl_path, tpl = by_object[obj]
-        report = ingest_samples(sample_path.read_text("utf-8").splitlines(), tpl, strict=True)
+        report = ingest_samples(sample_path.read_text("utf-8"), tpl, strict=True)
         wm = aggregate(report.batch)
         out = cfg.path("world_models_dir") / f"{obj}.json"
         write_artifact(out, serialize_world_model(wm), cfg, "aggregate", [sample_path, tpl_path])
@@ -357,7 +357,10 @@ def stage_extract(cfg: PipelineConfig) -> list[Path]:
     for path in sorted(wdir.glob("*.json")):
         if path.name.endswith(".manifest.json"):
             continue
-        models.append(world_model_from_dict(_read_json(path, "world_model")))
+        try:
+            models.append(world_model_from_dict(_read_json(path, "world_model")))
+        except SampleValidationError as exc:
+            raise SampleValidationError(f"{path}: {exc}") from exc
         inputs.append(path)
     if not models:
         raise ConfigError(f"no world models found under {wdir}")

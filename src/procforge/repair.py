@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import json
 import math
 import random
 from dataclasses import dataclass, field
@@ -548,10 +547,6 @@ def procedure_from_dict(doc: dict) -> Procedure:
     return Procedure(steps=tuple(steps))
 
 
-def serialize_procedure(proc: Procedure) -> str:
-    return json.dumps(procedure_to_dict(proc), indent=2, sort_keys=True) + "\n"
-
-
 def constraints_to_dict(constraints: list[PrecedenceConstraint], clusters: list[ClusterConstraint]) -> dict:
     return {
         "raw": [
@@ -576,7 +571,3 @@ def constraints_from_dict(doc: dict) -> tuple[list[PrecedenceConstraint], list[C
         for item in doc.get("cluster", [])
     ]
     return raw, clusters
-
-
-def serialize_constraints(constraints, clusters) -> str:
-    return json.dumps(constraints_to_dict(list(constraints), list(clusters)), indent=2, sort_keys=True) + "\n"

@@ -10,7 +10,6 @@ ordering rules.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 
 from .inventory import DomainInventory
@@ -481,7 +480,3 @@ def rule_set_from_dict(doc: dict) -> RuleSet:
         conflicts=list(doc["extraction_report"].get("conflicts", [])),
     )
     return RuleSet(preconditions=preconditions, causal_rules=rules, report=report, config=cfg)
-
-
-def serialize_rule_set(rules: RuleSet) -> str:
-    return json.dumps(rule_set_to_dict(rules), indent=2, sort_keys=True) + "\n"

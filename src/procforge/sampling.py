@@ -231,26 +231,6 @@ class IngestReport:
     rejections: tuple[tuple[int, str], ...]
 
 
-def _validate_assignment(tpl: MdpTemplate, raw: object, label: str) -> dict[str, str]:
-    if not isinstance(raw, dict):
-        raise SampleValidationError(f"{label} must be an object")
-    expected = set(tpl.variable_ids)
-    got = set(raw)
-    if got != expected:
-        missing = sorted(expected - got)
-        extra = sorted(got - expected)
-        detail = []
-        if missing:
-            detail.append(f"missing {missing}")
-        if extra:
-            detail.append(f"unexpected {extra}")
-        raise SampleValidationError(f"{label} variables do not match template: " + ", ".join(detail))
-    for var_id, value in raw.items():
-        if value not in tpl.domain_of(var_id):
-            raise SampleValidationError(f"{label}: value {value!r} not in domain of {var_id}")
-    return {k: str(v) for k, v in raw.items()}
-
-
 def parse_sample_line(tpl: MdpTemplate, line: str, action_keys: set[str] | None = None) -> TransitionSample:
     """Parse and validate one JSONL sample record."""
     try:
@@ -272,8 +252,8 @@ def parse_sample_line(tpl: MdpTemplate, line: str, action_keys: set[str] | None 
     keys = action_keys if action_keys is not None else tpl.action_keys()
     if action.key not in keys:
         raise SampleValidationError(f"action {action.key!r} not in template")
-    state = _validate_assignment(tpl, doc["state"], "state")
-    next_state = _validate_assignment(tpl, doc["next_state"], "next_state")
+    state = tpl.validate_assignment(doc["state"], "state")
+    next_state = tpl.validate_assignment(doc["next_state"], "next_state")
     reward = doc["reward"]
     if reward not in (0, 1):
         raise SampleValidationError(f"reward must be 0 or 1, got {reward!r}")
@@ -294,7 +274,8 @@ def ingest_samples(
     the sample; an invalid line is parsed and reported at every occurrence.
     """
     if isinstance(stream, str):
-        stream = stream.splitlines()
+        # Not splitlines(): JSON strings may hold U+2028, U+2029 and U+0085 raw.
+        stream = stream.split("\n")
     action_keys = tpl.action_keys()
     parsed: dict[str, TransitionSample] = {}  # valid line text -> its one sample
     accepted = []

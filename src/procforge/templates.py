@@ -12,7 +12,7 @@ import itertools
 import json
 from dataclasses import dataclass
 
-from .errors import DomainResolutionError, StateSpaceLimitError, UnknownObjectError
+from .errors import DomainResolutionError, SampleValidationError, StateSpaceLimitError, UnknownObjectError
 from .inventory import DomainInventory, Interaction, LabObject, StateVariable
 
 ORIGIN_OWN = "own"
@@ -89,6 +89,20 @@ class MdpTemplate:
     def state_tuple(self, assignment: dict[str, str]) -> tuple[str, ...]:
         """Canonical tuple form of a complete state assignment."""
         return tuple(assignment[v.id] for v in self.variables)
+
+    def validate_assignment(self, raw: object, label: str) -> dict[str, str]:
+        """``raw`` if it assigns every variable, and no other, a value in its domain."""
+        if not isinstance(raw, dict):
+            raise SampleValidationError(f"{label} must be an object")
+        expected, got = set(self.variable_ids), set(raw)
+        if got != expected:
+            gaps = (("missing", expected - got), ("unexpected", got - expected))
+            detail = ", ".join(f"{word} {sorted(ids)}" for word, ids in gaps if ids)
+            raise SampleValidationError(f"{label} variables do not match template: {detail}")
+        for var_id, value in raw.items():
+            if value not in self.domain_of(var_id):
+                raise SampleValidationError(f"{label}: value {value!r} not in domain of {var_id}")
+        return dict(raw)
 
     def state_dict(self, values: tuple[str, ...]) -> dict[str, str]:
         return {v.id: value for v, value in zip(self.variables, values)}

@@ -133,47 +133,95 @@ def merge(first: WorldModel, second: WorldModel) -> WorldModel:
 # ── serialization ─────────────────────────────────────────────────────────
 
 
-def world_model_to_dict(wm: WorldModel) -> dict:
-    tpl = wm.template
-    entries = []
-    for entry in wm.sorted_entries():
-        entries.append(
+def _entry_to_dict(tpl: MdpTemplate, entry: WorldModelEntry) -> dict:
+    return {
+        "state": tpl.state_dict(entry.state),
+        "action": entry.action.id,
+        "params": dict(entry.action.params),
+        "total_count": entry.total_count,
+        "plausibility": entry.plausibility,
+        "outcomes": [
             {
-                "state": tpl.state_dict(entry.state),
-                "action": entry.action.id,
-                "params": dict(entry.action.params),
-                "total_count": entry.total_count,
-                "plausibility": entry.plausibility,
-                "outcomes": [
-                    {
-                        "next_state": tpl.state_dict(o.next_state),
-                        "count": o.count,
-                        "probability": entry.probability(o),
-                        "avg_reward": o.avg_reward,
-                        "reward_sum": o.reward_sum,
-                    }
-                    for o in entry.outcomes
-                ],
+                "next_state": tpl.state_dict(o.next_state),
+                "count": o.count,
+                "probability": entry.probability(o),
+                "avg_reward": o.avg_reward,
+                "reward_sum": o.reward_sum,
             }
-        )
-    return {"template": template_to_dict(tpl), "entries": entries}
+            for o in entry.outcomes
+        ],
+    }
+
+
+def world_model_to_dict(wm: WorldModel) -> dict:
+    entries = [_entry_to_dict(wm.template, entry) for entry in wm.sorted_entries()]
+    return {"template": template_to_dict(wm.template), "entries": entries}
+
+
+def _require_keys(raw: object, keys: tuple[str, ...], where: str) -> None:
+    if not isinstance(raw, dict) or sorted(raw) != sorted(keys):
+        raise SampleValidationError(f"{where} must be an object with exactly the keys {sorted(keys)}")
+
+
+def _require_same(stored: dict, expected: dict, keys: tuple[str, ...], where: str) -> None:
+    """Each stored derived field must be its recomputed value exactly.
+
+    Compared by repr, not ``==``, which equates True, 1 and 1.0, and -0.0
+    and 0.0."""
+    for key in keys:
+        if repr(stored[key]) != repr(expected[key]):
+            raise SampleValidationError(f"{where}.{key}: stored {stored[key]!r}, recomputed {expected[key]!r}")
+
+
+def _entry_from_dict(tpl: MdpTemplate, actions: dict[str, BoundAction], item: object, where: str) -> WorldModelEntry:
+    _require_keys(item, ("state", "action", "params", "total_count", "plausibility", "outcomes"), where)
+    action_id, params = item["action"], item["params"]
+    if not (isinstance(action_id, str) and isinstance(params, dict)) or not all(
+        isinstance(value, str) for value in params.values()
+    ):
+        raise SampleValidationError(f"{where}: action must be a string and params an object of strings")
+    action = bound_action_from_parts(action_id, params)
+    if actions.get(action.key) != action:
+        raise SampleValidationError(f"{where}.action: {action.key!r} not in template")
+    state = tpl.state_tuple(tpl.validate_assignment(item["state"], f"{where}.state"))
+    if not isinstance(item["outcomes"], list) or not item["outcomes"]:
+        raise SampleValidationError(f"{where}.outcomes must be a non-empty array")
+    outcomes = []
+    for j, raw in enumerate(item["outcomes"]):
+        at = f"{where}.outcomes[{j}]"
+        _require_keys(raw, ("next_state", "count", "probability", "avg_reward", "reward_sum"), at)
+        count, reward_sum = raw["count"], raw["reward_sum"]
+        if type(count) is not int or count < 1:
+            raise SampleValidationError(f"{at}.count: {count!r} is not an integer >= 1")
+        if type(reward_sum) is not int or not 0 <= reward_sum <= count:
+            raise SampleValidationError(f"{at}.reward_sum: {reward_sum!r} is not an integer in [0, count]")
+        next_state = tpl.state_tuple(tpl.validate_assignment(raw["next_state"], f"{at}.next_state"))
+        if any(o.next_state == next_state for o in outcomes):
+            raise SampleValidationError(f"{at}.next_state repeats an earlier outcome's")
+        outcomes.append(OutcomeRecord(next_state=next_state, count=count, reward_sum=reward_sum))
+    entry = WorldModelEntry(action=action, state=state, outcomes=tuple(outcomes))
+    expected = _entry_to_dict(tpl, entry)
+    _require_same(item, expected, ("total_count", "plausibility"), where)
+    for j, (stored, recomputed) in enumerate(zip(item["outcomes"], expected["outcomes"])):
+        _require_same(stored, recomputed, ("probability", "avg_reward"), f"{where}.outcomes[{j}]")
+    return entry
 
 
 def world_model_from_dict(doc: dict) -> WorldModel:
+    """Parse a world model whose envelope fits its schema, checking every
+    entry against the embedded template: states as sample states are, a
+    bound action of the template, counts in range, no repeated key, and
+    each derived field as the writer renders it.  A violation raises
+    :class:`SampleValidationError` naming its ``$.entries[i]`` path."""
     tpl = template_from_dict(doc["template"])
+    actions = {b.key: b for b in tpl.bound_actions()}
     entries: dict[EntryKey, WorldModelEntry] = {}
-    for item in doc["entries"]:
-        action = bound_action_from_parts(item["action"], item.get("params", {}))
-        state = tpl.state_tuple(item["state"])
-        outcomes = tuple(
-            OutcomeRecord(
-                next_state=tpl.state_tuple(o["next_state"]),
-                count=int(o["count"]),
-                reward_sum=int(o["reward_sum"]),
-            )
-            for o in item["outcomes"]
-        )
-        entries[(action.key, state)] = WorldModelEntry(action=action, state=state, outcomes=outcomes)
+    for i, item in enumerate(doc["entries"]):
+        entry = _entry_from_dict(tpl, actions, item, f"$.entries[{i}]")
+        key = (entry.action.key, entry.state)
+        if key in entries:
+            raise SampleValidationError(f"$.entries[{i}]: repeats the (action, state) key of an earlier entry")
+        entries[key] = entry
     return WorldModel(template=tpl, entries=entries)
 
 

@@ -26,6 +26,7 @@ from procforge.errors import (
 )
 from procforge.metrics import kendall_tau
 from procforge.pipeline import load_config, run_all, run_stage, validate_artifact
+from procforge.world_model import world_model_from_dict
 
 
 @pytest.fixture()
@@ -165,6 +166,21 @@ def test_sample_stage_file_source_keeps_rejected_lines(cfg):
     assert read_json(cfg.path("samples_dir") / "spoon.rejections.json") == []
 
 
+def test_sample_stage_file_source_splits_lines_only_at_newlines(cfg):
+    run_stage("template", cfg)
+    run_stage("sample", cfg)
+    samples = cfg.path("samples_dir") / "electronic_pipette.jsonl"
+    lines = samples.read_text().split("\n")[:2]
+    # JSON allows these raw inside a string; they must not end the line.
+    odd = json.dumps({**json.loads(lines[1]), "note": "a\u2028b\u2029c\u0085d"}, ensure_ascii=False)
+    samples.write_text("\n".join([lines[0], odd, "not json", ""]))
+    cfg.sample_source = "file"
+    run_stage("sample", cfg)
+    rejections = read_json(cfg.path("samples_dir") / "electronic_pipette.rejections.json")
+    assert [lineno for lineno, _ in rejections] == [3]
+    assert samples.read_text().split("\n") == [lines[0], lines[1], ""]
+
+
 # sha256 over the (name, bytes) of every samples/*.jsonl and
 # world_models/*.json file that template -> aggregate writes on the shipped
 # config, recorded before sampling, ingest and aggregation were made to
@@ -286,6 +302,29 @@ def test_cli_bad_perturb_or_endpoint_table_is_config_error(workdir, capsys, line
     assert message in err
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda state: state.update({"ddh2o_bottle.cap.state": "ajar"}), "value 'ajar' not in domain"),
+        (lambda state: state.pop("ddh2o_bottle.cap.state"), "variables do not match template: missing"),
+    ],
+    ids=["value-out-of-domain", "missing-variable"],
+)
+def test_cli_extract_rejects_a_hand_edited_world_model(workdir, capsys, edit, message):
+    config = str(workdir / "config.toml")
+    for stage in ("template", "sample", "aggregate"):
+        assert cli_main([stage, "--config", config]) == 0
+    path = workdir / "out/world_models/electronic_pipette.json"
+    doc = read_json(path)
+    edit(doc["entries"][4]["state"])
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli_main(["extract", "--config", config]) == 1
+    err = capsys.readouterr().err
+    assert f"{path}: $.entries[4].state" in err
+    assert message in err
+
+
 def test_cli_missing_config_exit_code(tmp_path, capsys):
     code = cli_main(["template", "--config", str(tmp_path / "nope.toml")])
     assert code == 1
@@ -375,7 +414,9 @@ def test_every_written_artifact_validates_against_its_schema(cfg):
         validate_artifact(schema, read_json(path), str(path))
     for path in cfg.path("world_models_dir").glob("*.json"):
         if not path.name.endswith(".manifest.json"):
-            validate_artifact("world_model", read_json(path), str(path))
+            doc = read_json(path)
+            validate_artifact("world_model", doc, str(path))
+            world_model_from_dict(doc)  # the schema checks only the envelope
     for path in cfg.path("samples_dir").glob("*.jsonl"):
         for line in path.read_text().splitlines():
             validate_artifact("sample", json.loads(line), str(path))

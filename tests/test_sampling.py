@@ -271,6 +271,8 @@ def fuzzed_lines(draw, known: list[str], values: list[str]):
     if form == "json":
         return json.dumps(draw(JSON_VALUES))
     doc = json.loads(known[0])
+    if draw(st.booleans()):  # an ignored extra key holding line-separator characters
+        doc["note"] = draw(st.text(alphabet="ab\u2028\u2029\u0085", max_size=6))
     for key in draw(st.lists(st.sampled_from(RECORD_KEYS), max_size=3, unique=True)):
         if draw(st.booleans()):
             del doc[key]
@@ -278,7 +280,7 @@ def fuzzed_lines(draw, known: list[str], values: list[str]):
             doc[key] = draw(NEAR_MISSES | JSON_VALUES)
     if isinstance(doc.get("state"), dict) and doc["state"] and draw(st.booleans()):
         doc["state"][draw(st.sampled_from(sorted(doc["state"])))] = draw(st.sampled_from(values))
-    return json.dumps(doc)
+    return json.dumps(doc, ensure_ascii=draw(st.booleans()))
 
 
 def assert_each_line_parses_or_is_rejected(lines, tpl):
@@ -295,6 +297,8 @@ def assert_each_line_parses_or_is_rejected(lines, tpl):
             ingest_samples(lines, tpl, strict=True)
     else:
         assert ingest_samples(lines, tpl, strict=True).batch.samples == report.batch.samples
+    if not any("\n" in line for line in lines):  # the text form splits at "\n" only
+        assert ingest_samples("\n".join(lines), tpl) == report
 
 
 @settings(max_examples=200, deadline=None)
