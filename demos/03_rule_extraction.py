@@ -15,13 +15,10 @@ from procforge import (
     OracleSpec,
     aggregate,
     build_template,
-    classify_entries,
-    detect_contrast,
     extract_rules,
     parse_inventory,
     resolve_dynamic_domains,
     simulate_oracle,
-    support,
 )
 
 BENCHMARK = Path(__file__).resolve().parent.parent / "benchmark"
@@ -49,15 +46,16 @@ def main():
         oracle = OracleSpec.from_dict(oracles[obj])
         models.append(aggregate(simulate_oracle(tpl, oracle, 250, NoiseSpec(seed=seed))))
 
-    pools = classify_entries(models[0], cfg)
-    print("supports for the draw action over the bottle-cap variable:")
-    for side in ("valid", "invalid"):
-        for value in ("opened", "closed"):
-            s = support(pools, DRAW, CAP, value, side)
-            print(f"  {side} support(cap={value}) = {s:.2f}" if s is not None else f"  {side}: no evidence")
-    print(f"  one-value contrast pairs for cap=closed: {detect_contrast(pools, DRAW, CAP, 'closed')}")
-
     rule_set = extract_rules(models, inv, cfg)
+    print("evidence for the draw action over the bottle-cap variable:")
+    for p in rule_set.preconditions:
+        if p.action == DRAW and p.variable == CAP:
+            invalid = "no evidence" if p.invalid_support is None else f"{p.invalid_support:.2f}"
+            print(
+                f"  {p.kind} cap={p.value}: valid support {p.valid_support:.2f}, "
+                f"invalid support {invalid}, {p.contrast} one-value contrast pairs"
+            )
+
     print("\nextracted preconditions:")
     for p in rule_set.preconditions:
         grade = f" [{p.strength}]" if p.strength else ""

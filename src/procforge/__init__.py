@@ -27,19 +27,17 @@ from .sampling import (
     ingest_samples,
     simulate_oracle,
 )
-from .world_model import WorldModel, aggregate, merge
+from .world_model import WorldModel, aggregate
 from .rules import (
     CausalRule,
     ExtractionConfig,
     Precondition,
     RuleSet,
     classify_entries,
-    detect_contrast,
     extract_causal_rules,
     extract_preconditions,
     extract_rules,
     find_producers,
-    support,
 )
 from .repair import (
     ClusterConstraint,

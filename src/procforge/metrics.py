@@ -92,18 +92,9 @@ def displacement(cand: list, truth: list) -> tuple[float, int]:
     return sum(deltas) / len(deltas), max(deltas)
 
 
-def _constraint_pairs(constraints) -> list[tuple[str, str]]:
-    pairs = []
-    for c in constraints:
-        if isinstance(c, tuple):
-            pairs.append((c[0], c[1]))
-        else:
-            pairs.append((c.predecessor, c.successor))
-    return pairs
-
-
 def raw_slack(cand: list, constraints, mode: str = RAW_BINARY) -> float:
-    """Aggregate violation of precedence constraints in an ordering.
+    """Aggregate violation of precedence constraints, given as
+    ``(predecessor, successor)`` id pairs, in an ordering.
 
     Binary mode counts violated constraints; gap mode sums how far each
     violated predecessor sits after its successor.  Zero means every
@@ -111,7 +102,7 @@ def raw_slack(cand: list, constraints, mode: str = RAW_BINARY) -> float:
     """
     pos = {v: i for i, v in enumerate(cand)}
     total = 0.0
-    for pred, succ in _constraint_pairs(constraints):
+    for pred, succ in constraints:
         if pred not in pos or succ not in pos:
             raise SequenceMismatchError(f"constraint references unknown step id {pred!r} or {succ!r}")
         deficit = pos[pred] - pos[succ]

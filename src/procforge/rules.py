@@ -10,6 +10,7 @@ ordering rules.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 from .inventory import DomainInventory
@@ -72,24 +73,12 @@ class ActionPools:
     invalid: tuple[WorldModelEntry, ...]
     ambiguous: tuple[WorldModelEntry, ...]
 
-    def pool(self, side: str) -> tuple[WorldModelEntry, ...]:
-        return {VALID: self.valid, INVALID: self.invalid, AMBIGUOUS: self.ambiguous}[side]
-
     @staticmethod
     def weight(entries: tuple[WorldModelEntry, ...]) -> int:
         return sum(e.total_count for e in entries)
 
 
-@dataclass(frozen=True)
-class EvidencePools:
-    model: WorldModel
-    actions: dict[str, ActionPools]
-
-    def var_index(self, variable: str) -> int:
-        return self.model.template.variable_ids.index(variable)
-
-
-def classify_entries(wm: WorldModel, cfg: ExtractionConfig) -> EvidencePools:
+def classify_entries(wm: WorldModel, cfg: ExtractionConfig) -> dict[str, ActionPools]:
     """Partition each action's entries by plausibility score.
 
     Valid means plausibility >= theta_hi, invalid means <= theta_lo, and
@@ -105,56 +94,48 @@ def classify_entries(wm: WorldModel, cfg: ExtractionConfig) -> EvidencePools:
             slot[INVALID].append(entry)
         else:
             slot[AMBIGUOUS].append(entry)
-    actions = {
+    return {
         key: ActionPools(valid=tuple(b[VALID]), invalid=tuple(b[INVALID]), ambiguous=tuple(b[AMBIGUOUS]))
         for key, b in buckets.items()
     }
-    return EvidencePools(model=wm, actions=actions)
 
 
-def support(pools: EvidencePools, action: str, variable: str, value: str, side: str) -> float | None:
-    """Weighted fraction of a side's evidence whose state assigns the value.
+def _value_evidence(
+    pools: ActionPools, idx: int, domain: tuple[str, ...]
+) -> dict[str, tuple[float | None, float | None, int]]:
+    """Valid support, invalid support and one-value contrast count of each
+    value of variable ``idx``, from one pass over each side's pool.
 
-    Weights are entry sample counts.  Returns None (never 0/0) when the
-    side pool is empty.
+    A support is the weighted fraction of a side's evidence whose state
+    assigns the value; weights are entry sample counts, and an empty side
+    gives None (never 0/0).  A contrast pair is a valid entry and an
+    invalid entry whose states agree on every variable except ``idx``,
+    where the invalid entry carries the value.
     """
-    action_pools = pools.actions.get(action)
-    if action_pools is None:
-        return None
-    entries = action_pools.pool(side)
-    total = ActionPools.weight(entries)
-    if total == 0:
-        return None
-    idx = pools.var_index(variable)
-    hit = sum(e.total_count for e in entries if e.state[idx] == value)
-    return hit / total
-
-
-def detect_contrast(pools: EvidencePools, action: str, variable: str, value: str) -> int:
-    """Count one-value contrast pairs for (action, variable=value).
-
-    A pair is a valid entry and an invalid entry whose states agree on
-    every variable except the given one, where the invalid entry carries
-    the value.  Both entries share the action, including its parameters.
-    """
-    action_pools = pools.actions.get(action)
-    if action_pools is None:
-        return 0
-    idx = pools.var_index(variable)
 
     def masked(state: tuple[str, ...]) -> tuple[str, ...]:
         return state[:idx] + state[idx + 1 :]
 
-    valid_masks: dict[tuple[str, ...], int] = {}
-    for entry in action_pools.valid:
-        mask = masked(entry.state)
-        valid_masks[mask] = valid_masks.get(mask, 0) + 1
-    count = 0
-    for entry in action_pools.invalid:
-        if entry.state[idx] != value:
-            continue
-        count += valid_masks.get(masked(entry.state), 0)
-    return count
+    valid_hits: Counter[str] = Counter()
+    valid_masks: Counter[tuple[str, ...]] = Counter()
+    for entry in pools.valid:
+        valid_hits[entry.state[idx]] += entry.total_count
+        valid_masks[masked(entry.state)] += 1
+    invalid_hits: Counter[str] = Counter()
+    contrast: Counter[str] = Counter()
+    for entry in pools.invalid:
+        value = entry.state[idx]
+        invalid_hits[value] += entry.total_count
+        contrast[value] += valid_masks[masked(entry.state)]
+    valid_weight, invalid_weight = sum(valid_hits.values()), sum(invalid_hits.values())
+    return {
+        value: (
+            valid_hits[value] / valid_weight if valid_weight else None,
+            invalid_hits[value] / invalid_weight if invalid_weight else None,
+            contrast[value],
+        )
+        for value in domain
+    }
 
 
 @dataclass(frozen=True)
@@ -209,9 +190,9 @@ def _required_strength(domain: tuple[str, ...], value: str, forbidden: set[str])
 
 
 def extract_preconditions(
-    pools: EvidencePools, cfg: ExtractionConfig, report: ExtractionReport | None = None
+    wm: WorldModel, cfg: ExtractionConfig, report: ExtractionReport | None = None
 ) -> list[Precondition]:
-    """Extract required and forbidden values for every action in the pools.
+    """Extract required and forbidden values for every action in the model.
 
     A value is required when its valid support reaches gamma and every
     alternative value of the same variable stays at or below 1 - gamma.
@@ -221,10 +202,11 @@ def extract_preconditions(
     alternative of its variable is forbidden.
     """
     report = report if report is not None else ExtractionReport()
-    template = pools.model.template
+    template = wm.template
     out: list[Precondition] = []
-    for action in sorted(pools.actions):
-        action_pools = pools.actions[action]
+    actions = classify_entries(wm, cfg)
+    for action in sorted(actions):
+        action_pools = actions[action]
         if action_pools.ambiguous:
             report.ambiguous_entries[action] = ActionPools.weight(action_pools.ambiguous)
         valid_weight = ActionPools.weight(action_pools.valid)
@@ -233,51 +215,36 @@ def extract_preconditions(
             continue
         required: list[Precondition] = []
         forbidden: dict[str, set[str]] = {}
-        for var in template.variables:
-            supports = {
-                value: support(pools, action, var.id, value, VALID) for value in var.domain
-            }
-            for value in var.domain:
-                vs = supports[value]
+        for idx, var in enumerate(template.variables):
+            evidence = _value_evidence(action_pools, idx, var.domain)
+            for value, (vs, inv_support, contrast) in evidence.items():
                 assert vs is not None  # valid pool is non-empty here
                 others_dominated = all(
-                    supports[v2] <= 1.0 - cfg.gamma for v2 in var.domain if v2 != value
+                    evidence[v2][0] <= 1.0 - cfg.gamma for v2 in var.domain if v2 != value
                 )
                 is_required = vs >= cfg.gamma and others_dominated
-                contrast = detect_contrast(pools, action, var.id, value)
-                inv_support = support(pools, action, var.id, value, INVALID)
                 is_forbidden = vs <= cfg.epsilon0 and (
                     contrast > 0 or (inv_support is not None and inv_support >= cfg.gamma)
                 )
                 # Disjoint by construction (gamma > epsilon0); assert anyway.
                 assert not (is_required and is_forbidden), (action, var.id, value)
+                if not (is_required or is_forbidden):
+                    continue
+                pre = Precondition(
+                    action=action,
+                    variable=var.id,
+                    value=value,
+                    kind=REQUIRED if is_required else FORBIDDEN,
+                    valid_support=vs,
+                    invalid_support=inv_support,
+                    contrast=contrast,
+                    valid_weight=valid_weight,
+                )
                 if is_required:
-                    required.append(
-                        Precondition(
-                            action=action,
-                            variable=var.id,
-                            value=value,
-                            kind=REQUIRED,
-                            valid_support=vs,
-                            invalid_support=inv_support,
-                            contrast=contrast,
-                            valid_weight=valid_weight,
-                        )
-                    )
-                elif is_forbidden:
+                    required.append(pre)
+                else:
                     forbidden.setdefault(var.id, set()).add(value)
-                    out.append(
-                        Precondition(
-                            action=action,
-                            variable=var.id,
-                            value=value,
-                            kind=FORBIDDEN,
-                            valid_support=vs,
-                            invalid_support=inv_support,
-                            contrast=contrast,
-                            valid_weight=valid_weight,
-                        )
-                    )
+                    out.append(pre)
         for pre in required:
             forbidden_values = forbidden.get(pre.variable, set())
             strength = _required_strength(template.domain_of(pre.variable), pre.value, forbidden_values)
@@ -427,9 +394,6 @@ class RuleSet:
     report: ExtractionReport
     config: ExtractionConfig
 
-    def rules_for(self, strength: str | None = None) -> list[CausalRule]:
-        return [r for r in self.causal_rules if strength is None or r.strength == strength]
-
 
 def extract_rules(models: list[WorldModel], inv: DomainInventory, cfg: ExtractionConfig) -> RuleSet:
     """Full extraction over one or more world models."""
@@ -439,8 +403,7 @@ def extract_rules(models: list[WorldModel], inv: DomainInventory, cfg: Extractio
     for wm in models:
         for v in wm.template.variables:
             domains.setdefault(v.id, v.domain)
-        pools = classify_entries(wm, cfg)
-        per_model.append(extract_preconditions(pools, cfg, report))
+        per_model.append(extract_preconditions(wm, cfg, report))
     merged = merge_preconditions(per_model, domains, report)
     rules = extract_causal_rules(merged, models, inv, cfg, report)
     return RuleSet(

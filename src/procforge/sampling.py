@@ -231,7 +231,7 @@ class IngestReport:
     rejections: tuple[tuple[int, str], ...]
 
 
-def parse_sample_line(tpl: MdpTemplate, line: str, action_keys: set[str] | None = None) -> TransitionSample:
+def parse_sample_line(tpl: MdpTemplate, line: str) -> TransitionSample:
     """Parse and validate one JSONL sample record."""
     try:
         doc = json.loads(line)
@@ -249,8 +249,7 @@ def parse_sample_line(tpl: MdpTemplate, line: str, action_keys: set[str] | None 
     if not isinstance(action_id, str) or not isinstance(params, dict):
         raise SampleValidationError("action must be a string and params an object")
     action = bound_action_from_parts(action_id, {str(k): str(v) for k, v in params.items()})
-    keys = action_keys if action_keys is not None else tpl.action_keys()
-    if action.key not in keys:
+    if tpl.bound_actions_by_key.get(action.key) != action:
         raise SampleValidationError(f"action {action.key!r} not in template")
     state = tpl.validate_assignment(doc["state"], "state")
     next_state = tpl.validate_assignment(doc["next_state"], "next_state")
@@ -276,7 +275,6 @@ def ingest_samples(
     if isinstance(stream, str):
         # Not splitlines(): JSON strings may hold U+2028, U+2029 and U+0085 raw.
         stream = stream.split("\n")
-    action_keys = tpl.action_keys()
     parsed: dict[str, TransitionSample] = {}  # valid line text -> its one sample
     accepted = []
     rejections = []
@@ -287,7 +285,7 @@ def ingest_samples(
         sample = parsed.get(line)
         if sample is None:
             try:
-                sample = parsed[line] = parse_sample_line(tpl, line, action_keys)
+                sample = parsed[line] = parse_sample_line(tpl, line)
             except SampleValidationError as exc:
                 if strict:
                     raise SampleValidationError(f"line {lineno}: {exc}") from exc

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import DomainResolutionError, SampleValidationError, StateSpaceLimitError, UnknownObjectError
 from .inventory import DomainInventory, Interaction, LabObject, StateVariable
@@ -119,8 +120,11 @@ class MdpTemplate:
                 out.append(BoundAction(id=act.id, params=tuple(sorted(zip(names, combo)))))
         return out
 
-    def action_keys(self) -> set[str]:
-        return {b.key for b in self.bound_actions()}
+    @cached_property
+    def bound_actions_by_key(self) -> dict[str, BoundAction]:
+        """Each bound action under its key: the one lookup that tells
+        whether a parsed action is the template's own."""
+        return {b.key: b for b in self.bound_actions()}
 
 
 def _require_resolved(obj: LabObject) -> None:

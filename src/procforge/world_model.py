@@ -109,27 +109,6 @@ def aggregate(batch: SampleBatch) -> WorldModel:
     return _finalize(tpl, acc, actions)
 
 
-def merge(first: WorldModel, second: WorldModel) -> WorldModel:
-    """Combine two models over the same template.
-
-    Equivalent to aggregating the concatenation of the underlying
-    batches.
-    """
-    if first.template != second.template:
-        raise SampleValidationError("cannot merge world models built from different templates")
-    acc: dict[EntryKey, dict[StateTuple, list[int]]] = {}
-    actions: dict[str, BoundAction] = {}
-    for model in (first, second):
-        for key, entry in model.entries.items():
-            actions.setdefault(entry.action.key, entry.action)
-            per_outcome = acc.setdefault(key, {})
-            for outcome in entry.outcomes:
-                slot = per_outcome.setdefault(outcome.next_state, [0, 0])
-                slot[0] += outcome.count
-                slot[1] += outcome.reward_sum
-    return _finalize(first.template, acc, actions)
-
-
 # ── serialization ─────────────────────────────────────────────────────────
 
 
@@ -173,7 +152,7 @@ def _require_same(stored: dict, expected: dict, keys: tuple[str, ...], where: st
             raise SampleValidationError(f"{where}.{key}: stored {stored[key]!r}, recomputed {expected[key]!r}")
 
 
-def _entry_from_dict(tpl: MdpTemplate, actions: dict[str, BoundAction], item: object, where: str) -> WorldModelEntry:
+def _entry_from_dict(tpl: MdpTemplate, item: object, where: str) -> WorldModelEntry:
     _require_keys(item, ("state", "action", "params", "total_count", "plausibility", "outcomes"), where)
     action_id, params = item["action"], item["params"]
     if not (isinstance(action_id, str) and isinstance(params, dict)) or not all(
@@ -181,7 +160,7 @@ def _entry_from_dict(tpl: MdpTemplate, actions: dict[str, BoundAction], item: ob
     ):
         raise SampleValidationError(f"{where}: action must be a string and params an object of strings")
     action = bound_action_from_parts(action_id, params)
-    if actions.get(action.key) != action:
+    if tpl.bound_actions_by_key.get(action.key) != action:
         raise SampleValidationError(f"{where}.action: {action.key!r} not in template")
     state = tpl.state_tuple(tpl.validate_assignment(item["state"], f"{where}.state"))
     if not isinstance(item["outcomes"], list) or not item["outcomes"]:
@@ -214,10 +193,9 @@ def world_model_from_dict(doc: dict) -> WorldModel:
     each derived field as the writer renders it.  A violation raises
     :class:`SampleValidationError` naming its ``$.entries[i]`` path."""
     tpl = template_from_dict(doc["template"])
-    actions = {b.key: b for b in tpl.bound_actions()}
     entries: dict[EntryKey, WorldModelEntry] = {}
     for i, item in enumerate(doc["entries"]):
-        entry = _entry_from_dict(tpl, actions, item, f"$.entries[{i}]")
+        entry = _entry_from_dict(tpl, item, f"$.entries[{i}]")
         key = (entry.action.key, entry.state)
         if key in entries:
             raise SampleValidationError(f"$.entries[{i}]: repeats the (action, state) key of an earlier entry")

@@ -1,7 +1,11 @@
-import pytest
+import json
+from dataclasses import replace
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from procforge.pipeline import validate_artifact
 from procforge.rules import (
-    AMBIGUOUS,
     FORBIDDEN,
     INITIAL_STATE,
     INVALID,
@@ -10,12 +14,13 @@ from procforge.rules import (
     VALID,
     WEAK,
     ExtractionConfig,
+    _value_evidence,
     classify_entries,
-    detect_contrast,
     extract_preconditions,
     extract_rules,
     find_producers,
-    support,
+    rule_set_from_dict,
+    rule_set_to_dict,
 )
 from procforge.sampling import NoiseSpec, OracleRule, OracleSpec, SampleBatch, TransitionSample, simulate_oracle
 from procforge.templates import enumerate_states
@@ -73,12 +78,18 @@ def pipette_pools(pipette_model):
     return classify_entries(pipette_model, CFG)
 
 
+def evidence(pools, tpl, action, variable):
+    """``_value_evidence`` of one (action, variable): value -> (valid
+    support, invalid support, contrast)."""
+    return _value_evidence(pools[action], tpl.variable_ids.index(variable), tpl.domain_of(variable))
+
+
 # ── classification ────────────────────────────────────────────────────────
 
 
 def test_classification_thresholds(pipette_model):
     pools = classify_entries(pipette_model, CFG)
-    for action_pools in pools.actions.values():
+    for action_pools in pools.values():
         for entry in action_pools.valid:
             assert entry.plausibility >= CFG.theta_hi
         for entry in action_pools.invalid:
@@ -97,9 +108,9 @@ def test_mixed_evidence_is_ambiguous(pipette_template):
     samples += [TransitionSample(state, action, dict(state), 0) for _ in range(13)]
     wm = aggregate(SampleBatch(pipette_template, tuple(samples), "file"))
     pools = classify_entries(wm, CFG)
-    assert len(pools.actions[POUR].ambiguous) == 1
-    assert not pools.actions[POUR].valid
-    assert not pools.actions[POUR].invalid
+    assert len(pools[POUR].ambiguous) == 1
+    assert not pools[POUR].valid
+    assert not pools[POUR].invalid
 
 
 def test_pools_partition_total_weight(pipette_model):
@@ -107,9 +118,10 @@ def test_pools_partition_total_weight(pipette_model):
     per_action_total = {}
     for entry in pipette_model.entries.values():
         per_action_total[entry.action.key] = per_action_total.get(entry.action.key, 0) + entry.total_count
-    for action, action_pools in pools.actions.items():
+    for action, action_pools in pools.items():
         split = sum(
-            sum(e.total_count for e in action_pools.pool(side)) for side in (VALID, INVALID, AMBIGUOUS)
+            sum(e.total_count for e in side)
+            for side in (action_pools.valid, action_pools.invalid, action_pools.ambiguous)
         )
         assert split == per_action_total[action]
 
@@ -117,12 +129,14 @@ def test_pools_partition_total_weight(pipette_model):
 # ── support and contrast ──────────────────────────────────────────────────
 
 
-def test_supports_on_exhaustive_evidence(pipette_pools):
-    assert support(pipette_pools, DRAW, V_CAP, "opened", VALID) == 1.0
-    assert support(pipette_pools, DRAW, V_CAP, "closed", VALID) == 0.0
-    assert support(pipette_pools, DRAW, V_FLASK, "none", VALID) == 0.5
+def test_supports_on_exhaustive_evidence(pipette_pools, pipette_template):
+    cap = evidence(pipette_pools, pipette_template, DRAW, V_CAP)
+    flask = evidence(pipette_pools, pipette_template, DRAW, V_FLASK)
+    assert cap["opened"][0] == 1.0
+    assert cap["closed"][0] == 0.0
+    assert flask["none"][0] == 0.5
     # 14 invalid states, 8 with the cap closed
-    assert support(pipette_pools, DRAW, V_CAP, "closed", INVALID) == pytest.approx(8 / 14)
+    assert cap["closed"][1] == pytest.approx(8 / 14)
 
 
 def test_support_weighted_by_entry_counts(pipette_template):
@@ -133,21 +147,21 @@ def test_support_weighted_by_entry_counts(pipette_template):
     samples = [TransitionSample(good, action, nxt, 1) for _ in range(9)]
     samples += [TransitionSample(other, action, {**other, V_MATERIAL: "ddH2O"}, 1)]
     pools = classify_entries(aggregate(SampleBatch(pipette_template, tuple(samples), "file")), CFG)
-    assert support(pools, DRAW, V_FLASK, "none", VALID) == 0.9
+    assert evidence(pools, pipette_template, DRAW, V_FLASK)["none"][0] == 0.9
 
 
 def test_support_empty_side_is_no_evidence_not_zero(pipette_template, pipette_oracles):
     batch = simulate_oracle(pipette_template, pipette_oracles["electronic_pipette"], 200, NoiseSpec(seed=3))
     pools = classify_entries(aggregate(batch), CFG)
     # valid_only power actions have no invalid evidence at all
-    assert support(pools, POWER_ON, V_POWER, "on", INVALID) is None
+    assert evidence(pools, pipette_template, POWER_ON, V_POWER)["on"][1] is None
 
 
-def test_contrast_counts_one_value_pairs(pipette_pools):
+def test_contrast_counts_one_value_pairs(pipette_pools, pipette_template):
     # cap=closed flips every otherwise-valid draw state: 2 matched pairs.
-    assert detect_contrast(pipette_pools, DRAW, V_CAP, "closed") == 2
+    assert evidence(pipette_pools, pipette_template, DRAW, V_CAP)["closed"][2] == 2
     # flask value never flips validity by itself
-    assert detect_contrast(pipette_pools, DRAW, V_FLASK, "ddH2O") == 0
+    assert evidence(pipette_pools, pipette_template, DRAW, V_FLASK)["ddH2O"][2] == 0
 
 
 def test_contrast_requires_single_variable_difference(pipette_template):
@@ -159,13 +173,77 @@ def test_contrast_requires_single_variable_difference(pipette_template):
         TransitionSample(two_off, action, dict(two_off), 0),
     ]
     pools = classify_entries(aggregate(SampleBatch(pipette_template, tuple(samples), "file")), CFG)
-    assert detect_contrast(pools, DRAW, V_CAP, "closed") == 0
+    assert evidence(pools, pipette_template, DRAW, V_CAP)["closed"][2] == 0
 
 
 def test_contrast_zero_without_invalid_entries(pipette_template, pipette_oracles):
     batch = simulate_oracle(pipette_template, pipette_oracles["electronic_pipette"], 200, NoiseSpec(seed=3))
     pools = classify_entries(aggregate(batch), CFG)
-    assert detect_contrast(pools, POWER_ON, V_POWER, "on") == 0
+    assert evidence(pools, pipette_template, POWER_ON, V_POWER)["on"][2] == 0
+
+
+# The per-value walks that ``_value_evidence`` replaced: the slow reference.
+
+
+def reference_support(pools, tpl, action, variable, value, side):
+    """Weighted fraction of a side's evidence whose state assigns the
+    value; None (never 0/0) when the side pool is empty."""
+    entries = pools[action].valid if side == VALID else pools[action].invalid
+    total = sum(e.total_count for e in entries)
+    if total == 0:
+        return None
+    idx = tpl.variable_ids.index(variable)
+    hit = sum(e.total_count for e in entries if e.state[idx] == value)
+    return hit / total
+
+
+def reference_contrast(pools, tpl, action, variable, value):
+    """Pairs of a valid and an invalid entry that agree everywhere but on
+    ``variable``, where the invalid entry carries the value."""
+    idx = tpl.variable_ids.index(variable)
+
+    def masked(state):
+        return state[:idx] + state[idx + 1 :]
+
+    valid_masks = {}
+    for entry in pools[action].valid:
+        mask = masked(entry.state)
+        valid_masks[mask] = valid_masks.get(mask, 0) + 1
+    count = 0
+    for entry in pools[action].invalid:
+        if entry.state[idx] != value:
+            continue
+        count += valid_masks.get(masked(entry.state), 0)
+    return count
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    obj=st.sampled_from(("electronic_pipette", "ddh2o_bottle")),
+    every_action_can_fail=st.booleans(),
+    n=st.integers(min_value=1, max_value=300),
+    flip=st.floats(min_value=0.0, max_value=0.5),
+    corrupt=st.floats(min_value=0.0, max_value=0.5),
+    seed=st.integers(min_value=0, max_value=10_000),
+)
+def test_value_evidence_matches_per_value_walks(
+    pipette_template, bottle_template, pipette_oracles, obj, every_action_can_fail, n, flip, corrupt, seed
+):
+    # The shipped oracles leave the valid_only actions' invalid pools empty.
+    tpl = pipette_template if obj == "electronic_pipette" else bottle_template
+    oracle = full_sampling(pipette_oracles[obj]) if every_action_can_fail else pipette_oracles[obj]
+    pools = classify_entries(aggregate(simulate_oracle(tpl, oracle, n, NoiseSpec(flip, corrupt, seed))), CFG)
+    for action in pools:
+        for idx, var in enumerate(tpl.variables):
+            got = _value_evidence(pools[action], idx, var.domain)
+            assert list(got) == list(var.domain)
+            for value in var.domain:
+                expected = (
+                    reference_support(pools, tpl, action, var.id, value, VALID),
+                    reference_support(pools, tpl, action, var.id, value, INVALID),
+                    reference_contrast(pools, tpl, action, var.id, value),
+                )
+                assert repr(got[value]) == repr(expected), (action, var.id, value)
 
 
 # ── precondition extraction ───────────────────────────────────────────────
@@ -175,8 +253,8 @@ def expected_draw_required():
     return {(V_CAP, "opened"), (V_MATERIAL, "none"), (V_POWER, "on")}
 
 
-def test_exhaustive_extraction_matches_oracle_exactly(pipette_pools, pipette_oracles):
-    pres = extract_preconditions(pipette_pools, CFG)
+def test_exhaustive_extraction_matches_oracle_exactly(pipette_model, pipette_oracles):
+    pres = extract_preconditions(pipette_model, CFG)
     oracle = pipette_oracles["electronic_pipette"]
     for action_key, rule in oracle.rules.items():
         required = {(p.variable, p.value) for p in pres if p.action == action_key and p.kind == REQUIRED}
@@ -187,16 +265,15 @@ def test_exhaustive_extraction_matches_oracle_exactly(pipette_pools, pipette_ora
                 assert p.strength == STRONG
 
 
-def test_draw_forbidden_values(pipette_pools):
-    pres = extract_preconditions(pipette_pools, CFG)
+def test_draw_forbidden_values(pipette_model):
+    pres = extract_preconditions(pipette_model, CFG)
     forbidden = {(p.variable, p.value) for p in pres if p.action == DRAW and p.kind == FORBIDDEN}
     assert forbidden == {(V_CAP, "closed"), (V_MATERIAL, "ddH2O"), (V_POWER, "off")}
 
 
 def test_strength_matches_forbidden_alternatives(pipette_template, pipette_oracles):
     batch = simulate_oracle(pipette_template, pipette_oracles["electronic_pipette"], 250, NoiseSpec(seed=0))
-    pools = classify_entries(aggregate(batch), CFG)
-    pres = extract_preconditions(pools, CFG)
+    pres = extract_preconditions(aggregate(batch), CFG)
     forbidden = {(p.action, p.variable, p.value) for p in pres if p.kind == FORBIDDEN}
     domains = {v.id: v.domain for v in pipette_template.variables}
     for p in pres:
@@ -211,8 +288,7 @@ def test_valid_only_power_actions_yield_weak_required_no_forbidden(
     pipette_template, pipette_oracles
 ):
     batch = simulate_oracle(pipette_template, pipette_oracles["electronic_pipette"], 250, NoiseSpec(seed=0))
-    pools = classify_entries(aggregate(batch), CFG)
-    pres = extract_preconditions(pools, CFG)
+    pres = extract_preconditions(aggregate(batch), CFG)
     for action, value in ((POWER_ON, "off"), (POWER_OFF, "on")):
         mine = [p for p in pres if p.action == action]
         required = [p for p in mine if p.kind == REQUIRED]
@@ -221,8 +297,8 @@ def test_valid_only_power_actions_yield_weak_required_no_forbidden(
         assert [p for p in mine if p.kind == FORBIDDEN] == []
 
 
-def test_even_split_yields_no_required_value(pipette_pools):
-    pres = extract_preconditions(pipette_pools, CFG)
+def test_even_split_yields_no_required_value(pipette_model):
+    pres = extract_preconditions(pipette_model, CFG)
     assert not any(p.variable == V_FLASK and p.action == DRAW for p in pres)
 
 
@@ -230,11 +306,11 @@ def test_insufficient_evidence_gate(pipette_template):
     action = [b for b in pipette_template.bound_actions() if b.key == DRAW][0]
     state = {V_MATERIAL: "none", V_POWER: "on", V_CAP: "opened", V_FLASK: "none"}
     samples = (TransitionSample(state, action, {**state, V_MATERIAL: "ddH2O"}, 1),)
-    pools = classify_entries(aggregate(SampleBatch(pipette_template, samples, "file")), CFG)
+    wm = aggregate(SampleBatch(pipette_template, samples, "file"))
     from procforge.rules import ExtractionReport
 
     report = ExtractionReport()
-    pres = extract_preconditions(pools, CFG, report)
+    pres = extract_preconditions(wm, CFG, report)
     assert pres == []
     assert DRAW in report.insufficient_evidence
 
@@ -247,8 +323,7 @@ def test_no_value_required_and_forbidden(pipette_template, pipette_oracles):
             250,
             NoiseSpec(reward_flip_rate=0.1, seed=seed),
         )
-        pools = classify_entries(aggregate(batch), CFG)
-        pres = extract_preconditions(pools, CFG)
+        pres = extract_preconditions(aggregate(batch), CFG)
         seen = {}
         for p in pres:
             key = (p.action, p.variable, p.value)
@@ -262,10 +337,9 @@ def test_duplication_leaves_extraction_unchanged(pipette_template, pipette_oracl
     doubled = SampleBatch(pipette_template, batch.samples + batch.samples, "file")
 
     def summary(b):
-        pools = classify_entries(aggregate(b), CFG)
         return {
             (p.action, p.variable, p.value, p.kind, p.strength)
-            for p in extract_preconditions(pools, CFG)
+            for p in extract_preconditions(aggregate(b), CFG)
         }
 
     assert summary(batch) == summary(doubled)
@@ -311,8 +385,8 @@ def test_unproducible_condition_has_no_producers(two_models, pipette_inventory):
 def test_full_rule_set_counts(two_models, pipette_inventory):
     rs = extract_rules(two_models, pipette_inventory, CFG)
     assert len(rs.causal_rules) == 8
-    assert len(rs.rules_for(STRONG)) == 6
-    assert len(rs.rules_for(WEAK)) == 2
+    assert [r.strength for r in rs.causal_rules].count(STRONG) == 6
+    assert [r.strength for r in rs.causal_rules].count(WEAK) == 2
 
 
 def test_draw_before_pour_rule(two_models, pipette_inventory):
@@ -351,3 +425,31 @@ def test_extract_causal_rules_strength_copied(two_models, pipette_inventory):
     assert by_action[POWER_ON].strength == WEAK
     assert by_action[POWER_OFF].strength == WEAK
     assert INITIAL_STATE in by_action[POWER_ON].producers
+
+
+# ── serialization ─────────────────────────────────────────────────────────
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=300),
+    flip=st.floats(min_value=0.0, max_value=0.5),
+    corrupt=st.floats(min_value=0.0, max_value=0.5),
+    seed=st.integers(min_value=0, max_value=10_000),
+)
+def test_rule_set_round_trip(pipette_template, bottle_template, pipette_oracles, pipette_inventory, n, flip, corrupt, seed):
+    """Whatever extraction writes fits the rules schema, and reads back
+    to an equal rule set that re-serialises byte for byte."""
+    models = [
+        aggregate(simulate_oracle(tpl, pipette_oracles[tpl.focal_object], n, NoiseSpec(flip, corrupt, seed + offset)))
+        for tpl, offset in ((pipette_template, 0), (bottle_template, 1000))
+    ]
+    rule_set = extract_rules(models, pipette_inventory, CFG)
+    doc = rule_set_to_dict(rule_set)
+    validate_artifact("rules", doc, "rules")
+    text = json.dumps(doc, indent=2, sort_keys=True)
+    restored = rule_set_from_dict(json.loads(text))
+    # The report's lists are compared in the sorted form the writer renders.
+    assert restored == replace(rule_set, report=rule_set_from_dict(doc).report)
+    assert restored.report.to_dict() == rule_set.report.to_dict()
+    assert json.dumps(rule_set_to_dict(restored), indent=2, sort_keys=True) == text

@@ -19,7 +19,7 @@ from procforge.sampling import (
 from procforge import build_template, parse_inventory, resolve_dynamic_domains
 from procforge.repair import derive_seed
 
-from conftest import BENCHMARK, DRAW, POUR, V_CAP, V_FLASK, V_MATERIAL, V_POWER
+from conftest import BENCHMARK, DRAW, POUR, POWER_ON, V_CAP, V_FLASK, V_MATERIAL, V_POWER
 
 
 @pytest.fixture(scope="module")
@@ -173,6 +173,17 @@ def test_ingest_rejects_out_of_domain_value(pipette_template):
     assert "domain" in reason
 
 
+def test_ingest_rejects_a_forged_bound_action(pipette_template, pipette_oracle):
+    # The key of set(value=on) sent as a bare action id with no params.
+    valid = simulate_oracle(pipette_template, pipette_oracle, 1, NoiseSpec(seed=4)).to_jsonl().strip()
+    forged = json.dumps({**json.loads(valid), "action": POWER_ON, "params": {}})
+    report = ingest_samples([valid, forged], pipette_template)
+    assert len(report.batch.samples) == 1
+    assert report.rejections == ((2, f"action {POWER_ON!r} not in template"),)
+    with pytest.raises(SampleValidationError, match=r"^line 2: action .* not in template$"):
+        ingest_samples([valid, forged], pipette_template, strict=True)
+
+
 def test_ingest_empty_stream(pipette_template):
     report = ingest_samples("", pipette_template)
     assert report.batch.samples == ()
@@ -193,9 +204,9 @@ def test_ingest_fuzz_never_accepts_invalid_samples(pipette_template_fuzz, line):
 
 def assert_samples_fit_template(samples, tpl):
     domains = {v.id: v.domain for v in tpl.variables}
-    keys = tpl.action_keys()
+    actions = set(tpl.bound_actions())
     for sample in samples:
-        assert sample.action.key in keys
+        assert sample.action in actions
         assert sample.reward in (0, 1)
         for assignment in (sample.state, sample.next_state):
             assert set(assignment) == set(domains)
@@ -210,7 +221,8 @@ def ingest_lines(pipette_template, pipette_oracles):
     valid = simulate_oracle(pipette_template, oracle, 12, NoiseSpec(seed=8)).to_jsonl().splitlines()
     record = json.loads(valid[0])
     bad_domain = json.dumps({**record, "state": {**record["state"], V_CAP: "ajar"}})
-    invalid = ["not json", "[1, 2]", '{"state": {}}', bad_domain, json.dumps({**record, "reward": 2})]
+    forged = json.dumps({**record, "action": POWER_ON, "params": {}})
+    invalid = ["not json", "[1, 2]", '{"state": {}}', bad_domain, json.dumps({**record, "reward": 2}), forged]
     padded = ["  " + valid[1], valid[1] + "\t"]  # equal to valid[1] once stripped
     return valid + padded + invalid + ["", "   "]
 

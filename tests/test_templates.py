@@ -112,8 +112,8 @@ def test_single_boolean_variable_enumerates_two_states():
 
 
 def test_interaction_action_present_in_both_partner_templates(pipette_template, bottle_template):
-    assert DRAW in pipette_template.action_keys()
-    assert DRAW in bottle_template.action_keys()
+    assert DRAW in pipette_template.bound_actions_by_key
+    assert DRAW in bottle_template.bound_actions_by_key
 
 
 def test_stateless_object_yields_empty_template(benchmark_dir):

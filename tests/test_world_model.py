@@ -11,13 +11,12 @@ from procforge.sampling import NoiseSpec, SampleBatch, TransitionSample, simulat
 from procforge.templates import MdpTemplate, TemplateAction, TemplateVariable, bound_action_from_parts
 from procforge.world_model import (
     aggregate,
-    merge,
     serialize_world_model,
     world_model_from_dict,
 )
 from procforge.schemas import first_violation, load_schema
 
-from conftest import DRAW, POUR, V_CAP, V_FLASK, V_MATERIAL, V_POWER
+from conftest import DRAW, POUR, POWER_ON, V_CAP, V_FLASK, V_MATERIAL, V_POWER
 
 
 def make_sample(tpl, state, action_key, next_state, reward):
@@ -114,29 +113,6 @@ def test_plausibility_is_probability_weighted_avg_reward(pipette_template, pipet
         mixture = sum(entry.probability(o) * o.avg_reward for o in entry.outcomes)
         assert entry.plausibility == pytest.approx(mixture, abs=1e-9)
         assert sum(entry.probability(o) for o in entry.outcomes) == pytest.approx(1.0, abs=1e-9)
-
-
-def test_merge_models_from_different_templates_rejected(pipette_template, bottle_template):
-    a = aggregate(SampleBatch(template=pipette_template, samples=(), source="file"))
-    b = aggregate(SampleBatch(template=bottle_template, samples=(), source="file"))
-    with pytest.raises(SampleValidationError):
-        merge(a, b)
-
-
-@settings(max_examples=40, deadline=None)
-@given(split=st.integers(min_value=0, max_value=120), seed=st.integers(min_value=0, max_value=50))
-def test_merge_equals_aggregate_of_concatenation(pipette_template, pipette_oracles, split, seed):
-    oracle = pipette_oracles["electronic_pipette"]
-    batch = simulate_oracle(
-        pipette_template, oracle, 120, NoiseSpec(reward_flip_rate=0.1, seed=seed)
-    )
-    first = SampleBatch(pipette_template, batch.samples[:split], "file")
-    second = SampleBatch(pipette_template, batch.samples[split:], "file")
-    merged = merge(aggregate(first), aggregate(second))
-    whole = aggregate(batch)
-    assert serialize_world_model(merged) == serialize_world_model(whole)
-    flipped = merge(aggregate(second), aggregate(first))
-    assert serialize_world_model(flipped) == serialize_world_model(whole)
 
 
 @settings(max_examples=60, deadline=None)
@@ -328,6 +304,7 @@ HAND_EDITS = [
     pytest.param(lambda doc: doc["entries"][1]["state"].pop(V_CAP), "$.entries[1].state", True, id="missing-variable"),
     pytest.param(setting(["entries", 3, "state", "flask.lid"], "on"), "$.entries[3].state", True, id="extra-variable"),
     pytest.param(setting(["entries", 2, "action"], "electronic_pipette.teleport"), "$.entries[2].action", True, id="unknown-action"),
+    pytest.param(lambda doc: doc["entries"][2].update(action=POWER_ON, params={}), "$.entries[2].action", True, id="forged-bound-action"),
     pytest.param(lambda doc: doc["entries"].insert(2, doc["entries"][1]), "$.entries[2]: repeats", True, id="repeated-entry"),
     pytest.param(setting(E0 + ["total_count"], lambda n: n + 1), "$.entries[0].total_count", True, id="wrong-total-count"),
     pytest.param(setting(E0 + ["total_count"], float), "$.entries[0].total_count", True, id="float-total-count"),
