@@ -220,8 +220,14 @@ def write_atomic(path: Path, text: str) -> None:
         raise
 
 
-def write_artifact(path: Path, text: str, cfg: PipelineConfig, stage: str, inputs: list[Path]) -> None:
-    """Write an artifact atomically plus its run manifest."""
+def write_artifact(
+    path: Path, text: str, cfg: PipelineConfig, stage: str, inputs: list[Path], lines: dict | None = None
+) -> None:
+    """Write an artifact atomically plus its run manifest.
+
+    ``lines``, when given, records the accepted and rejected input line
+    counts of an ingested samples file.
+    """
     write_atomic(path, text)
     manifest = {
         "artifact": path.name,
@@ -231,6 +237,8 @@ def write_artifact(path: Path, text: str, cfg: PipelineConfig, stage: str, input
         "config_sha256": cfg.config_hash,
         "inputs": {p.name: _sha256_file(p) for p in sorted(inputs) if p.exists()},
     }
+    if lines is not None:
+        manifest["lines"] = lines
     write_atomic(path.with_name(path.name + ".manifest.json"), json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
@@ -304,6 +312,7 @@ def stage_sample(cfg: PipelineConfig) -> list[Path]:
             )
             batch = simulate_oracle(tpl, oracle, cfg.sample_n, noise)
             inputs.append(cfg.path("oracles"))
+            lines = None
         else:
             if cfg.sample_source == SOURCE_FILE:
                 if not out.exists():
@@ -322,7 +331,8 @@ def stage_sample(cfg: PipelineConfig) -> list[Path]:
             text = json.dumps(report.rejections, indent=2) + "\n"
             write_artifact(rejected, text, cfg, "sample", rejection_inputs)
             outputs.append(rejected)
-        write_artifact(out, batch.to_jsonl(), cfg, "sample", inputs)
+            lines = {"accepted": len(batch.samples), "rejected": len(report.rejections)}
+        write_artifact(out, batch.to_jsonl(), cfg, "sample", inputs, lines)
         outputs.append(out)
     return outputs
 

@@ -302,17 +302,17 @@ def _reinsert(perm: list[int], i: int, j: int) -> list[int]:
 
 
 def _neighbourhood(inst: _Instance, perm: list[int]):
-    """Yield ``(i, d_total, d_pos)`` for every source position i of perm.
+    """Yield ``(i, d_total)`` for every source position i of perm.
 
-    ``d_total[j]`` and ``d_pos[j]`` are the exact changes of the total cost
-    and of the displacement term when the element at position i is
-    reinserted at position j (``d_total[i]`` is inf).  Each row sweeps j
-    right from i+1, then left from i-1.  A step moves the element x over
-    one element e, which shifts one place, so every running term changes
-    only by what involves e: its displacement, its cluster order against
-    x, and the precedence constraints incident to x or e.  Broken
-    adjacencies change only at the removal seam and the insertion point.
-    One call costs O(n² + m) for n steps and m constraints.
+    ``d_total[j]`` is the exact change of the total cost when the element
+    at position i is reinserted at position j (``d_total[i]`` is inf).
+    Each row sweeps j right from i+1, then left from i-1.  A step moves
+    the element x over one element e, which shifts one place, so every
+    running term changes only by what involves e: its displacement, its
+    cluster order against x, and the precedence constraints incident to x
+    or e.  Broken adjacencies change only at the removal seam and the
+    insertion point.  One call costs O(n² + m) for n steps and m
+    constraints.
     """
     n = inst.n
     w = inst.weights
@@ -354,7 +354,6 @@ def _neighbourhood(inst: _Instance, perm: list[int]):
         seam = (ext[i - 1] + 1 == ext[i + 1]) - (ext[i - 1] + 1 == x) - (x + 1 == ext[i + 1])
         base = abs(i - x)
         d_total = [inf] * n
-        d_pos = [0] * n
 
         run_pos = run_cluster = run_raw = 0
         active = growing
@@ -369,7 +368,6 @@ def _neighbourhood(inst: _Instance, perm: list[int]):
                 run_raw += rel[e]
             dp = run_pos + abs(j - x) - base
             d_edge = kept[j] - seam - (e + 1 == x) - (x + 1 == ext[j + 1])
-            d_pos[j] = dp
             d_total[j] = lambda_pos * dp + lambda_edge * d_edge + lambda_cluster * run_cluster + lambda_raw * run_raw
 
         run_pos = run_cluster = run_raw = 0
@@ -385,16 +383,56 @@ def _neighbourhood(inst: _Instance, perm: list[int]):
                 run_raw -= rel[e]
             dp = run_pos + abs(j - x) - base
             d_edge = kept[j - 1] - seam - (x + 1 == e) - (ext[j - 1] + 1 == x)
-            d_pos[j] = dp
             d_total[j] = lambda_pos * dp + lambda_edge * d_edge + lambda_cluster * run_cluster + lambda_raw * run_raw
-        yield i, d_total, d_pos
+        yield i, d_total
 
 
-def _descend(inst: _Instance, start: list[int], max_stale: int):
+def _best_move(inst: _Instance, perm: list[int]):
+    """The steepest reinsertion from perm as ``(delta, i, j)``, or None
+    when perm has fewer than two steps.
+
+    Moves within 1e-12 of the running best tie; ties break toward minimum
+    displacement from the draft, then the lexicographically smallest
+    moved permutation, then the smallest (i, j).  A row whose minimum
+    lies above the tie band can neither start nor join it, so it is
+    skipped without a Python pass over its entries.
+    """
+    best_delta = None
+    ties: list[tuple[int, int]] = []
+    for i, row in _neighbourhood(inst, perm):
+        if best_delta is not None and min(row) > best_delta + 1e-12:
+            continue
+        for j, d_total in enumerate(row):
+            if j == i:
+                continue
+            if best_delta is None or d_total < best_delta - 1e-12:
+                best_delta = d_total
+                ties = [(i, j)]
+            elif d_total <= best_delta + 1e-12:
+                ties.append((i, j))
+    if best_delta is None:
+        return None
+
+    def rank(move):
+        moved = _reinsert(perm, *move)
+        return inst.displacement(moved), moved, move
+
+    i, j = min(ties, key=rank)
+    return best_delta, i, j
+
+
+def _descend(
+    inst: _Instance, start: list[int], max_stale: int, moves: dict[tuple[int, ...], tuple[float, int, int] | None]
+):
     """Steepest descent over single-step reinsertions (which subsume all
     adjacent swaps), tolerating equal-cost moves for a bounded number of
-    stale iterations.  Ties break toward minimum displacement from the
-    draft, then lexicographically.
+    stale iterations.  Ties break as in :func:`_best_move`.
+
+    ``moves`` maps each permutation already scanned to its best move, and
+    is shared by every descent of one :func:`repair` call: the move
+    depends only on the permutation, so a plateau walk that returns to a
+    permutation, or a restart that reaches one an earlier restart
+    scanned, costs O(n + m) for the reinsertion and its cost, not a scan.
     """
     n = inst.n
     current = list(start)
@@ -406,23 +444,14 @@ def _descend(inst: _Instance, start: list[int], max_stale: int):
     max_iterations = 200 * max(n, 1)
     while iterations < max_iterations:
         iterations += 1
-        best_delta = None
-        ties: list[tuple[int, int, int]] = []  # (d_pos, i, j)
-        for i, row_total, row_pos in _neighbourhood(inst, current):
-            for j in range(n):
-                if j == i:
-                    continue
-                d_total = row_total[j]
-                if best_delta is None or d_total < best_delta - 1e-12:
-                    best_delta = d_total
-                    ties = [(row_pos[j], i, j)]
-                elif d_total <= best_delta + 1e-12:
-                    ties.append((row_pos[j], i, j))
-        if best_delta is None:
+        key = tuple(current)
+        if key in moves:
+            move = moves[key]
+        else:
+            move = moves[key] = _best_move(inst, current)
+        if move is None:
             break
-        min_disp = min(t[0] for t in ties)
-        finalists = [t for t in ties if t[0] == min_disp]
-        _, i, j = min(finalists, key=lambda t: tuple(_reinsert(current, t[1], t[2])))
+        best_delta, i, j = move
         if best_delta < -1e-12:
             stale = 0
         elif best_delta <= 1e-12 and stale < max_stale:
@@ -449,13 +478,16 @@ def repair(
     """Local-search repair warm-started at the draft ordering.
 
     The first restart begins at the draft, so the result never costs more
-    than the draft does; later restarts begin at seeded shuffles.
-    Contradictory constraints are not an error: violations are soft
-    penalties and the search simply minimizes them.  Deterministic given
-    the seed.
+    than the draft does; later restarts begin at seeded shuffles.  All
+    restarts share one move table, so each distinct permutation the call
+    visits is scanned once; a revisit costs O(n + m).  The table lives
+    only for the call.  Contradictory constraints are not an error:
+    violations are soft penalties and the search simply minimizes them.
+    Deterministic given the seed.
     """
     inst = _Instance(draft, constraints, clusters, weights, raw_mode)
     draft_perm = list(range(inst.n))
+    moves: dict[tuple[int, ...], tuple[float, int, int] | None] = {}
     best_perm = None
     best_cost = None
     total_iterations = 0
@@ -466,7 +498,7 @@ def repair(
             rng = random.Random(derive_seed(seed, f"restart:{r}"))
             start = list(draft_perm)
             rng.shuffle(start)
-        perm, cost, iters = _descend(inst, start, search.max_stale_iters)
+        perm, cost, iters = _descend(inst, start, search.max_stale_iters, moves)
         total_iterations += iters
         if best_cost is None or cost < best_cost - 1e-12:
             best_perm, best_cost = perm, cost

@@ -10,6 +10,7 @@ ordering rules.
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import Counter
 from dataclasses import dataclass, field, replace
 
@@ -199,7 +200,9 @@ def extract_preconditions(
     A value is forbidden when it is (nearly) absent from valid evidence
     and either a one-value contrast or gamma-level invalid support backs
     the failure.  A required value is strong exactly when every
-    alternative of its variable is forbidden.
+    alternative of its variable is forbidden.  An action whose valid
+    weight is below ``min_valid_weight`` yields nothing and is listed once,
+    in sorted order, in ``report.insufficient_evidence``.
     """
     report = report if report is not None else ExtractionReport()
     template = wm.template
@@ -211,7 +214,8 @@ def extract_preconditions(
             report.ambiguous_entries[action] = ActionPools.weight(action_pools.ambiguous)
         valid_weight = ActionPools.weight(action_pools.valid)
         if valid_weight < cfg.min_valid_weight:
-            report.insufficient_evidence.append(action)
+            if action not in report.insufficient_evidence:
+                insort(report.insufficient_evidence, action)
             continue
         required: list[Precondition] = []
         forbidden: dict[str, set[str]] = {}
@@ -400,10 +404,19 @@ def extract_rules(models: list[WorldModel], inv: DomainInventory, cfg: Extractio
     report = ExtractionReport()
     domains: dict[str, tuple[str, ...]] = {}
     per_model = []
+    # An action lives in every template it touches; it lacks evidence only
+    # when no model holding it has enough.
+    short: set[str] = set()
+    enough: set[str] = set()
     for wm in models:
         for v in wm.template.variables:
             domains.setdefault(v.id, v.domain)
-        per_model.append(extract_preconditions(wm, cfg, report))
+        model_report = ExtractionReport(ambiguous_entries=report.ambiguous_entries)
+        per_model.append(extract_preconditions(wm, cfg, model_report))
+        model_short = set(model_report.insufficient_evidence)
+        short |= model_short
+        enough |= {action for action, _ in wm.entries} - model_short
+    report.insufficient_evidence = sorted(short - enough)
     merged = merge_preconditions(per_model, domains, report)
     rules = extract_causal_rules(merged, models, inv, cfg, report)
     return RuleSet(

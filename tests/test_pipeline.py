@@ -24,8 +24,10 @@ from procforge.errors import (
     StateSpaceLimitError,
     UnknownObjectError,
 )
+from procforge import sampling
 from procforge.metrics import kendall_tau
 from procforge.pipeline import load_config, run_all, run_stage, validate_artifact
+from procforge.sampling import EndpointConfig
 from procforge.world_model import world_model_from_dict
 
 
@@ -164,6 +166,35 @@ def test_sample_stage_file_source_keeps_rejected_lines(cfg):
     assert manifest["stage"] == "sample"
     assert "electronic_pipette.jsonl" in manifest["inputs"]
     assert read_json(cfg.path("samples_dir") / "spoon.rejections.json") == []
+
+
+def test_sample_stage_file_source_counts_lines_in_manifest(cfg):
+    run_stage("template", cfg)
+    run_stage("sample", cfg)
+    samples = cfg.path("samples_dir") / "electronic_pipette.jsonl"
+    manifest_path = samples.with_name(samples.name + ".manifest.json")
+    assert "lines" not in read_json(manifest_path)  # the oracle source ingests nothing
+    samples.write_text(samples.read_text() + "\nnot json\n{}\n")
+    cfg.sample_source = "file"
+    run_stage("sample", cfg)
+    assert read_json(manifest_path)["lines"] == {"accepted": 250, "rejected": 2}
+
+
+def test_sample_stage_endpoint_source_counts_lines_in_manifest(cfg, monkeypatch):
+    run_stage("template", cfg)
+    run_stage("sample", cfg)
+    samples = cfg.path("samples_dir") / "electronic_pipette.jsonl"
+    good = samples.read_text().split("\n")[:3]
+    reply = json.dumps({"choices": [{"message": {"content": "\n".join([*good, "not json"])}}]})
+    monkeypatch.setattr(sampling, "_urllib_transport", lambda *args: (200, reply))
+    monkeypatch.setenv("PROCFORGE_API_KEY", "k")
+    cfg.sample_source = "endpoint"
+    cfg.sample_objects = ["electronic_pipette"]
+    cfg.endpoint = EndpointConfig(base_url="http://localhost:9/v1/chat", model="m", max_retries=0)
+    run_stage("sample", cfg)
+    manifest = read_json(samples.with_name(samples.name + ".manifest.json"))
+    assert manifest["lines"] == {"accepted": 3, "rejected": 1}
+    assert read_json(cfg.path("samples_dir") / "electronic_pipette.rejections.json")[0][0] == 4
 
 
 def test_sample_stage_file_source_splits_lines_only_at_newlines(cfg):

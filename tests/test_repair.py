@@ -1,3 +1,4 @@
+import importlib
 import random
 
 import pytest
@@ -19,9 +20,11 @@ from procforge.repair import (
     procedure_to_dict,
     repair,
 )
-from procforge.repair import _Instance, _neighbourhood, _reinsert
+from procforge.repair import RepairResult, _Instance, _neighbourhood, _reinsert, derive_seed
 from procforge.rules import INITIAL_STATE, CausalRule
 from procforge.templates import bound_action_from_parts
+
+repair_module = importlib.import_module("procforge.repair")  # the package re-exports a `repair` function
 
 
 def proc(*ids, clusters=None, actions=None):
@@ -310,10 +313,11 @@ LABELS = ("wash", "dry", "heat")
 
 
 @st.composite
-def neighbourhood_cases(draw):
-    """A random permutation of a random instance: constraints may repeat
-    and form 2-cycles, and steps carry cluster labels under random
-    (also repeated or contradictory) cluster constraints."""
+def instance_inputs(draw):
+    """Repair inputs ``(draft, constraints, clusters, weights, raw_mode)``:
+    constraints may repeat and form 2-cycles, and steps carry cluster
+    labels under random (also repeated or contradictory) cluster
+    constraints."""
     n = draw(st.integers(min_value=2, max_value=14))
     ids = [f"s{k}" for k in range(n)]
     labels = draw(st.lists(st.sampled_from((None,) + LABELS), min_size=n, max_size=n))
@@ -329,7 +333,14 @@ def neighbourhood_cases(draw):
     values = draw(st.lists(st.sampled_from([0.0, 0.1, 0.5, 1.0, 2.0, 3.7]), min_size=4, max_size=4))
     weights = RepairWeights(*values) if any(values) else RepairWeights()
     mode = draw(st.sampled_from([RAW_BINARY, RAW_GAP]))
-    perm = draw(st.permutations(range(n)))
+    return draft, constraints, clusters, weights, mode
+
+
+@st.composite
+def neighbourhood_cases(draw):
+    """A random permutation of a random instance."""
+    draft, constraints, clusters, weights, mode = draw(instance_inputs())
+    perm = draw(st.permutations(range(len(draft.steps))))
     return _Instance(draft, constraints, clusters, weights, mode), list(perm)
 
 
@@ -339,15 +350,130 @@ def test_neighbourhood_matches_full_cost_recompute(case):
     inst, perm = case
     before = inst.cost(perm)
     rows = 0
-    for i, d_total, d_pos in _neighbourhood(inst, perm):
+    for i, d_total in _neighbourhood(inst, perm):
         rows += 1
         for j in range(inst.n):
             if j == i:
                 continue
             moved = _reinsert(perm, i, j)
-            assert d_pos[j] == inst.displacement(moved) - inst.displacement(perm)
             assert d_total[j] == pytest.approx(inst.cost(moved).total - before.total, abs=1e-9)
     assert rows == inst.n
+
+
+def reference_descend(inst, start, max_stale):
+    """The descent without a move table or row skipping: every entry of
+    every row is compared, and ties keep the minimum displacement change
+    first, then the lexicographically smallest moved permutation."""
+    n = inst.n
+    current = list(start)
+    current_cost = inst.cost(current).total
+    best, best_cost = list(current), current_cost
+    stale = iterations = 0
+    while iterations < 200 * max(n, 1):
+        iterations += 1
+        best_delta = None
+        ties = []  # (d_pos, i, j)
+        for i, row_total in _neighbourhood(inst, current):
+            for j in range(n):
+                if j == i:
+                    continue
+                d_pos = inst.displacement(_reinsert(current, i, j)) - inst.displacement(current)
+                d_total = row_total[j]
+                if best_delta is None or d_total < best_delta - 1e-12:
+                    best_delta = d_total
+                    ties = [(d_pos, i, j)]
+                elif d_total <= best_delta + 1e-12:
+                    ties.append((d_pos, i, j))
+        if best_delta is None:
+            break
+        min_disp = min(t[0] for t in ties)
+        finalists = [t for t in ties if t[0] == min_disp]
+        _, i, j = min(finalists, key=lambda t: tuple(_reinsert(current, t[1], t[2])))
+        if best_delta < -1e-12:
+            stale = 0
+        elif best_delta <= 1e-12 and stale < max_stale:
+            stale += 1
+        else:
+            break
+        current = _reinsert(current, i, j)
+        current_cost = inst.cost(current).total
+        if current_cost < best_cost - 1e-12:
+            best, best_cost = list(current), current_cost
+    return best, best_cost, iterations
+
+
+def reference_repair(draft, constraints, clusters, weights, search, seed, raw_mode):
+    """``repair()`` with :func:`reference_descend` for every restart."""
+    inst = _Instance(draft, constraints, clusters, weights, raw_mode)
+    draft_perm = list(range(inst.n))
+    best_perm = best_cost = None
+    iterations = 0
+    for r in range(search.restarts):
+        start = list(draft_perm)
+        if r:
+            random.Random(derive_seed(seed, f"restart:{r}")).shuffle(start)
+        perm, cost, iters = reference_descend(inst, start, search.max_stale_iters)
+        iterations += iters
+        if best_cost is None or cost < best_cost - 1e-12:
+            best_perm, best_cost = perm, cost
+    trace = {
+        "restarts": search.restarts,
+        "iterations": iterations,
+        "seed": seed,
+        "draft_cost": inst.cost(draft_perm).total,
+        "method": "local_search",
+    }
+    return RepairResult(tuple(inst.ids[i] for i in best_perm), inst.cost(best_perm), trace)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    instance_inputs(),
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=0, max_value=12),
+    st.integers(min_value=0, max_value=10_000),
+)
+def test_repair_matches_reference_descent(inputs, restarts, max_stale, seed):
+    draft, constraints, clusters, weights, mode = inputs
+    search = SearchParams(restarts=restarts, max_stale_iters=max_stale)
+    got = repair(draft, constraints, clusters, weights=weights, search=search, seed=seed, raw_mode=mode)
+    want = reference_repair(draft, constraints, clusters, weights, search, seed, mode)
+    assert got.order == want.order
+    assert got.cost == want.cost
+    assert got.trace == want.trace
+
+
+@pytest.mark.parametrize(
+    "draft, constraints, weights, search",
+    [
+        # No constraints and only the raw term: every move costs 0, so the
+        # plateau walk swaps a pair and swaps it back until it goes stale.
+        (proc("a", "b", "c", "d", "e"), [], RepairWeights(0, 0, 0, 1), SearchParams(restarts=1, max_stale_iters=10)),
+        # Strict descents only: any rescan is a restart reaching a
+        # permutation an earlier restart already scanned.
+        (
+            proc("a", "b", "c", "d", "e", "f"),
+            [PrecedenceConstraint("f", "a"), PrecedenceConstraint("e", "b")],
+            RepairWeights(0.5, 1, 0, 2),
+            SearchParams(restarts=5, max_stale_iters=0),
+        ),
+    ],
+    ids=["plateau", "restarts"],
+)
+def test_each_permutation_is_scanned_once_per_call(monkeypatch, draft, constraints, weights, search):
+    scanned = []
+    kernel = repair_module._neighbourhood
+
+    def counted(inst, perm):
+        scanned.append(tuple(perm))
+        return kernel(inst, perm)
+
+    monkeypatch.setattr(repair_module, "_neighbourhood", counted)
+    result = repair(draft, constraints, weights=weights, search=search, seed=3)
+    want = reference_repair(draft, constraints, (), weights, search, 3, RAW_BINARY)
+    assert result.trace["iterations"] == want.trace["iterations"]
+    assert len(scanned) == len(set(scanned))
+    assert len(scanned) < result.trace["iterations"]
 
 
 # ── brute force ───────────────────────────────────────────────────────────
