@@ -1,7 +1,8 @@
 """Command-line entry point: ``procforge <stage> --config PATH``.
 
 Exit codes: 0 on success, 1 on a validation failure (bad config or
-artifact), 2 on a runtime error.
+artifact), 2 on a runtime error.  With ``--debug`` an unexpected error
+(one that is not a ``ProcforgeError``) propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="sample stage: override the batch source from the config",
     )
     parser.add_argument("--n", type=int, default=None, help="sample stage: override the batch size")
+    parser.add_argument("--debug", action="store_true", help="re-raise unexpected errors with their traceback")
     return parser
 
 
@@ -55,6 +57,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"procforge: error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # runtime failures unrelated to input validation
+        if args.debug:
+            raise
         print(f"procforge: unexpected error: {exc}", file=sys.stderr)
         return 2
 

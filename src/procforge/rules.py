@@ -202,7 +202,9 @@ def extract_preconditions(
     the failure.  A required value is strong exactly when every
     alternative of its variable is forbidden.  An action whose valid
     weight is below ``min_valid_weight`` yields nothing and is listed once,
-    in sorted order, in ``report.insufficient_evidence``.
+    in sorted order, in ``report.insufficient_evidence``.  The weight of
+    an action's ambiguous entries is added to ``report.ambiguous_entries``,
+    so a report shared by the models an action lives in holds their sum.
     """
     report = report if report is not None else ExtractionReport()
     template = wm.template
@@ -211,7 +213,8 @@ def extract_preconditions(
     for action in sorted(actions):
         action_pools = actions[action]
         if action_pools.ambiguous:
-            report.ambiguous_entries[action] = ActionPools.weight(action_pools.ambiguous)
+            weight = ActionPools.weight(action_pools.ambiguous)
+            report.ambiguous_entries[action] = report.ambiguous_entries.get(action, 0) + weight
         valid_weight = ActionPools.weight(action_pools.valid)
         if valid_weight < cfg.min_valid_weight:
             if action not in report.insufficient_evidence:

@@ -370,6 +370,26 @@ def test_cli_runtime_error_exit_code(workdir, capsys, monkeypatch):
     monkeypatch.setitem(pipeline_mod.STAGES, "template", boom)
     code = cli_main(["template", "--config", str(workdir / "config.toml")])
     assert code == 2
+    assert capsys.readouterr().err == "procforge: unexpected error: disk on fire\n"
+
+
+@pytest.mark.parametrize(
+    "exc, code",
+    [(ConfigError("bad input"), 1), (EndpointError("request failed"), 2), (RuntimeError("disk on fire"), None)],
+)
+def test_cli_debug_reraises_only_unexpected_errors(workdir, monkeypatch, exc, code):
+    import procforge.pipeline as pipeline_mod
+
+    def fail(cfg):
+        raise exc
+
+    monkeypatch.setitem(pipeline_mod.STAGES, "template", fail)
+    argv = ["template", "--config", str(workdir / "config.toml"), "--debug"]
+    if code is None:
+        with pytest.raises(RuntimeError, match="disk on fire"):
+            cli_main(argv)
+    else:
+        assert cli_main(argv) == code
 
 
 @pytest.mark.parametrize(

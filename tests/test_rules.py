@@ -437,6 +437,27 @@ def test_insufficient_evidence_lists_each_short_action_once(
     assert (DRAW in report.insufficient_evidence) == (n < 40)
 
 
+def test_ambiguous_weight_sums_over_the_models_an_action_lives_in(
+    pipette_template, bottle_template, pipette_oracles, pipette_inventory
+):
+    models = [
+        aggregate(
+            simulate_oracle(
+                tpl, pipette_oracles[tpl.focal_object], 250, NoiseSpec(reward_flip_rate=0.2, seed=seed)
+            )
+        )
+        for tpl, seed in ((pipette_template, 0), (bottle_template, 1000))
+    ]
+    weights: dict[str, list[int]] = {}
+    for wm in models:
+        for action, pools in classify_entries(wm, CFG).items():
+            if pools.ambiguous:
+                weights.setdefault(action, []).append(ActionPools.weight(pools.ambiguous))
+    assert len(weights[DRAW]) == 2  # ambiguous in both partner models
+    report = extract_rules(models, pipette_inventory, CFG).report
+    assert report.ambiguous_entries == {action: sum(ws) for action, ws in weights.items()}
+
+
 def test_rules_sorted_deterministically(two_models, pipette_inventory):
     rs = extract_rules(two_models, pipette_inventory, CFG)
     keys = [(r.action, r.variable, r.value) for r in rs.causal_rules]
