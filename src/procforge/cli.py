@@ -12,6 +12,7 @@ import sys
 
 from .errors import ProcforgeError, ValidationError
 from .pipeline import STAGES, load_config, run_all, run_stage
+from .sampling import SOURCES
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -26,7 +27,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--strict", action="store_true", help="fail instead of skipping bad records")
     parser.add_argument(
         "--source",
-        choices=("oracle", "file", "endpoint"),
+        choices=SOURCES,
         default=None,
         help="sample stage: override the batch source from the config",
     )

@@ -122,9 +122,6 @@ class DomainInventory:
     interactions: tuple[Interaction, ...]
     schema_version: str = SCHEMA_VERSION
 
-    def object_ids(self) -> list[str]:
-        return [obj.id for obj in self.objects]
-
     def get_object(self, object_id: str) -> LabObject | None:
         for obj in self.objects:
             if obj.id == object_id:

@@ -5,7 +5,6 @@ tau, displacement, and precedence-constraint slack.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .errors import SequenceMismatchError
@@ -203,7 +202,3 @@ def format_table(rows: dict[str, MetricsReport]) -> str:
         if idx == 0:
             lines.append("  ".join("-" * widths[i] for i in range(len(headers))).rstrip())
     return "\n".join(lines) + "\n"
-
-
-def reports_to_json(rows: dict[str, MetricsReport]) -> str:
-    return json.dumps({label: r.to_dict() for label, r in rows.items()}, indent=2, sort_keys=True) + "\n"

@@ -14,15 +14,16 @@ import itertools
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from . import __version__
 from .errors import ConfigError, SampleValidationError
 from .inventory import DomainInventory, parse_inventory, resolve_dynamic_domains
-from .metrics import RAW_BINARY, RAW_GAP, evaluate, format_table, reports_to_json, sequence_report
+from .metrics import RAW_BINARY, RAW_GAP, evaluate, format_table, sequence_report
 from .perturb import PerturbationSpec, perturb
 from .repair import (
+    Procedure,
     RepairWeights,
     SearchParams,
     constraints_from_dict,
@@ -35,9 +36,9 @@ from .repair import (
 )
 from .rules import ExtractionConfig, extract_rules, rule_set_from_dict, rule_set_to_dict
 from .sampling import NoiseSpec, OracleSpec, build_prompt, fetch_samples, ingest_samples, simulate_oracle
-from .sampling import EndpointConfig, SOURCE_ENDPOINT, SOURCE_FILE, SOURCE_ORACLE
+from .sampling import EndpointConfig, SOURCE_FILE, SOURCE_ORACLE, SOURCES
 from .schemas import first_violation
-from .templates import build_template, serialize_template, template_from_dict
+from .templates import build_template, template_from_dict, template_to_dict
 from .world_model import aggregate, serialize_world_model, world_model_from_dict
 
 
@@ -73,7 +74,6 @@ DEFAULT_PATHS = {
 
 @dataclass
 class PipelineConfig:
-    base_dir: Path
     paths: dict[str, Path]
     seed: int
     sample_n: int = 250
@@ -140,14 +140,13 @@ def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConf
     # checked by the dataclasses they are passed to.
     _config_table(doc, "", ("seed", "paths", "sample", "extraction", "repair", "perturb", "tune", "endpoint"))
     overrides = overrides or {}
-    if "seed" in overrides and overrides["seed"] is not None:
-        doc["seed"] = overrides["seed"]
-    if "seed" not in doc:
+    seed = doc.get("seed") if overrides.get("seed") is None else overrides["seed"]
+    if seed is None:
         raise ConfigError("config must set a master seed")
-    base = path.parent
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise ConfigError(f"config seed must be an integer, got {seed!r}")
     paths = dict(DEFAULT_PATHS)
     paths.update(_config_table(doc.get("paths", {}), "paths", DEFAULT_PATHS))
-    resolved = {k: (base / v) for k, v in paths.items()}
 
     sample = _config_table(doc.get("sample", {}), "sample", ("n", "source", "objects", "noise"))
     noise_doc = _config_table(sample.get("noise", {}), "sample.noise", ("reward_flip_rate", "effect_corrupt_rate"))
@@ -156,37 +155,31 @@ def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConf
     if raw_penalty not in (RAW_BINARY, RAW_GAP):
         raise ConfigError(f"repair.raw_penalty must be 'binary' or 'gap', got {raw_penalty!r}")
     perturb_doc = doc.get("perturb")
-    if perturb_doc:
-        _config_table(perturb_doc, "perturb", ("n_misorderings", "kinds"))
     tune_doc = _config_table(doc.get("tune", {}), "tune", ("grid",))
     tune_grid = _config_table(tune_doc.get("grid", {}), "tune.grid", [f.name for f in fields(RepairWeights)])
     endpoint_doc = doc.get("endpoint")
     try:
         perturbation = None
         if perturb_doc:
+            _config_table(perturb_doc, "perturb", ("n_misorderings", "kinds"))
             perturbation = PerturbationSpec(
                 n_misorderings=int(perturb_doc["n_misorderings"]),
                 kinds=tuple(perturb_doc["kinds"]),
-                seed=derive_seed(doc["seed"], "perturb"),
+                seed=derive_seed(seed, "perturb"),
             )
         cfg = PipelineConfig(
-            base_dir=base,
-            paths=resolved,
-            seed=int(doc["seed"]),
+            paths={k: path.parent / v for k, v in paths.items()},
+            seed=seed,
             sample_n=int(sample.get("n", 250)),
             sample_source=sample.get("source", SOURCE_ORACLE),
             sample_objects=list(sample.get("objects", [])),
-            noise=NoiseSpec(
-                reward_flip_rate=float(noise_doc.get("reward_flip_rate", 0.0)),
-                effect_corrupt_rate=float(noise_doc.get("effect_corrupt_rate", 0.0)),
-                seed=0,
-            ),
+            noise=NoiseSpec(**noise_doc),
             extraction=ExtractionConfig(**doc.get("extraction", {})),
             weights=RepairWeights(**repair_doc.get("weights", {})),
             search=SearchParams(**repair_doc.get("search", {})),
             raw_penalty=raw_penalty,
             perturbation=perturbation,
-            tune_grid={k: list(v) for k, v in tune_grid.items()},
+            tune_grid=tune_grid,
             endpoint=EndpointConfig(**endpoint_doc) if endpoint_doc else None,
             strict=bool(overrides.get("strict", False)),
             config_hash=digest,
@@ -195,16 +188,34 @@ def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConf
         raise ConfigError(f"missing config key 'perturb.{exc.args[0]}'") from exc
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid config value: {exc}") from exc
-    if cfg.sample_source not in (SOURCE_ORACLE, SOURCE_FILE, SOURCE_ENDPOINT):
+    if cfg.sample_source not in SOURCES:
         raise ConfigError(f"unknown sample source {cfg.sample_source!r}")
+    _check_tune_grid(cfg)
     return cfg
 
 
+def _weight_grid(cfg: PipelineConfig) -> dict[str, list[float]]:
+    """Each weight's tune values: its ``[tune.grid]`` list, else the configured weight."""
+    return {f.name: cfg.tune_grid.get(f.name, [getattr(cfg.weights, f.name)]) for f in fields(RepairWeights)}
+
+
+def _check_tune_grid(cfg: PipelineConfig) -> None:
+    """Fail at load time on a grid that ``tune`` would reject or run empty."""
+    for name, values in cfg.tune_grid.items():
+        if not isinstance(values, list) or not values:
+            raise ConfigError(f"config key 'tune.grid.{name}' must be a non-empty list")
+        for value in values:
+            try:
+                RepairWeights(**{name: value})
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"invalid config value 'tune.grid.{name}' {value!r}: {exc}") from exc
+    try:  # every row has a positive weight if the row of smallest values has one
+        RepairWeights(**{name: min(values) for name, values in _weight_grid(cfg).items()})
+    except ValueError as exc:
+        raise ConfigError(f"invalid config value 'tune.grid': {exc}") from exc
+
+
 # ── artifact io ───────────────────────────────────────────────────────────
-
-
-def _sha256_file(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def write_atomic(path: Path, text: str) -> None:
@@ -235,11 +246,26 @@ def write_artifact(
         "tool_version": __version__,
         "seed": cfg.seed,
         "config_sha256": cfg.config_hash,
-        "inputs": {p.name: _sha256_file(p) for p in sorted(inputs) if p.exists()},
+        "inputs": {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(inputs) if p.exists()},
     }
     if lines is not None:
         manifest["lines"] = lines
-    write_atomic(path.with_name(path.name + ".manifest.json"), json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    write_atomic(path.with_name(path.name + ".manifest.json"), _encode(manifest))
+
+
+def _encode(doc: object) -> str:
+    """The one canonical encoding of a JSON artifact."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def _write_json(
+    path: Path, doc: object, cfg: PipelineConfig, stage: str, inputs: list[Path], schema: str | None = None
+) -> Path:
+    """Write ``doc`` as a JSON artifact, checked first against ``schema`` when one is named."""
+    if schema:
+        validate_artifact(schema, doc, str(path))
+    write_artifact(path, _encode(doc), cfg, stage, inputs)
+    return path
 
 
 def _read_json(path: Path, schema: str | None = None) -> dict:
@@ -254,6 +280,24 @@ def _read_json(path: Path, schema: str | None = None) -> dict:
     return doc
 
 
+def _read_procedure(cfg: PipelineConfig, key: str) -> Procedure:
+    return procedure_from_dict(_read_json(cfg.path(key), "procedure"))
+
+
+def _read_constraints(cfg: PipelineConfig):
+    return constraints_from_dict(_read_json(cfg.path("constraints"), "constraints"))
+
+
+def _artifact_files(directory: Path, what: str, stage: str, pattern: str = "*.json") -> list[Path]:
+    """The artifacts under ``directory`` in name order, without their manifests."""
+    if not directory.exists():
+        raise ConfigError(f"missing {what} directory: {directory} (run the {stage} stage first)")
+    paths = [p for p in sorted(directory.glob(pattern)) if not p.name.endswith(".manifest.json")]
+    if not paths:
+        raise ConfigError(f"no {what} found under {directory}")
+    return paths
+
+
 def _load_inventory(cfg: PipelineConfig) -> DomainInventory:
     path = cfg.path("inventory")
     if not path.exists():
@@ -261,21 +305,9 @@ def _load_inventory(cfg: PipelineConfig) -> DomainInventory:
     return resolve_dynamic_domains(parse_inventory(path.read_text("utf-8")))
 
 
-def _load_template_files(cfg: PipelineConfig, objects: list[str] | None = None):
-    tdir = cfg.path("templates_dir")
-    if not tdir.exists():
-        raise ConfigError(f"missing templates directory: {tdir} (run the template stage first)")
-    out = []
-    for path in sorted(tdir.glob("*.json")):
-        if path.name.endswith(".manifest.json"):
-            continue
-        doc = _read_json(path, "template")
-        tpl = template_from_dict(doc)
-        if objects is None or tpl.focal_object in objects:
-            out.append((path, tpl))
-    if not out:
-        raise ConfigError(f"no templates found under {tdir}")
-    return out
+def _load_template_files(cfg: PipelineConfig):
+    paths = _artifact_files(cfg.path("templates_dir"), "templates", "template")
+    return [(path, template_from_dict(_read_json(path, "template"))) for path in paths]
 
 
 # ── stages ────────────────────────────────────────────────────────────────
@@ -283,18 +315,20 @@ def _load_template_files(cfg: PipelineConfig, objects: list[str] | None = None):
 
 def stage_template(cfg: PipelineConfig) -> list[Path]:
     inv = _load_inventory(cfg)
-    outputs = []
-    for obj in inv.objects:
-        tpl = build_template(inv, obj.id)
-        out = cfg.path("templates_dir") / f"{obj.id}.json"
-        write_artifact(out, serialize_template(tpl), cfg, "template", [cfg.path("inventory")])
-        outputs.append(out)
-    return outputs
+    return [
+        _write_json(cfg.path("templates_dir") / f"{obj.id}.json", template_to_dict(build_template(inv, obj.id)),
+                    cfg, "template", [cfg.path("inventory")])
+        for obj in inv.objects
+    ]
 
 
 def stage_sample(cfg: PipelineConfig) -> list[Path]:
-    objects = cfg.sample_objects or None
-    templates = _load_template_files(cfg, objects)
+    templates = _load_template_files(cfg)
+    if cfg.sample_objects:
+        unknown = sorted(set(cfg.sample_objects) - {tpl.focal_object for _, tpl in templates})
+        if unknown:
+            raise ConfigError(f"[sample] objects with no template: {', '.join(map(repr, unknown))}")
+        templates = [(path, tpl) for path, tpl in templates if tpl.focal_object in cfg.sample_objects]
     if cfg.sample_source == SOURCE_ORACLE:
         oracles_doc = _read_json(cfg.path("oracles"), "oracles")
     outputs = []
@@ -305,11 +339,7 @@ def stage_sample(cfg: PipelineConfig) -> list[Path]:
             if tpl.focal_object not in oracles_doc:
                 raise ConfigError(f"no oracle spec for object {tpl.focal_object!r}")
             oracle = OracleSpec.from_dict(oracles_doc[tpl.focal_object])
-            noise = NoiseSpec(
-                reward_flip_rate=cfg.noise.reward_flip_rate,
-                effect_corrupt_rate=cfg.noise.effect_corrupt_rate,
-                seed=derive_seed(cfg.seed, f"sample:{tpl.focal_object}"),
-            )
+            noise = replace(cfg.noise, seed=derive_seed(cfg.seed, f"sample:{tpl.focal_object}"))
             batch = simulate_oracle(tpl, oracle, cfg.sample_n, noise)
             inputs.append(cfg.path("oracles"))
             lines = None
@@ -328,9 +358,7 @@ def stage_sample(cfg: PipelineConfig) -> list[Path]:
             batch = report.batch
             # [line, reason] pairs; the rewritten samples file keeps only accepted lines.
             rejected = out.with_name(f"{tpl.focal_object}.rejections.json")
-            text = json.dumps(report.rejections, indent=2) + "\n"
-            write_artifact(rejected, text, cfg, "sample", rejection_inputs)
-            outputs.append(rejected)
+            outputs.append(_write_json(rejected, report.rejections, cfg, "sample", rejection_inputs))
             lines = {"accepted": len(batch.samples), "rejected": len(report.rejections)}
         write_artifact(out, batch.to_jsonl(), cfg, "sample", inputs, lines)
         outputs.append(out)
@@ -338,13 +366,9 @@ def stage_sample(cfg: PipelineConfig) -> list[Path]:
 
 
 def stage_aggregate(cfg: PipelineConfig) -> list[Path]:
-    templates = _load_template_files(cfg)
-    by_object = {tpl.focal_object: (path, tpl) for path, tpl in templates}
-    sdir = cfg.path("samples_dir")
-    if not sdir.exists():
-        raise ConfigError(f"missing samples directory: {sdir} (run the sample stage first)")
+    by_object = {tpl.focal_object: (path, tpl) for path, tpl in _load_template_files(cfg)}
     outputs = []
-    for sample_path in sorted(sdir.glob("*.jsonl")):
+    for sample_path in _artifact_files(cfg.path("samples_dir"), "samples", "sample", "*.jsonl"):
         obj = sample_path.stem
         if obj not in by_object:
             raise ConfigError(f"samples file {sample_path} has no matching template")
@@ -359,95 +383,51 @@ def stage_aggregate(cfg: PipelineConfig) -> list[Path]:
 
 def stage_extract(cfg: PipelineConfig) -> list[Path]:
     inv = _load_inventory(cfg)
-    wdir = cfg.path("world_models_dir")
-    if not wdir.exists():
-        raise ConfigError(f"missing world-models directory: {wdir} (run the aggregate stage first)")
+    paths = _artifact_files(cfg.path("world_models_dir"), "world models", "aggregate")
     models = []
-    inputs = [cfg.path("inventory")]
-    for path in sorted(wdir.glob("*.json")):
-        if path.name.endswith(".manifest.json"):
-            continue
+    for path in paths:
         try:
             models.append(world_model_from_dict(_read_json(path, "world_model")))
         except SampleValidationError as exc:
             raise SampleValidationError(f"{path}: {exc}") from exc
-        inputs.append(path)
-    if not models:
-        raise ConfigError(f"no world models found under {wdir}")
     rule_set = extract_rules(models, inv, cfg.extraction)
-    doc = rule_set_to_dict(rule_set)
-    validate_artifact("rules", doc, "rules")
-    out = cfg.path("rules")
-    write_artifact(out, json.dumps(doc, indent=2, sort_keys=True) + "\n", cfg, "extract", inputs)
-    return [out]
+    inputs = [cfg.path("inventory"), *paths]
+    return [_write_json(cfg.path("rules"), rule_set_to_dict(rule_set), cfg, "extract", inputs, "rules")]
 
 
 def stage_map(cfg: PipelineConfig) -> list[Path]:
-    rules_doc = _read_json(cfg.path("rules"), "rules")
-    rule_set = rule_set_from_dict(rules_doc)
-    draft = procedure_from_dict(_read_json(cfg.path("draft_procedure"), "procedure"))
+    rule_set = rule_set_from_dict(_read_json(cfg.path("rules"), "rules"))
+    draft = _read_procedure(cfg, "draft_procedure")
     mapping = map_rules_to_constraints(draft, list(rule_set.causal_rules))
     doc = constraints_to_dict(list(mapping.constraints), [])
     doc["unmatched_rules"] = [r.to_dict() for r in mapping.unmatched]
-    doc["dropped_contradictions"] = [
-        {"predecessor": c.predecessor, "successor": c.successor, "origin": c.origin}
-        for c in mapping.dropped
-    ]
-    validate_artifact("constraints", doc, "constraints")
-    out = cfg.path("constraints")
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    write_artifact(out, text, cfg, "map", [cfg.path("rules"), cfg.path("draft_procedure")])
-    return [out]
-
-
-def _read_constraints(cfg: PipelineConfig):
-    doc = _read_json(cfg.path("constraints"), "constraints")
-    return constraints_from_dict(doc)
+    doc["dropped_contradictions"] = constraints_to_dict(list(mapping.dropped), [])["raw"]
+    inputs = [cfg.path("rules"), cfg.path("draft_procedure")]
+    return [_write_json(cfg.path("constraints"), doc, cfg, "map", inputs, "constraints")]
 
 
 def stage_repair(cfg: PipelineConfig) -> list[Path]:
-    draft = procedure_from_dict(_read_json(cfg.path("draft_procedure"), "procedure"))
+    draft = _read_procedure(cfg, "draft_procedure")
     constraints, clusters = _read_constraints(cfg)
-    result = repair(
-        draft,
-        constraints,
-        clusters,
-        weights=cfg.weights,
-        search=cfg.search,
-        seed=derive_seed(cfg.seed, "repair"),
-        raw_mode=cfg.raw_penalty,
-    )
-    repaired = draft.reordered(list(result.order))
-    doc = procedure_to_dict(repaired)
+    result = repair(draft, constraints, clusters, weights=cfg.weights, search=cfg.search,
+                    seed=derive_seed(cfg.seed, "repair"), raw_mode=cfg.raw_penalty)
+    doc = procedure_to_dict(draft.reordered(list(result.order)))
     doc["repair"] = result.to_dict()
-    validate_artifact("procedure", doc, "repaired procedure")
-    out = cfg.path("repaired_procedure")
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    write_artifact(out, text, cfg, "repair", [cfg.path("draft_procedure"), cfg.path("constraints")])
-    return [out]
+    inputs = [cfg.path("draft_procedure"), cfg.path("constraints")]
+    return [_write_json(cfg.path("repaired_procedure"), doc, cfg, "repair", inputs, "procedure")]
 
 
 def stage_evaluate(cfg: PipelineConfig) -> list[Path]:
-    truth = procedure_from_dict(_read_json(cfg.path("truth_procedure"), "procedure"))
-    draft = procedure_from_dict(_read_json(cfg.path("draft_procedure"), "procedure"))
-    repaired_doc = _read_json(cfg.path("repaired_procedure"), "procedure")
-    repaired = procedure_from_dict({"steps": repaired_doc["steps"]})
+    truth = _read_procedure(cfg, "truth_procedure")
+    draft = _read_procedure(cfg, "draft_procedure")
+    repaired = _read_procedure(cfg, "repaired_procedure")
     constraints, _ = _read_constraints(cfg)
     pairs = [(c.predecessor, c.successor) for c in constraints]
-    draft_report, repaired_report = evaluate(
-        draft.step_ids, repaired.step_ids, truth.step_ids, pairs
-    )
+    draft_report, repaired_report = evaluate(draft.step_ids, repaired.step_ids, truth.step_ids, pairs)
     rows = {"draft": draft_report, "repaired": repaired_report}
-    doc = json.loads(reports_to_json(rows))
-    validate_artifact("metrics", doc, "metrics")
-    inputs = [
-        cfg.path("truth_procedure"),
-        cfg.path("draft_procedure"),
-        cfg.path("repaired_procedure"),
-        cfg.path("constraints"),
-    ]
-    out = cfg.path("metrics")
-    write_artifact(out, reports_to_json(rows), cfg, "evaluate", inputs)
+    inputs = [cfg.path(key) for key in ("truth_procedure", "draft_procedure", "repaired_procedure", "constraints")]
+    doc = {label: report.to_dict() for label, report in rows.items()}
+    out = _write_json(cfg.path("metrics"), doc, cfg, "evaluate", inputs, "metrics")
     table = cfg.path("metrics_table")
     write_artifact(table, format_table(rows), cfg, "evaluate", inputs)
     return [out, table]
@@ -456,56 +436,37 @@ def stage_evaluate(cfg: PipelineConfig) -> list[Path]:
 def stage_perturb(cfg: PipelineConfig) -> list[Path]:
     if cfg.perturbation is None:
         raise ConfigError("config has no [perturb] section")
-    truth = procedure_from_dict(_read_json(cfg.path("truth_procedure"), "procedure"))
+    truth = _read_procedure(cfg, "truth_procedure")
     draft, log = perturb(truth, cfg.perturbation, strict=cfg.strict)
-    out = cfg.path("draft_procedure")
-    write_artifact(out, json.dumps(procedure_to_dict(draft), indent=2, sort_keys=True) + "\n",
-                   cfg, "perturb", [cfg.path("truth_procedure")])
-    log_path = cfg.path("perturbation_log")
-    write_artifact(log_path, json.dumps(log.to_dict(), indent=2, sort_keys=True) + "\n",
-                   cfg, "perturb", [cfg.path("truth_procedure")])
-    return [out, log_path]
+    inputs = [cfg.path("truth_procedure")]
+    return [
+        _write_json(cfg.path("draft_procedure"), procedure_to_dict(draft), cfg, "perturb", inputs),
+        _write_json(cfg.path("perturbation_log"), log.to_dict(), cfg, "perturb", inputs),
+    ]
 
 
 def stage_tune(cfg: PipelineConfig) -> list[Path]:
     if not cfg.tune_grid:
         raise ConfigError("config has no [tune.grid] section")
-    truth = procedure_from_dict(_read_json(cfg.path("truth_procedure"), "procedure"))
-    draft = procedure_from_dict(_read_json(cfg.path("draft_procedure"), "procedure"))
+    truth = _read_procedure(cfg, "truth_procedure")
+    draft = _read_procedure(cfg, "draft_procedure")
     constraints, clusters = _read_constraints(cfg)
     pairs = [(c.predecessor, c.successor) for c in constraints]
-    grid = {
-        "lambda_pos": cfg.tune_grid.get("lambda_pos", [cfg.weights.lambda_pos]),
-        "lambda_edge": cfg.tune_grid.get("lambda_edge", [cfg.weights.lambda_edge]),
-        "lambda_cluster": cfg.tune_grid.get("lambda_cluster", [cfg.weights.lambda_cluster]),
-        "lambda_raw": cfg.tune_grid.get("lambda_raw", [cfg.weights.lambda_raw]),
-    }
+    grid = _weight_grid(cfg)
     seed = derive_seed(cfg.seed, "tune")
     rows = []
-    for pos, edge, cluster, raw in itertools.product(
-        grid["lambda_pos"], grid["lambda_edge"], grid["lambda_cluster"], grid["lambda_raw"]
-    ):
-        weights = RepairWeights(lambda_pos=pos, lambda_edge=edge, lambda_cluster=cluster, lambda_raw=raw)
-        result = repair(draft, constraints, clusters, weights=weights, search=cfg.search,
+    for values in itertools.product(*grid.values()):
+        weights = dict(zip(grid, values))
+        result = repair(draft, constraints, clusters, weights=RepairWeights(**weights), search=cfg.search,
                         seed=seed, raw_mode=cfg.raw_penalty)
         report = sequence_report(list(result.order), truth.step_ids, pairs)
-        rows.append(
-            {
-                "weights": {"lambda_pos": pos, "lambda_edge": edge, "lambda_cluster": cluster, "lambda_raw": raw},
-                "raw_slack": report.raw_slack,
-                "kendall_tau": report.kendall_tau,
-                "breakpoints": report.breakpoints,
-                "metrics": report.to_dict(),
-            }
-        )
+        rows.append({"weights": weights, "raw_slack": report.raw_slack, "kendall_tau": report.kendall_tau,
+                     "breakpoints": report.breakpoints, "metrics": report.to_dict()})
     rows.sort(key=lambda r: (r["raw_slack"], -r["kendall_tau"], r["breakpoints"]))
     for rank, row in enumerate(rows, start=1):
         row["rank"] = rank
-    out = cfg.path("tuning")
-    text = json.dumps({"ranking": rows}, indent=2, sort_keys=True) + "\n"
-    write_artifact(out, text, cfg, "tune",
-                   [cfg.path("truth_procedure"), cfg.path("draft_procedure"), cfg.path("constraints")])
-    return [out]
+    inputs = [cfg.path(key) for key in ("truth_procedure", "draft_procedure", "constraints")]
+    return [_write_json(cfg.path("tuning"), {"ranking": rows}, cfg, "tune", inputs)]
 
 
 #: Every stage in standard order; ``run_all`` runs all but the last, ``tune``.

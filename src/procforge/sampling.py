@@ -9,6 +9,7 @@ text-generation endpoint prompted from the template.
 from __future__ import annotations
 
 import json
+import math
 import os
 import random
 import time
@@ -27,6 +28,7 @@ PROMPT_VERSION = "1"
 SOURCE_ORACLE = "oracle"
 SOURCE_FILE = "file"
 SOURCE_ENDPOINT = "endpoint"
+SOURCES = (SOURCE_ORACLE, SOURCE_FILE, SOURCE_ENDPOINT)
 
 
 @dataclass(frozen=True)
@@ -108,18 +110,6 @@ class OracleSpec:
                 valid_only=bool(item.get("valid_only", False)),
             )
         return OracleSpec(rules=rules)
-
-    def to_dict(self) -> dict:
-        out = {}
-        for key, rule in sorted(self.rules.items()):
-            item: dict = {
-                "preconditions": dict(sorted(rule.preconditions.items())),
-                "effects": dict(sorted(rule.effects.items())),
-            }
-            if rule.valid_only:
-                item["valid_only"] = True
-            out[key] = item
-        return out
 
 
 @dataclass(frozen=True)
@@ -349,6 +339,14 @@ class EndpointConfig:
     backoff_s: float = 1.0
     n_requests: int = 1
     response_path: str = "choices.0.message.content"
+
+    def __post_init__(self):
+        counts = (self.n_requests, self.max_retries)
+        if not all(type(v) is int for v in counts) or self.n_requests < 1 or self.max_retries < 0:
+            raise ValueError(f"endpoint needs integers n_requests >= 1 and max_retries >= 0, got {counts}")
+        times = (self.timeout_s, self.backoff_s)
+        if not all(math.isfinite(v) for v in times) or self.timeout_s <= 0 or self.backoff_s < 0:
+            raise ValueError(f"endpoint needs finite timeout_s > 0 and backoff_s >= 0, got {times}")
 
 
 def _urllib_transport(url: str, headers: dict[str, str], body: bytes, timeout: float) -> tuple[int, str]:

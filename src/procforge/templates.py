@@ -9,7 +9,6 @@ variables, value domains, and actions, and say nothing about effects.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -256,7 +255,3 @@ def template_from_dict(doc: dict) -> MdpTemplate:
         for a in doc["actions"]
     )
     return MdpTemplate(focal_object=doc["focal_object"], variables=variables, actions=actions)
-
-
-def serialize_template(tpl: MdpTemplate) -> str:
-    return json.dumps(template_to_dict(tpl), indent=2, sort_keys=True) + "\n"

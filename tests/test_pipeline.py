@@ -54,6 +54,32 @@ def test_config_requires_seed(tmp_path):
         load_config(tmp_path / "c.json")
 
 
+@pytest.mark.parametrize("seed", [20240.5, True, "20240"])
+def test_config_seed_must_be_an_integer(tmp_path, seed):
+    (tmp_path / "c.json").write_text(json.dumps({"seed": seed}))
+    with pytest.raises(ConfigError, match="config seed must be an integer"):
+        load_config(tmp_path / "c.json")
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("n_requests", 0),
+        ("n_requests", 1.5),
+        ("max_retries", -1),
+        ("timeout_s", 0),
+        ("timeout_s", float("inf")),
+        ("backoff_s", -1.0),
+        ("backoff_s", float("nan")),
+    ],
+)
+def test_config_rejects_a_bad_endpoint_value(tmp_path, key, value):
+    endpoint = {"base_url": "http://localhost:9/v1/chat", "model": "m", key: value}
+    (tmp_path / "c.json").write_text(json.dumps({"seed": 1, "endpoint": endpoint}))
+    with pytest.raises(ConfigError, match=f"invalid config value: endpoint needs .*{key}"):
+        load_config(tmp_path / "c.json")
+
+
 def test_config_json_and_toml_equivalent(workdir):
     toml_cfg = load_config(workdir / "config.toml")
     doc = {
@@ -136,6 +162,16 @@ def test_perturb_then_repair_never_hurts_kendall(cfg):
     draft = [s["id"] for s in read_json(cfg.path("draft_procedure"))["steps"]]
     repaired = [s["id"] for s in read_json(cfg.path("repaired_procedure"))["steps"]]
     assert kendall_tau(repaired, truth) >= kendall_tau(draft, truth)
+
+
+def test_sample_stage_rejects_objects_without_a_template(workdir):
+    config = workdir / "config.toml"
+    config.write_text(config.read_text().replace('"electronic_scale",', '"electronic_scal",\n    "spon",'))
+    cfg = load_config(config)
+    run_stage("template", cfg)
+    with pytest.raises(ConfigError, match="\\[sample\\] objects with no template: 'electronic_scal', 'spon'"):
+        run_stage("sample", cfg)
+    assert not cfg.path("samples_dir").exists()
 
 
 def test_sample_stage_file_source_validates_existing(cfg):
@@ -235,6 +271,100 @@ def test_sample_and_aggregate_artifacts_match_recorded_digests(cfg):
     assert tree_digest(world_models) == WORLD_MODELS_SHA256
 
 
+# sha256 of every file under out/, manifests included, that template ->
+# evaluate plus tune writes on the shipped config, recorded before the
+# stages shared one JSON writer; the bytes must not change.
+OUT_SHA256 = {
+    "constraints.json": "24c58eb2197379627f95597887d581204f23b68907fd4230bdc10c59a5dab9e4",
+    "constraints.json.manifest.json": "92faf2590a2b47536c7126a17368519ce70d7dba29c6cddcb199c1e56e50802c",
+    "draft.json": "eb935e5f403d68ba37827a558310271b2091ace7555095f73bdd21f70bf2e465",
+    "draft.json.manifest.json": "3fdc146a8f53b3ed9e6eb8bb1492f550fbd1529ab4dfe62e3560e6887da9a7b1",
+    "metrics.json": "9df5107972712a4f04b74383c8faeb0c7916bff14c11a0bd8b78d01f74a201f2",
+    "metrics.json.manifest.json": "db6f0b629d04f4841a06867bc6da755d4e3a5b8df63b2282fe1133e7a6a77e7f",
+    "metrics.txt": "49a8c965e28c9c18a9570a92c2eec8ce20f37e0ff2004dc4f7aac43de77437c6",
+    "metrics.txt.manifest.json": "4976e432ca416deca09335139f2ae8c08f9260cf06029954880f0b056bedf491",
+    "perturbation_log.json": "e57f560dd40912ac9d95e674044f88395c6487f1ab6e5c963afb7ba318d05a20",
+    "perturbation_log.json.manifest.json": "f28b6b254fb7ad9eaf8a2b74ba001b9c9467362b1021aced2bd1d8531df7cca8",
+    "repaired.json": "37775ef5b0e856bc5592859131500553583932692758bf72a8c9dde18c4c08c2",
+    "repaired.json.manifest.json": "09366b171a7448aeaa36c741dd27715118eef7e86a174e10d9ab3f945d574c46",
+    "rules.json": "57c4a34dc2eada6386232c0418da1e6f7e9c5e2da86fc5641bf498237282f3d9",
+    "rules.json.manifest.json": "452dca9414e30e9f42f03ae14fe93d3236266d8133cd1dfe331fdb8a6dceea3a",
+    "samples/aluminium_foil.jsonl": "3e10f006031d73e36c98ed7073cb51ec4c78489f523a1435f5c602c588b9e310",
+    "samples/aluminium_foil.jsonl.manifest.json": "9b052b4e08f3aa99c055a7e51c6d70f4d44ddda88d3d452401ece1930a3183fe",
+    "samples/cuso4_bottle.jsonl": "76b67ae0d6f18bab601ab59eeeedfb8e5311053e8a6df04e4eac59c184c0ee13",
+    "samples/cuso4_bottle.jsonl.manifest.json": "5401bbbda1308a8c450c6300b5464b419279355d7489dcd0d2947b77c7c46a8c",
+    "samples/ddh2o_bottle.jsonl": "02be3938c66483f7b8a869d52671084bc51dc7e1038eb11d3ee75107cc0eef81",
+    "samples/ddh2o_bottle.jsonl.manifest.json": "61db2774d4f6c221ad188695d5e1facb3a0ebed5fb90b78559445a92393a7cf7",
+    "samples/electronic_pipette.jsonl": "718d2e170b4ea39212a32ce61298226060066d1e1bd5f867acb8f42bbeef16c5",
+    "samples/electronic_pipette.jsonl.manifest.json": "3e0f3a759237a4851b87ef9aae2071a32f3b781d2579cc5e5c3b066ebf838289",
+    "samples/electronic_scale.jsonl": "069e5bf1077b97864f36e82a00bcba6c287d43ee659eab28a4449bf2aa42738d",
+    "samples/electronic_scale.jsonl.manifest.json": "96329c6d813158a8deb6a56c60df05561a87eb6676d7a9340bd79bd730ac1980",
+    "samples/erlenmeyer_flask.jsonl": "4e9179374b53db214dc2874dc5df3d2a401097cfbee343b18b26c954a9f71940",
+    "samples/erlenmeyer_flask.jsonl.manifest.json": "eb2736111b93a1e90c1147a968de5dacec02a5d69d5a9f8ca9f1d8add6aa3c84",
+    "samples/magnetic_stir_bar.jsonl": "0d3db0ec0a48ec0c450333b69042d6650a4467836ebc95b15c7e85f24af6fe09",
+    "samples/magnetic_stir_bar.jsonl.manifest.json": "2b74edb09f59b95693a44ddb39f2c65a7c281ab6a25c594ad3b2a506a3c0319c",
+    "samples/magnetic_stirrer.jsonl": "d919c0abf854e72b3af8b242f68c7da5121515709c2906ae18f13abafc7a06f7",
+    "samples/magnetic_stirrer.jsonl.manifest.json": "2e38f227f75f4f5e69b6c579639a8ac81229b46d2712b3c0fc5e999445e55146",
+    "samples/nahco3_bottle.jsonl": "2ef9763da051b4c698fc00bc8f6221b9386d3289aef81720f329c2f93e865bd9",
+    "samples/nahco3_bottle.jsonl.manifest.json": "c87f5c423622997704dde5a5f3f213f96ee59361a879dc759428bf0ed36dfd22",
+    "samples/spoon.jsonl": "1f5d5ec73fd759567b30abb08f0ddaee6c7cd41f9bb21b660d99bb1f8fd876ca",
+    "samples/spoon.jsonl.manifest.json": "c8f6da47e8bac492ae37e6ad1ab952a222387aafd1c516ef74dde25531869bc6",
+    "templates/aluminium_foil.json": "f95de9569dd6bc2ac71319023d88e6298241d2e1d7abc15d9c55c122dec93c76",
+    "templates/aluminium_foil.json.manifest.json": "0172ad2066be8c895cf114aee97b3f35bd30812b1842c7df271eeb94f873cf58",
+    "templates/cuso4_bottle.json": "4a0069c7b672e3f61b40fe16d984f37ddc8e24c9d44da6379bcea1ab3d4cafe0",
+    "templates/cuso4_bottle.json.manifest.json": "61dd39ceed813f9f06bda3b95842362e99872cd8caa761f885bf4f0aa2900f0e",
+    "templates/ddh2o_bottle.json": "1a43bc9e0ac1f1cabe0bd6d3b698947bacb064db7402109e9f65cac5d4af4a99",
+    "templates/ddh2o_bottle.json.manifest.json": "f44e4776927accf78e48a5d36d12f98aaa5ef2373575d38f5e3e5226f71870d5",
+    "templates/electronic_pipette.json": "3dcc72e2bdf3fb80f2b6032e1684cae423bb80c417cfa1ccaeaa6aa6b29d72f2",
+    "templates/electronic_pipette.json.manifest.json": "35e3a944999dbb9b20031d8d9db4e24b70dae5b63752fde9c8a981435740e188",
+    "templates/electronic_scale.json": "74b35cf08c630302a5deb705305b7c763c5073434e824e58a09224be0c1dcbf8",
+    "templates/electronic_scale.json.manifest.json": "433e119e7b016e3bb7fd2bb091ec66b5277c342bcf05d4b67abfe9186cf6434f",
+    "templates/erlenmeyer_flask.json": "5f0a45593ee7f687a3f28e91f3f8a4712ced14dffb3c4062735de3d8551492bf",
+    "templates/erlenmeyer_flask.json.manifest.json": "7d8b32d3bdbc4070c6049710871f28c278dc636de15a68d4c89edcaf6aff9da6",
+    "templates/magnetic_stick.json": "65c02ef1f0d65fa31a646dd0fb34320e0f07dd8f3e4cd58a7eeeb4e6c3b10c96",
+    "templates/magnetic_stick.json.manifest.json": "92d9e7b5ca95bcd569d3cebff6e81cf22afefc1de0ceb83d207580c89ddac319",
+    "templates/magnetic_stir_bar.json": "b3adaa40c049f0a992469da1f02f6591589c8cd4a5e8e63492ed2f46382e333a",
+    "templates/magnetic_stir_bar.json.manifest.json": "916069d9180ad134cafade23d243192b6d77300971de7917ca426ddd13644181",
+    "templates/magnetic_stirrer.json": "64046ac49531052e54d8fa00b34f0ad4862fda481cf0f4d828ae5d881cd06dc2",
+    "templates/magnetic_stirrer.json.manifest.json": "6817fbdda7e5334db6ec52dc06e0ec01979a97ff49122549afb582d4f3b4b75b",
+    "templates/nahco3_bottle.json": "3e6d03ad591240948f8f5c4f6ef418f82f9be694b1236a661d68cc333572178b",
+    "templates/nahco3_bottle.json.manifest.json": "d9b3678ef8ab6b0bc8ffd91fdce9de23ea43cbaab8b7c677bae6f90991da54d9",
+    "templates/spoon.json": "99619f4e90961216e897ed9afee0c0296eb7a89a0fb79199f9d14b80e84450c2",
+    "templates/spoon.json.manifest.json": "82544df74f0c2028d7a1a7b7d20632011ca47b119d171880b162616691b9fa7d",
+    "tuning.json": "cee261920877d7eefa804c2dbfc87815aef10809447b806421005203e0c991b0",
+    "tuning.json.manifest.json": "c80dffb9ff6b66d92e8bda3358c466d3116fac1c8c126f4eb2f5468ac7ebf432",
+    "world_models/aluminium_foil.json": "da4962a59b5f21e50aa2b0ad963aeeb4e29d88a3df82e8688d345adf40ad1660",
+    "world_models/aluminium_foil.json.manifest.json": "85c4195798e2e7cc1ca70f6351be4de8033fbc7eb7430b3a797531aeddb1c134",
+    "world_models/cuso4_bottle.json": "78267d927d6efaf32d7170b14818bae3698b962cede5f1666e6539e6a08b55ca",
+    "world_models/cuso4_bottle.json.manifest.json": "7704487dc8e76f1b8bbfc632df14501f17297a626929dad74177e2eae5b289e3",
+    "world_models/ddh2o_bottle.json": "6d2e2ad93be5025d2c35a0dc9b588225d5796300da7dff7ee301aa094ba7a134",
+    "world_models/ddh2o_bottle.json.manifest.json": "3b2d7ee0377bde5628198c035270e57e91b2432cf0b855019496d228c004cc59",
+    "world_models/electronic_pipette.json": "75acb62382f5e4734a117b143d54d6198f5b49e4a76aa2881e114369e18377e9",
+    "world_models/electronic_pipette.json.manifest.json": "6dc691e16d81136c2d5c9047f311a00c67cb4c89d53842ed8cd798746aee0499",
+    "world_models/electronic_scale.json": "18bc454ae760edc66c48b13277e7167344a54bb9b79b395448e889cda8fe7f35",
+    "world_models/electronic_scale.json.manifest.json": "9d65b471eec61ac2ebdf53f1bb9e365e39cc77a81ed9cab5375f40f754db3af0",
+    "world_models/erlenmeyer_flask.json": "97769ce74950009e44dd91e7676edc856e6b9e81881024a14457d0f370a1310f",
+    "world_models/erlenmeyer_flask.json.manifest.json": "f03a70c5430747a715d1e11c678209b5c56db861985eca966f7bc9d511f7a5d8",
+    "world_models/magnetic_stir_bar.json": "33e70f09e6cf365fb26fac07b3eb3070572807552f4781479338ce94b4be9e90",
+    "world_models/magnetic_stir_bar.json.manifest.json": "91d6166af5059386f6055e1b1b2c0c9adb89cb06089fe8403a160ff794e9a190",
+    "world_models/magnetic_stirrer.json": "4a6edb2ce927d282cd3d3bef78d24bafddf70012e9da9def6a73e61c936ae704",
+    "world_models/magnetic_stirrer.json.manifest.json": "bbba214f1f9e90b4a013eaee04bd59086c9fe3a2d64624c718fc94fb99381065",
+    "world_models/nahco3_bottle.json": "f8a62251d4fddf4eb5417fe3ed7f785b569852d7025ce9caaed25738dced6d72",
+    "world_models/nahco3_bottle.json.manifest.json": "eb4dd484a749b3164b3af77b597232dd2929fc0e0b41aaa2fc15d95eacbc16e5",
+    "world_models/spoon.json": "fb295ff6e2cb8900115ac2daf455ad00a647bc3479ff7ea03894c297f14f7e6b",
+    "world_models/spoon.json.manifest.json": "96ea129d03ca3346d02de692b2be1b31067dc38d806978d553c7cf87de8231bd",
+}
+
+
+def test_every_output_file_matches_its_recorded_digest(cfg, workdir):
+    run_all(cfg)
+    run_stage("tune", cfg)
+    out = workdir / "out"
+    written = {p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in out.rglob("*") if p.is_file()}
+    assert written == OUT_SHA256
+
+
 def test_tune_ranks_default_weights_first(cfg):
     run_all(cfg)
     run_stage("tune", cfg)
@@ -312,14 +442,32 @@ def test_cli_misspelt_config_key_is_config_error(workdir, capsys, line, typo, ke
     assert f"unknown config key {key}" in capsys.readouterr().err
 
 
+GRID_RAW = "lambda_raw = [0.5, 1.0, 2.0]"
+GRID = "lambda_pos = [0.5, 2.0]\nlambda_edge = [1.0]\nlambda_cluster = [0.0]\n" + GRID_RAW
+
+
 @pytest.mark.parametrize(
     "line, edit, message",
     [
         ("n_misorderings = 6\n", "", "missing config key 'perturb.n_misorderings'"),
         ("n_misorderings = 6", "n_misorderings = 0", "n_misorderings must be >= 1"),
         ("[tune.grid]", '[endpoint]\nbase_url = "http://localhost"\nmodle = "m"\n\n[tune.grid]', "'modle'"),
+        (GRID_RAW, "lambda_raw = []", "config key 'tune.grid.lambda_raw' must be a non-empty list"),
+        (GRID_RAW, "lambda_raw = [0.5, -1.0]", "'tune.grid.lambda_raw' -1.0: weights must be non-negative"),
+        (GRID_RAW, "lambda_raw = [nan]", "'tune.grid.lambda_raw' nan: weights must be finite"),
+        (GRID_RAW, 'lambda_raw = ["2.0"]', "invalid config value 'tune.grid.lambda_raw' '2.0'"),
+        (GRID, GRID.replace("0.5", "0.0").replace("1.0", "0.0"), "'tune.grid': at least one weight must be positive"),
     ],
-    ids=["missing-n-misorderings", "zero-misorderings", "misspelt-endpoint-key"],
+    ids=[
+        "missing-n-misorderings",
+        "zero-misorderings",
+        "misspelt-endpoint-key",
+        "empty-grid-list",
+        "negative-grid-value",
+        "nan-grid-value",
+        "string-grid-value",
+        "grid-row-without-positive-weight",
+    ],
 )
 def test_cli_bad_perturb_or_endpoint_table_is_config_error(workdir, capsys, line, edit, message):
     config = workdir / "config.toml"

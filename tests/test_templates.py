@@ -7,8 +7,8 @@ from procforge.inventory import parse_inventory, resolve_dynamic_domains
 from procforge.templates import (
     build_template,
     enumerate_states,
-    serialize_template,
     template_from_dict,
+    template_to_dict,
 )
 
 from conftest import DRAW, POUR, V_CAP, V_FLASK, V_MATERIAL, V_POWER
@@ -71,13 +71,13 @@ def test_unknown_object_rejected(pipette_inventory):
 
 
 def test_build_template_is_deterministic(pipette_inventory):
-    a = serialize_template(build_template(pipette_inventory, "electronic_pipette"))
-    b = serialize_template(build_template(pipette_inventory, "electronic_pipette"))
+    a = template_to_dict(build_template(pipette_inventory, "electronic_pipette"))
+    b = template_to_dict(build_template(pipette_inventory, "electronic_pipette"))
     assert a == b
 
 
 def test_template_serialization_round_trip(pipette_template):
-    doc = json.loads(serialize_template(pipette_template))
+    doc = json.loads(json.dumps(template_to_dict(pipette_template)))
     assert template_from_dict(doc) == pipette_template
 
 
