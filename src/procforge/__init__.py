@@ -12,7 +12,6 @@ from .inventory import (
     StateVariable,
     parse_inventory,
     resolve_dynamic_domains,
-    serialize_inventory,
 )
 from .templates import BoundAction, MdpTemplate, build_template, enumerate_states
 from .sampling import (

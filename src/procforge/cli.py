@@ -39,11 +39,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config, {"seed": args.seed, "strict": args.strict})
-        if args.source is not None:
-            cfg.sample_source = args.source
-        if args.n is not None:
-            cfg.sample_n = args.n
+        overrides = {"seed": args.seed, "n": args.n, "source": args.source, "strict": args.strict}
+        cfg = load_config(args.config, overrides)
         if args.stage == "all":
             written = [p for paths in run_all(cfg).values() for p in paths]
         else:

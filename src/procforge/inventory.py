@@ -23,8 +23,6 @@ from .errors import (
 )
 from .schemas import first_violation
 
-SCHEMA_VERSION = "1"
-
 #: Sentinel domain marker for interaction-dependent state variables.
 DYNAMIC = "dynamic"
 
@@ -38,13 +36,12 @@ class StateVariable:
 
     ``id`` is fully qualified (``object[.component].name``).  ``domain``
     is either a tuple of values or the ``dynamic`` marker.
-    ``resolved_from`` records which interaction kind produced the domain
-    when it was resolved from a dynamic marker.
+    ``resolved_from`` records which interaction kind produced the domain;
+    only :func:`resolve_dynamic_domains` sets it.
     """
 
     id: str
     domain: tuple[str, ...] | str
-    description: str = ""
     resolved_from: str | None = None
 
     @property
@@ -62,11 +59,6 @@ class ActionDef:
 
     id: str
     params: tuple[tuple[str, tuple[str, ...]], ...] = ()
-    description: str = ""
-
-    @property
-    def name(self) -> str:
-        return self.id.rsplit(".", 1)[1]
 
 
 @dataclass(frozen=True)
@@ -120,19 +112,11 @@ class Interaction:
 class DomainInventory:
     objects: tuple[LabObject, ...]
     interactions: tuple[Interaction, ...]
-    schema_version: str = SCHEMA_VERSION
 
     def get_object(self, object_id: str) -> LabObject | None:
         for obj in self.objects:
             if obj.id == object_id:
                 return obj
-        return None
-
-    def variable(self, fq_id: str) -> StateVariable | None:
-        for obj in self.objects:
-            for var in obj.all_variables():
-                if var.id == fq_id:
-                    return var
         return None
 
     def variables(self) -> list[StateVariable]:
@@ -184,8 +168,6 @@ def _parse_states(raw: list[dict], prefix: str, path: str) -> tuple[StateVariabl
         StateVariable(
             id=f"{prefix}.{item['id']}",
             domain=_parse_domain(item["domain"], f"{path}[{i}].domain"),
-            description=item.get("description", ""),
-            resolved_from=item.get("resolved_from"),
         )
         for i, item in enumerate(raw)
     )
@@ -199,7 +181,6 @@ def _parse_actions(raw: list[dict], prefix: str) -> tuple[ActionDef, ...]:
         ActionDef(
             id=f"{prefix}.{item['id']}",
             params=tuple((p["name"], tuple(p["domain"])) for p in item.get("params", [])),
-            description=item.get("description", ""),
         )
         for item in raw
     )
@@ -308,63 +289,7 @@ def parse_inventory(text: str) -> DomainInventory:
     )
     for i, obj in enumerate(objects):
         _validate_initial_state(obj, f"$.objects[{i}]")
-    return DomainInventory(objects=tuple(objects), interactions=interactions, schema_version=doc["schema_version"])
-
-
-# ── serialization ─────────────────────────────────────────────────────────
-
-
-def _state_to_json(var: StateVariable) -> dict:
-    out: dict = {"id": var.name, "domain": DYNAMIC if var.is_dynamic else list(var.domain)}
-    if var.description:
-        out["description"] = var.description
-    if var.resolved_from is not None:
-        out["resolved_from"] = var.resolved_from
-    return out
-
-
-def _action_to_json(act: ActionDef) -> dict:
-    out: dict = {"id": act.name}
-    if act.params:
-        out["params"] = [{"name": n, "domain": list(dom)} for n, dom in act.params]
-    if act.description:
-        out["description"] = act.description
-    return out
-
-
-def inventory_to_dict(inv: DomainInventory) -> dict:
-    objects = []
-    for obj in inv.objects:
-        o: dict = {"id": obj.id, "category": obj.category}
-        if obj.components:
-            o["components"] = [
-                {
-                    "id": c.id,
-                    "kind": c.kind,
-                    "states": [_state_to_json(s) for s in c.states],
-                    "actions": [_action_to_json(a) for a in c.actions],
-                }
-                for c in obj.components
-            ]
-        if obj.states:
-            o["states"] = [_state_to_json(s) for s in obj.states]
-        if obj.actions:
-            o["actions"] = [_action_to_json(a) for a in obj.actions]
-        if obj.initial_state:
-            o["initial_state"] = dict(sorted(obj.initial_state.items()))
-        objects.append(o)
-    return {
-        "schema_version": inv.schema_version,
-        "objects": objects,
-        "interactions": [
-            {k: v for k, v in (("kind", i.kind), ("source", i.source), ("target", i.target), ("material", i.material)) if v is not None}
-            for i in inv.interactions
-        ],
-    }
-
-
-def serialize_inventory(inv: DomainInventory) -> str:
-    return json.dumps(inventory_to_dict(inv), indent=2, sort_keys=False) + "\n"
+    return DomainInventory(objects=tuple(objects), interactions=interactions)
 
 
 # ── dynamic-domain resolution ─────────────────────────────────────────────

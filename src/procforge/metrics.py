@@ -140,7 +140,7 @@ class MetricsReport:
         }
 
 
-def sequence_report(cand: list, truth: list, constraints=(), raw_mode: str = RAW_BINARY) -> MetricsReport:
+def sequence_report(cand: list, truth: list, constraints=()) -> MetricsReport:
     mean_d, max_d = displacement(cand, truth)
     return MetricsReport(
         n=len(truth),
@@ -151,19 +151,20 @@ def sequence_report(cand: list, truth: list, constraints=(), raw_mode: str = RAW
         kendall_tau=kendall_tau(cand, truth),
         mean_displacement=mean_d,
         max_displacement=max_d,
-        raw_slack=raw_slack(cand, constraints, raw_mode),
+        raw_slack=raw_slack(cand, constraints),
     )
 
 
-def evaluate(
-    draft: list, repaired: list, truth: list, constraints=(), raw_mode: str = RAW_BINARY
-) -> tuple[MetricsReport, MetricsReport]:
-    """Full comparison of draft and repaired orderings against the truth."""
+def evaluate(draft: list, repaired: list, truth: list, constraints=()) -> tuple[MetricsReport, MetricsReport]:
+    """Full comparison of draft and repaired orderings against the truth.
+
+    Raw slack is reported in binary mode: the number of violated constraints.
+    """
     _check_permutation(draft, truth)
     _check_permutation(repaired, truth)
     return (
-        sequence_report(draft, truth, constraints, raw_mode),
-        sequence_report(repaired, truth, constraints, raw_mode),
+        sequence_report(draft, truth, constraints),
+        sequence_report(repaired, truth, constraints),
     )
 
 

@@ -130,8 +130,16 @@ def _config_table(table: object, where: str, allowed) -> dict:
     return table
 
 
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConfig:
-    """Load a TOML or JSON pipeline config; CLI overrides take precedence."""
+    """Load a TOML or JSON pipeline config.
+
+    ``overrides`` (``seed``, ``n``, ``source``, ``strict``) take precedence
+    over the file where they are not None, and are checked the same way.
+    """
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
@@ -139,16 +147,25 @@ def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConf
     # [extraction], [repair.weights], [repair.search] and [endpoint] are
     # checked by the dataclasses they are passed to.
     _config_table(doc, "", ("seed", "paths", "sample", "extraction", "repair", "perturb", "tune", "endpoint"))
-    overrides = overrides or {}
-    seed = doc.get("seed") if overrides.get("seed") is None else overrides["seed"]
+    overrides = {key: value for key, value in (overrides or {}).items() if value is not None}
+    seed = overrides.get("seed", doc.get("seed"))
     if seed is None:
         raise ConfigError("config must set a master seed")
-    if not isinstance(seed, int) or isinstance(seed, bool):
+    if not _is_int(seed):
         raise ConfigError(f"config seed must be an integer, got {seed!r}")
     paths = dict(DEFAULT_PATHS)
     paths.update(_config_table(doc.get("paths", {}), "paths", DEFAULT_PATHS))
 
     sample = _config_table(doc.get("sample", {}), "sample", ("n", "source", "objects", "noise"))
+    sample_n = overrides.get("n", sample.get("n", 250))
+    if not _is_int(sample_n) or sample_n < 1:
+        raise ConfigError(f"config key 'sample.n' must be an integer >= 1, got {sample_n!r}")
+    sample_source = overrides.get("source", sample.get("source", SOURCE_ORACLE))
+    if sample_source not in SOURCES:
+        raise ConfigError(f"unknown sample source {sample_source!r}")
+    sample_objects = sample.get("objects", [])
+    if not isinstance(sample_objects, list) or not all(isinstance(name, str) for name in sample_objects):
+        raise ConfigError(f"config key 'sample.objects' must be a list of strings, got {sample_objects!r}")
     noise_doc = _config_table(sample.get("noise", {}), "sample.noise", ("reward_flip_rate", "effect_corrupt_rate"))
     repair_doc = _config_table(doc.get("repair", {}), "repair", ("weights", "search", "raw_penalty"))
     raw_penalty = repair_doc.get("raw_penalty", RAW_BINARY)
@@ -170,9 +187,9 @@ def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConf
         cfg = PipelineConfig(
             paths={k: path.parent / v for k, v in paths.items()},
             seed=seed,
-            sample_n=int(sample.get("n", 250)),
-            sample_source=sample.get("source", SOURCE_ORACLE),
-            sample_objects=list(sample.get("objects", [])),
+            sample_n=sample_n,
+            sample_source=sample_source,
+            sample_objects=sample_objects,
             noise=NoiseSpec(**noise_doc),
             extraction=ExtractionConfig(**doc.get("extraction", {})),
             weights=RepairWeights(**repair_doc.get("weights", {})),
@@ -188,8 +205,6 @@ def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConf
         raise ConfigError(f"missing config key 'perturb.{exc.args[0]}'") from exc
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid config value: {exc}") from exc
-    if cfg.sample_source not in SOURCES:
-        raise ConfigError(f"unknown sample source {cfg.sample_source!r}")
     _check_tune_grid(cfg)
     return cfg
 

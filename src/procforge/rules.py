@@ -13,6 +13,7 @@ from __future__ import annotations
 from bisect import insort
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 
 from .inventory import DomainInventory
 from .world_model import WorldModel, WorldModelEntry
@@ -181,33 +182,34 @@ class ExtractionReport:
         }
 
 
-def _required_strength(domain: tuple[str, ...], value: str, forbidden: set[str]) -> str:
-    """Strong exactly when every alternative value of the variable is forbidden.
+#: The order of every precondition list.
+_ORDER = attrgetter("action", "variable", "value", "kind")
 
-    A single-value domain has no alternative left to rule out, so its
-    required value is strong.
+
+def _rated(pres: list[Precondition], domains: dict[str, tuple[str, ...]]) -> list[Precondition]:
+    """``pres`` in order, each required value rated against the forbidden
+    values of its (action, variable).
+
+    A required value is strong exactly when every alternative value of its
+    variable is forbidden.  A single-value domain has no alternative left
+    to rule out, so its required value is strong.
     """
-    return STRONG if set(domain) - {value} <= forbidden else WEAK
+    forbidden: dict[tuple[str, str], set[str]] = {}
+    for pre in pres:
+        if pre.kind == FORBIDDEN:
+            forbidden.setdefault((pre.action, pre.variable), set()).add(pre.value)
+    out = []
+    for pre in pres:
+        if pre.kind == REQUIRED:
+            ruled_out = forbidden.get((pre.action, pre.variable), set())
+            strong = set(domains[pre.variable]) - {pre.value} <= ruled_out
+            pre = replace(pre, strength=STRONG if strong else WEAK)
+        out.append(pre)
+    return sorted(out, key=_ORDER)
 
 
-def extract_preconditions(
-    wm: WorldModel, cfg: ExtractionConfig, report: ExtractionReport | None = None
-) -> list[Precondition]:
-    """Extract required and forbidden values for every action in the model.
-
-    A value is required when its valid support reaches gamma and every
-    alternative value of the same variable stays at or below 1 - gamma.
-    A value is forbidden when it is (nearly) absent from valid evidence
-    and either a one-value contrast or gamma-level invalid support backs
-    the failure.  A required value is strong exactly when every
-    alternative of its variable is forbidden.  An action whose valid
-    weight is below ``min_valid_weight`` yields nothing and is listed once,
-    in sorted order, in ``report.insufficient_evidence``.  The weight of
-    an action's ambiguous entries is added to ``report.ambiguous_entries``,
-    so a report shared by the models an action lives in holds their sum.
-    """
-    report = report if report is not None else ExtractionReport()
-    template = wm.template
+def _candidates(wm: WorldModel, cfg: ExtractionConfig, report: ExtractionReport) -> list[Precondition]:
+    """The model's required and forbidden values, unrated, in order."""
     out: list[Precondition] = []
     actions = classify_entries(wm, cfg)
     for action in sorted(actions):
@@ -220,9 +222,7 @@ def extract_preconditions(
             if action not in report.insufficient_evidence:
                 insort(report.insufficient_evidence, action)
             continue
-        required: list[Precondition] = []
-        forbidden: dict[str, set[str]] = {}
-        for idx, var in enumerate(template.variables):
+        for idx, var in enumerate(wm.template.variables):
             evidence = _value_evidence(action_pools, idx, var.domain)
             for value, (vs, inv_support, contrast) in evidence.items():
                 assert vs is not None  # valid pool is non-empty here
@@ -247,17 +247,30 @@ def extract_preconditions(
                     contrast=contrast,
                     valid_weight=valid_weight,
                 )
-                if is_required:
-                    required.append(pre)
-                else:
-                    forbidden.setdefault(var.id, set()).add(value)
-                    out.append(pre)
-        for pre in required:
-            forbidden_values = forbidden.get(pre.variable, set())
-            strength = _required_strength(template.domain_of(pre.variable), pre.value, forbidden_values)
-            out.append(replace(pre, strength=strength))
-    out.sort(key=lambda p: (p.action, p.variable, p.value, p.kind))
-    return out
+                out.append(pre)
+    # merge_preconditions reports conflicts in the order of these lists.
+    return sorted(out, key=_ORDER)
+
+
+def extract_preconditions(
+    wm: WorldModel, cfg: ExtractionConfig, report: ExtractionReport | None = None
+) -> list[Precondition]:
+    """Extract required and forbidden values for every action in the model.
+
+    A value is required when its valid support reaches gamma and every
+    alternative value of the same variable stays at or below 1 - gamma.
+    A value is forbidden when it is (nearly) absent from valid evidence
+    and either a one-value contrast or gamma-level invalid support backs
+    the failure.  A required value is strong exactly when every
+    alternative of its variable is forbidden.  An action whose valid
+    weight is below ``min_valid_weight`` yields nothing and is listed once,
+    in sorted order, in ``report.insufficient_evidence``.  The weight of
+    an action's ambiguous entries is added to ``report.ambiguous_entries``,
+    so a report shared by the models an action lives in holds their sum.
+    """
+    report = report if report is not None else ExtractionReport()
+    domains = {var.id: var.domain for var in wm.template.variables}
+    return _rated(_candidates(wm, cfg, report), domains)
 
 
 def merge_preconditions(
@@ -270,7 +283,7 @@ def merge_preconditions(
     The same action can appear in more than one template (interactions
     live in both partners); conditions are merged by (action, variable,
     value), keeping the higher-weight evidence, and required strengths
-    are recomputed against the merged forbidden sets.
+    are rated against the merged forbidden sets.
     """
     by_key: dict[tuple[str, str, str], Precondition] = {}
     kinds: dict[tuple[str, str, str], set[str]] = {}
@@ -291,18 +304,7 @@ def merge_preconditions(
             )
             continue
         merged.append(pre)
-    forbidden: dict[tuple[str, str], set[str]] = {}
-    for pre in merged:
-        if pre.kind == FORBIDDEN:
-            forbidden.setdefault((pre.action, pre.variable), set()).add(pre.value)
-    final = []
-    for pre in merged:
-        if pre.kind == REQUIRED:
-            forbidden_values = forbidden.get((pre.action, pre.variable), set())
-            pre = replace(pre, strength=_required_strength(domains[pre.variable], pre.value, forbidden_values))
-        final.append(pre)
-    final.sort(key=lambda p: (p.action, p.variable, p.value, p.kind))
-    return final
+    return _rated(merged, domains)
 
 
 def find_producers(
@@ -415,7 +417,7 @@ def extract_rules(models: list[WorldModel], inv: DomainInventory, cfg: Extractio
         for v in wm.template.variables:
             domains.setdefault(v.id, v.domain)
         model_report = ExtractionReport(ambiguous_entries=report.ambiguous_entries)
-        per_model.append(extract_preconditions(wm, cfg, model_report))
+        per_model.append(_candidates(wm, cfg, model_report))
         model_short = set(model_report.insufficient_evidence)
         short |= model_short
         enough |= {action for action, _ in wm.entries} - model_short

@@ -27,7 +27,8 @@ from procforge.errors import (
 from procforge import sampling
 from procforge.metrics import kendall_tau
 from procforge.pipeline import load_config, run_all, run_stage, validate_artifact
-from procforge.sampling import EndpointConfig
+from procforge.sampling import EndpointConfig, ingest_samples
+from procforge.templates import template_from_dict
 from procforge.world_model import world_model_from_dict
 
 
@@ -58,6 +59,13 @@ def test_config_requires_seed(tmp_path):
 def test_config_seed_must_be_an_integer(tmp_path, seed):
     (tmp_path / "c.json").write_text(json.dumps({"seed": seed}))
     with pytest.raises(ConfigError, match="config seed must be an integer"):
+        load_config(tmp_path / "c.json")
+
+
+@pytest.mark.parametrize("objects", ["spoon", ["spoon", 1], {"spoon": "tool"}])
+def test_config_sample_objects_must_be_a_list_of_strings(tmp_path, objects):
+    (tmp_path / "c.json").write_text(json.dumps({"seed": 1, "sample": {"objects": objects}}))
+    with pytest.raises(ConfigError, match="config key 'sample.objects' must be a list of strings"):
         load_config(tmp_path / "c.json")
 
 
@@ -457,6 +465,10 @@ GRID = "lambda_pos = [0.5, 2.0]\nlambda_edge = [1.0]\nlambda_cluster = [0.0]\n" 
         (GRID_RAW, "lambda_raw = [nan]", "'tune.grid.lambda_raw' nan: weights must be finite"),
         (GRID_RAW, 'lambda_raw = ["2.0"]', "invalid config value 'tune.grid.lambda_raw' '2.0'"),
         (GRID, GRID.replace("0.5", "0.0").replace("1.0", "0.0"), "'tune.grid': at least one weight must be positive"),
+        ("n = 250", "n = 0", "config key 'sample.n' must be an integer >= 1, got 0"),
+        ("n = 250", "n = 250.9", "config key 'sample.n' must be an integer >= 1, got 250.9"),
+        ("n = 250", "n = true", "config key 'sample.n' must be an integer >= 1, got True"),
+        ('source = "oracle"', "source = 1", "unknown sample source 1"),
     ],
     ids=[
         "missing-n-misorderings",
@@ -467,6 +479,10 @@ GRID = "lambda_pos = [0.5, 2.0]\nlambda_edge = [1.0]\nlambda_cluster = [0.0]\n" 
         "nan-grid-value",
         "string-grid-value",
         "grid-row-without-positive-weight",
+        "zero-sample-n",
+        "fractional-sample-n",
+        "boolean-sample-n",
+        "non-string-sample-source",
     ],
 )
 def test_cli_bad_perturb_or_endpoint_table_is_config_error(workdir, capsys, line, edit, message):
@@ -502,6 +518,13 @@ def test_cli_extract_rejects_a_hand_edited_world_model(workdir, capsys, edit, me
     err = capsys.readouterr().err
     assert f"{path}: $.entries[4].state" in err
     assert message in err
+
+
+@pytest.mark.parametrize("flags", [["--n", "0"], ["--n", "-3"]])
+def test_cli_bad_sample_flag_is_config_error(workdir, capsys, flags):
+    code = cli_main(["template", "--config", str(workdir / "config.toml"), *flags])
+    assert code == 1
+    assert f"config key 'sample.n' must be an integer >= 1, got {flags[1]}" in capsys.readouterr().err
 
 
 def test_cli_missing_config_exit_code(tmp_path, capsys):
@@ -617,5 +640,6 @@ def test_every_written_artifact_validates_against_its_schema(cfg):
             validate_artifact("world_model", doc, str(path))
             world_model_from_dict(doc)  # the schema checks only the envelope
     for path in cfg.path("samples_dir").glob("*.jsonl"):
-        for line in path.read_text().splitlines():
-            validate_artifact("sample", json.loads(line), str(path))
+        # A samples file has no schema: the ingest parser defines a sample record.
+        tpl = template_from_dict(read_json(cfg.path("templates_dir") / f"{path.stem}.json"))
+        assert len(ingest_samples(path.read_text(), tpl, strict=True).batch.samples) == cfg.sample_n

@@ -44,16 +44,10 @@ def artifacts(tmp_path_factory, benchmark_dir):
     def read_dir(key):
         return read(*sorted(p for p in cfg.path(key).glob("*.json") if not p.name.endswith(".manifest.json")))
 
-    samples = [
-        json.loads(line)
-        for path in sorted(cfg.path("samples_dir").glob("*.jsonl"))
-        for line in path.read_text().splitlines()[:3]
-    ]
     docs = {
         "inventory": read(benchmark_dir / "inventory.json", benchmark_dir / "pipette_inventory.json"),
         "oracles": read(benchmark_dir / "oracles.json", benchmark_dir / "pipette_oracles.json"),
         "template": read_dir("templates_dir"),
-        "sample": samples,
         "world_model": read_dir("world_models_dir"),
         "rules": read(cfg.path("rules")),
         "procedure": read(cfg.path("truth_procedure"), cfg.path("draft_procedure"), cfg.path("repaired_procedure")),
@@ -147,7 +141,7 @@ def test_benchmark_artifacts_are_valid(artifacts):
 
 
 def test_every_shipped_schema_compiles():
-    assert len(SCHEMAS) == 9
+    assert len(SCHEMAS) == 8
     for name in SCHEMAS:
         compile_schema(load_schema(name))
 
