@@ -38,6 +38,8 @@ class PerturbationSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if type(self.n_misorderings) is not int:
+            raise ValueError(f"n_misorderings must be an integer, got {self.n_misorderings!r}")
         if self.n_misorderings < 1:
             raise ValueError("n_misorderings must be >= 1")
         unknown = set(self.kinds) - set(ALL_KINDS)

@@ -180,7 +180,7 @@ def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConf
         if perturb_doc:
             _config_table(perturb_doc, "perturb", ("n_misorderings", "kinds"))
             perturbation = PerturbationSpec(
-                n_misorderings=int(perturb_doc["n_misorderings"]),
+                n_misorderings=perturb_doc["n_misorderings"],
                 kinds=tuple(perturb_doc["kinds"]),
                 seed=derive_seed(seed, "perturb"),
             )

@@ -100,8 +100,9 @@ class SearchParams:
     max_stale_iters: int = 10
 
     def __post_init__(self):
-        if self.restarts < 1 or self.max_stale_iters < 0:
-            raise ValueError("restarts must be >= 1 and max_stale_iters >= 0")
+        counts = (self.restarts, self.max_stale_iters)
+        if not all(type(v) is int for v in counts) or self.restarts < 1 or self.max_stale_iters < 0:
+            raise ValueError(f"search needs integers restarts >= 1 and max_stale_iters >= 0, got {counts}")
 
 
 @dataclass(frozen=True)
@@ -239,6 +240,11 @@ class _Instance:
         self.cluster_counts = [[0] * (len(labels) + 1) for _ in range(len(labels) + 1)]
         for cc in clusters:
             self.cluster_counts[labels[cc.earlier]][labels[cc.later]] += 1
+        # cluster_flip[a][b]: change of cluster inversions when a step of
+        # label a moves right past one of label b
+        self.cluster_flip = [
+            [ab - ba for ab, ba in zip(row, col)] for row, col in zip(self.cluster_counts, zip(*self.cluster_counts))
+        ]
 
     def order_to_indices(self, order: list[str]) -> list[int]:
         if sorted(order) != sorted(self.ids):
@@ -301,8 +307,124 @@ def _reinsert(perm: list[int], i: int, j: int) -> list[int]:
     return out
 
 
+def _half_row_bounds(inst: _Instance, perm: list[int]) -> tuple[list[float], list[float]]:
+    """Lower bounds ``(right, left)`` on the rows of :func:`_neighbourhood`.
+
+    ``right[i]`` is at most every ``d_total[j]`` of row i with j > i, and
+    ``left[i]`` at most every one with j < i; both are inf where the
+    half-row is empty.  Moving x = perm[i] to j, each bound adds lower
+    bounds on four parts of the cost change:
+
+    - every step's displacement, the gap-mode penalties that crossing a
+      step books through its net count, and the kept adjacency that the
+      insertion breaks.  Each is a prefix sum over the crossed positions
+      (a suffix sum moving left), so their joint minimum over j is two
+      slice minima, split at j = x where ``|j - x|`` turns;
+    - the rest of x's own constraints: a violated one can improve only
+      while x moves toward its other end, and one that holds cannot get
+      cheaper;
+    - the other adjacencies: the removal seam, and the draft neighbours
+      x - 1 and x + 1 where they stand on the side x moves to;
+    - clusters: the most negative inversion change of one crossed step,
+      times the number of steps the half-row can cross.
+
+    Building the sums costs O(n + m) per permutation.
+    """
+    n = inst.n
+    w = inst.weights
+    lambda_pos, lambda_edge, lambda_cluster, lambda_raw = w.lambda_pos, w.lambda_edge, w.lambda_cluster, w.lambda_raw
+    gap_mode = inst.raw_mode == RAW_GAP
+    pos = [0] * n
+    for p, e in enumerate(perm):
+        pos[e] = p
+    ext = perm + [-2]  # as in _neighbourhood
+    # net[e] is _neighbourhood's gap-mode net count: crossing e changes the
+    # penalties of its violated constraints by -net[e] moving right and by
+    # +net[e] moving left.  That books part of the change of x's own
+    # constraints too; relief_right[x] and relief_left[x] bound the rest.
+    # A violated (a, b) has a to the right of b.  Moving toward each other,
+    # a gap-mode penalty falls at most from its gap to 0, of which the
+    # crossed end's net count books 1 (a binary one falls by 1); moving
+    # apart, the gap grows by at least 1 (a binary one stays at 1).
+    net = [0] * n
+    relief_right = [0] * n
+    relief_left = [0] * n
+    for a, b in inst.constraints:
+        gap = pos[a] - pos[b]
+        if gap > 0:
+            if gap_mode:
+                net[a] += 1
+                net[b] -= 1
+                relief_right[b] -= gap - 1
+                relief_left[a] -= gap - 1
+                relief_right[a] += 1
+                relief_left[b] += 1
+            else:
+                relief_right[b] -= 1
+                relief_left[a] -= 1
+    # Moving x right from i to j changes the first part by f(j) - f(i) +
+    # broken[i], with f(j) = lambda_pos * (|j - x| + S[j]) - lambda_raw *
+    # N[j] + broken[j].  S sums the crossed steps' moves away from (+1) or
+    # toward (-1) their draft index, N sums their net counts, and broken[j]
+    # is what breaking the kept adjacency after position j costs
+    # (broken[-1] == 0).  f(j) is up_right[j] - lambda_pos * x for j >= x
+    # and down_right[j] + lambda_pos * x for j <= x.  Moving left mirrors
+    # this with suffix sums.
+    broken = [lambda_edge * (ext[p] + 1 == ext[p + 1]) for p in range(n)]
+    up_right, down_right, up_left, down_left = [0.0] * n, [0.0] * n, [0.0] * n, [0.0] * n
+    run_pos = run_net = 0
+    for k, e in enumerate(perm):
+        run_pos += 1 if e >= k else -1
+        run_net += net[e]
+        f = lambda_pos * run_pos - lambda_raw * run_net + broken[k]
+        up_right[k] = f + lambda_pos * k
+        down_right[k] = f - lambda_pos * k
+    run_pos = run_net = 0
+    for k in range(n - 1, -1, -1):
+        e = perm[k]
+        run_pos += 1 if e <= k else -1
+        run_net += net[e]
+        f = lambda_pos * run_pos + lambda_raw * run_net + broken[k - 1]
+        up_left[k] = f + lambda_pos * k
+        down_left[k] = f - lambda_pos * k
+    inf = float("inf")
+    right, left = [inf] * n, [inf] * n
+    for i, x in enumerate(perm):
+        # flip[label[x]] == 0, so min(flip) <= 0 <= max(flip)
+        flip = inst.cluster_flip[inst.cluster_of[x]]
+        seam = (ext[i - 1] + 1 == ext[i + 1]) - (ext[i - 1] + 1 == x) - (x + 1 == ext[i + 1])
+        below = pos[x - 1] if x > 0 else i  # i stands for a draft neighbour x lacks
+        above = pos[x + 1] if x < n - 1 else i
+        turn = lambda_pos * x
+        if i < n - 1:
+            reach = min(up_right[max(i + 1, x) :]) - turn
+            if x > i + 1:
+                reach = min(reach, min(down_right[i + 1 : x + 1]) + turn)
+            here = (up_right[i] - turn if i >= x else down_right[i] + turn) - broken[i]
+            right[i] = (
+                reach
+                - here
+                + lambda_raw * relief_right[x]
+                - lambda_edge * (seam + (below > i) + (above > i + 1))
+                + lambda_cluster * (n - 1 - i) * min(flip)
+            )
+        if i > 0:
+            reach = min(down_left[: min(i - 1, x) + 1]) + turn
+            if x < i - 1:
+                reach = min(reach, min(up_left[x:i]) - turn)
+            here = (up_left[i] - turn if i >= x else down_left[i] + turn) - broken[i - 1]
+            left[i] = (
+                reach
+                - here
+                + lambda_raw * relief_left[x]
+                - lambda_edge * (seam + (above < i) + (below < i - 1))
+                - lambda_cluster * i * max(flip)
+            )
+    return right, left
+
+
 def _neighbourhood(inst: _Instance, perm: list[int]):
-    """Yield ``(i, d_total)`` for every source position i of perm.
+    """Yield ``(i, d_total)`` for the source positions i of perm, in order.
 
     ``d_total[j]`` is the exact change of the total cost when the element
     at position i is reinserted at position j (``d_total[i]`` is inf).
@@ -311,12 +433,23 @@ def _neighbourhood(inst: _Instance, perm: list[int]):
     running term changes only by what involves e: its displacement, its
     cluster order against x, and the precedence constraints incident to x
     or e.  Broken adjacencies change only at the removal seam and the
-    insertion point.  One call costs O(n² + m) for n steps and m
+    insertion point.  A full scan costs O(n² + m) for n steps and m
     constraints.
+
+    A plain ``for`` gets every row in full.  A caller may instead
+    ``send`` a limit, the running best delta, for each row after the
+    first.  A half-row (one sweep direction) whose lower bound from
+    :func:`_half_row_bounds` lies above the limit is then not swept, and
+    its entries stay inf; a row with neither half swept is not yielded.
+    The bounds are built once per scan, at the first limit.  The margin
+    of 1e-9 per unit of the largest weight covers the callers' 1e-12 tie
+    band and the rounding of bound and sweep, so a skipped entry could
+    neither start nor join the tie set.
     """
     n = inst.n
     w = inst.weights
     lambda_pos, lambda_edge, lambda_cluster, lambda_raw = w.lambda_pos, w.lambda_edge, w.lambda_cluster, w.lambda_raw
+    slack = 1e-9 * max(1.0, lambda_pos, lambda_edge, lambda_cluster, lambda_raw)
     gap_mode = inst.raw_mode == RAW_GAP
     pos = [0] * n
     for p, e in enumerate(perm):
@@ -333,9 +466,17 @@ def _neighbourhood(inst: _Instance, perm: list[int]):
                 net[a] += 1
                 net[b] -= 1
     label = inst.cluster_of
-    counts = inst.cluster_counts
     inf = float("inf")
+    limit = right_floor = left_floor = None
     for i in range(n):
+        right, left = i < n - 1, i > 0
+        if limit is not None:
+            if right_floor is None:
+                right_floor, left_floor = _half_row_bounds(inst, perm)
+            right = right_floor[i] <= limit + slack
+            left = left_floor[i] <= limit + slack
+            if not (right or left):
+                continue
         x = perm[i]
         # rel[e]: constraints between x and e, as (x, e) + (e, x) in gap
         # mode and (x, e) - (e, x) in binary mode
@@ -349,42 +490,43 @@ def _neighbourhood(inst: _Instance, perm: list[int]):
         # shorten); each crossed step then adds its rel entry.
         growing = sum(pos[y] < i for y in inst.succs[x]) - sum(pos[y] > i for y in inst.preds[x])
         # flip[b]: change of cluster inversions when x moves right past a step of label b
-        lx = label[x]
-        flip = [counts[lx][b] - counts[b][lx] for b in range(len(counts))]
+        flip = inst.cluster_flip[label[x]]
         seam = (ext[i - 1] + 1 == ext[i + 1]) - (ext[i - 1] + 1 == x) - (x + 1 == ext[i + 1])
         base = abs(i - x)
         d_total = [inf] * n
 
-        run_pos = run_cluster = run_raw = 0
-        active = growing
-        for j in range(i + 1, n):
-            e = ext[j]
-            run_pos += 1 if e >= j else -1
-            run_cluster += flip[label[e]]
-            if gap_mode:
-                active += rel[e]
-                run_raw += active - net[e]
-            else:
-                run_raw += rel[e]
-            dp = run_pos + abs(j - x) - base
-            d_edge = kept[j] - seam - (e + 1 == x) - (x + 1 == ext[j + 1])
-            d_total[j] = lambda_pos * dp + lambda_edge * d_edge + lambda_cluster * run_cluster + lambda_raw * run_raw
+        if right:
+            run_pos = run_cluster = run_raw = 0
+            active = growing
+            for j in range(i + 1, n):
+                e = ext[j]
+                run_pos += 1 if e >= j else -1
+                run_cluster += flip[label[e]]
+                if gap_mode:
+                    active += rel[e]
+                    run_raw += active - net[e]
+                else:
+                    run_raw += rel[e]
+                dp = run_pos + abs(j - x) - base
+                d_edge = kept[j] - seam - (e + 1 == x) - (x + 1 == ext[j + 1])
+                d_total[j] = lambda_pos * dp + lambda_edge * d_edge + lambda_cluster * run_cluster + lambda_raw * run_raw
 
-        run_pos = run_cluster = run_raw = 0
-        active = -growing
-        for j in range(i - 1, -1, -1):
-            e = ext[j]
-            run_pos += 1 if e <= j else -1
-            run_cluster -= flip[label[e]]
-            if gap_mode:
-                active += rel[e]
-                run_raw += active + net[e]
-            else:
-                run_raw -= rel[e]
-            dp = run_pos + abs(j - x) - base
-            d_edge = kept[j - 1] - seam - (x + 1 == e) - (ext[j - 1] + 1 == x)
-            d_total[j] = lambda_pos * dp + lambda_edge * d_edge + lambda_cluster * run_cluster + lambda_raw * run_raw
-        yield i, d_total
+        if left:
+            run_pos = run_cluster = run_raw = 0
+            active = -growing
+            for j in range(i - 1, -1, -1):
+                e = ext[j]
+                run_pos += 1 if e <= j else -1
+                run_cluster -= flip[label[e]]
+                if gap_mode:
+                    active += rel[e]
+                    run_raw += active + net[e]
+                else:
+                    run_raw -= rel[e]
+                dp = run_pos + abs(j - x) - base
+                d_edge = kept[j - 1] - seam - (x + 1 == e) - (ext[j - 1] + 1 == x)
+                d_total[j] = lambda_pos * dp + lambda_edge * d_edge + lambda_cluster * run_cluster + lambda_raw * run_raw
+        limit = yield i, d_total
 
 
 def _best_move(inst: _Instance, perm: list[int]):
@@ -393,13 +535,17 @@ def _best_move(inst: _Instance, perm: list[int]):
 
     Moves within 1e-12 of the running best tie; ties break toward minimum
     displacement from the draft, then the lexicographically smallest
-    moved permutation, then the smallest (i, j).  A row whose minimum
-    lies above the tie band can neither start nor join it, so it is
-    skipped without a Python pass over its entries.
+    moved permutation, then the smallest (i, j).  Moves above the tie
+    band can neither start nor join it: the scan is sent the running best
+    before each row and skips every half-row whose lower bound lies above
+    it, and a row whose minimum lies above it is passed over without a
+    Python pass over its entries.
     """
     best_delta = None
     ties: list[tuple[int, int]] = []
-    for i, row in _neighbourhood(inst, perm):
+    scan = _neighbourhood(inst, perm)
+    # iter() calls send until the scan ends; no row equals the sentinel None
+    for i, row in iter(lambda: scan.send(best_delta), None):
         if best_delta is not None and min(row) > best_delta + 1e-12:
             continue
         for j, d_total in enumerate(row):

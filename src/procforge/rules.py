@@ -56,8 +56,8 @@ class ExtractionConfig:
             raise ValueError("need 0.5 < gamma <= 1")
         if not 0.0 <= self.epsilon0 < 1.0 - self.gamma:
             raise ValueError("need 0 <= epsilon0 < 1 - gamma")
-        if self.min_valid_weight < 1:
-            raise ValueError("min_valid_weight must be >= 1")
+        if type(self.min_valid_weight) is not int or self.min_valid_weight < 1:
+            raise ValueError(f"min_valid_weight must be an integer >= 1, got {self.min_valid_weight!r}")
 
     def to_dict(self) -> dict:
         return {

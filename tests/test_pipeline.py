@@ -469,6 +469,12 @@ GRID = "lambda_pos = [0.5, 2.0]\nlambda_edge = [1.0]\nlambda_cluster = [0.0]\n" 
         ("n = 250", "n = 250.9", "config key 'sample.n' must be an integer >= 1, got 250.9"),
         ("n = 250", "n = true", "config key 'sample.n' must be an integer >= 1, got True"),
         ('source = "oracle"', "source = 1", "unknown sample source 1"),
+        ("restarts = 8", "restarts = 2.5", "integers restarts >= 1 and max_stale_iters >= 0, got (2.5, 10)"),
+        ("restarts = 8", "restarts = true", "integers restarts >= 1 and max_stale_iters >= 0, got (True, 10)"),
+        ("max_stale_iters = 10", "max_stale_iters = 1.5", "max_stale_iters >= 0, got (8, 1.5)"),
+        ("n_misorderings = 6", "n_misorderings = 2.7", "n_misorderings must be an integer, got 2.7"),
+        ("n_misorderings = 6", "n_misorderings = true", "n_misorderings must be an integer, got True"),
+        ("min_valid_weight = 3", "min_valid_weight = 2.5", "min_valid_weight must be an integer >= 1, got 2.5"),
     ],
     ids=[
         "missing-n-misorderings",
@@ -483,6 +489,12 @@ GRID = "lambda_pos = [0.5, 2.0]\nlambda_edge = [1.0]\nlambda_cluster = [0.0]\n" 
         "fractional-sample-n",
         "boolean-sample-n",
         "non-string-sample-source",
+        "fractional-restarts",
+        "boolean-restarts",
+        "fractional-max-stale-iters",
+        "fractional-misorderings",
+        "boolean-misorderings",
+        "fractional-min-valid-weight",
     ],
 )
 def test_cli_bad_perturb_or_endpoint_table_is_config_error(workdir, capsys, line, edit, message):

@@ -20,7 +20,7 @@ from procforge.repair import (
     procedure_to_dict,
     repair,
 )
-from procforge.repair import RepairResult, _Instance, _neighbourhood, _reinsert, derive_seed
+from procforge.repair import RepairResult, _half_row_bounds, _Instance, _neighbourhood, _reinsert, derive_seed
 from procforge.rules import INITIAL_STATE, CausalRule
 from procforge.templates import bound_action_from_parts
 
@@ -360,6 +360,18 @@ def test_neighbourhood_matches_full_cost_recompute(case):
     assert rows == inst.n
 
 
+@settings(max_examples=300, deadline=None)
+@given(neighbourhood_cases())
+def test_half_row_bounds_lie_below_every_move_of_the_half_row(case):
+    inst, perm = case
+    before = inst.cost(perm).total
+    right, left = _half_row_bounds(inst, perm)
+    for i in range(inst.n):
+        deltas = [inst.cost(_reinsert(perm, i, j)).total - before for j in range(inst.n)]
+        assert right[i] <= min(deltas[i + 1 :], default=float("inf")) + 1e-9
+        assert left[i] <= min(deltas[:i], default=float("inf")) + 1e-9
+
+
 def reference_descend(inst, start, max_stale):
     """The descent without a move table or row skipping: every entry of
     every row is compared, and ties keep the minimum displacement change
@@ -474,6 +486,59 @@ def test_each_permutation_is_scanned_once_per_call(monkeypatch, draft, constrain
     assert result.trace["iterations"] == want.trace["iterations"]
     assert len(scanned) == len(set(scanned))
     assert len(scanned) < result.trace["iterations"]
+
+
+def scale_instance(rng, n):
+    """A draft of n steps, a few reinsertions away from a hidden order, with
+    about n constraints between nearby steps of that order (a few of them
+    reversed) and two cluster labels, as the benchmark's drafts have."""
+    truth = [f"s{k}" for k in range(n)]
+    order = list(truth)
+    for _ in range(n // 5):
+        order.insert(rng.randrange(n), order.pop(rng.randrange(n)))
+    labels = {sid: rng.choice((None, "wash", "dry")) for sid in truth}
+    draft = Procedure(steps=tuple(Step(id=sid, cluster=labels[sid]) for sid in order))
+    constraints = []
+    for _ in range(n):
+        a = rng.randrange(n - 1)
+        b = min(n - 1, a + rng.randint(1, 5))
+        pair = (truth[a], truth[b]) if rng.random() < 0.9 else (truth[b], truth[a])
+        constraints.append(PrecedenceConstraint(*pair))
+    return draft, constraints, [ClusterConstraint("wash", "dry")], RepairWeights(0.5, 1.0, 0.1, 3.7)
+
+
+@pytest.mark.parametrize(
+    "n, mode, seed", [(30, RAW_GAP, 1), (40, RAW_BINARY, 2), (60, RAW_GAP, 3)], ids=["30-gap", "40-binary", "60-gap"]
+)
+def test_pruned_repair_matches_reference_descent_at_benchmark_scale(monkeypatch, n, mode, seed):
+    """Half-rows are skipped on these scans, and the search still makes
+    every move the unpruned reference makes."""
+    draft, constraints, clusters, weights = scale_instance(random.Random(seed), n)
+    search = SearchParams(restarts=2, max_stale_iters=2)
+    yielded = []
+    kernel = repair_module._neighbourhood
+
+    def counted(inst, perm):
+        # forwards every limit the caller sends, and counts the rows
+        scan = kernel(inst, perm)
+        yielded.append(0)
+        limit = None
+        while True:
+            try:
+                row = scan.send(limit)
+            except StopIteration:
+                return
+            yielded[-1] += 1
+            limit = yield row
+
+    monkeypatch.setattr(repair_module, "_neighbourhood", counted)
+    got = repair(draft, constraints, clusters, weights=weights, search=search, seed=seed, raw_mode=mode)
+    monkeypatch.undo()
+    want = reference_repair(draft, constraints, clusters, weights, search, seed, mode)
+    assert got.order == want.order
+    assert got.cost == want.cost
+    assert got.trace == want.trace
+    assert min(yielded) < n
 
 
 # ── brute force ───────────────────────────────────────────────────────────
