@@ -12,7 +12,7 @@ import hashlib
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .errors import PermutationError, ProcforgeError
 from .metrics import RAW_BINARY, RAW_GAP
@@ -86,6 +86,9 @@ class RepairWeights:
 
     def __post_init__(self):
         values = (self.lambda_pos, self.lambda_edge, self.lambda_cluster, self.lambda_raw)
+        for f, v in zip(fields(self), values):
+            if isinstance(v, bool):
+                raise ValueError(f"{f.name} must be a finite number, got {v!r}")
         if not all(math.isfinite(v) for v in values):
             raise ValueError("weights must be finite")
         if any(v < 0 for v in values):
@@ -245,6 +248,9 @@ class _Instance:
         self.cluster_flip = [
             [ab - ba for ab, ba in zip(row, col)] for row, col in zip(self.cluster_counts, zip(*self.cluster_counts))
         ]
+        # flip[a] == 0 on the diagonal, so flip_min[a] <= 0 <= flip_max[a]
+        self.flip_min = [min(flip) for flip in self.cluster_flip]
+        self.flip_max = [max(flip) for flip in self.cluster_flip]
 
     def order_to_indices(self, order: list[str]) -> list[int]:
         if sorted(order) != sorted(self.ids):
@@ -258,13 +264,15 @@ class _Instance:
         position = float(sum(abs(pos[i] - i) for i in range(self.n)))
         edge = float(sum(1 for i in range(self.n - 1) if pos[i + 1] != pos[i] + 1))
         # A step inverts, once per constraint, each earlier-placed step
-        # whose label should come after its own.
+        # whose label should come after its own.  Without cluster
+        # constraints every step has label 0 and nothing inverts.
         inversions = 0
-        placed = [0] * len(self.cluster_counts)  # steps placed so far, per label
-        for idx in perm:
-            lab = self.cluster_of[idx]
-            inversions += sum(c * k for c, k in zip(self.cluster_counts[lab], placed))
-            placed[lab] += 1
+        if len(self.cluster_counts) > 1:
+            placed = [0] * len(self.cluster_counts)  # steps placed so far, per label
+            for idx in perm:
+                lab = self.cluster_of[idx]
+                inversions += sum(c * k for c, k in zip(self.cluster_counts[lab], placed))
+                placed[lab] += 1
         cluster = float(inversions)
         raw = 0.0
         for pred, succ in self.constraints:
@@ -308,7 +316,7 @@ def _reinsert(perm: list[int], i: int, j: int) -> list[int]:
 
 
 def _half_row_bounds(inst: _Instance, perm: list[int]) -> tuple[list[float], list[float]]:
-    """Lower bounds ``(right, left)`` on the rows of :func:`_neighbourhood`.
+    """Lower bounds ``(right, left)`` on the half-rows of :func:`_neighbourhood`.
 
     ``right[i]`` is at most every ``d_total[j]`` of row i with j > i, and
     ``left[i]`` at most every one with j < i; both are inf where the
@@ -318,8 +326,10 @@ def _half_row_bounds(inst: _Instance, perm: list[int]) -> tuple[list[float], lis
     - every step's displacement, the gap-mode penalties that crossing a
       step books through its net count, and the kept adjacency that the
       insertion breaks.  Each is a prefix sum over the crossed positions
-      (a suffix sum moving left), so their joint minimum over j is two
-      slice minima, split at j = x where ``|j - x|`` turns;
+      (a suffix sum moving left), so their joint minimum over j splits at
+      j = x, where ``|j - x|`` turns: beyond x it is one entry of a
+      suffix (prefix) minimum built once per scan, and between i and x it
+      is a slice minimum;
     - the rest of x's own constraints: a violated one can improve only
       while x moves toward its other end, and one that holds cannot get
       cheaper;
@@ -328,7 +338,8 @@ def _half_row_bounds(inst: _Instance, perm: list[int]) -> tuple[list[float], lis
     - clusters: the most negative inversion change of one crossed step,
       times the number of steps the half-row can cross.
 
-    Building the sums costs O(n + m) per permutation.
+    Building the sums and minima costs O(n + m) per permutation, and the
+    slices between i and x add the permutation's displacement.
     """
     n = inst.n
     w = inst.weights
@@ -387,17 +398,18 @@ def _half_row_bounds(inst: _Instance, perm: list[int]) -> tuple[list[float], lis
         f = lambda_pos * run_pos + lambda_raw * run_net + broken[k - 1]
         up_left[k] = f + lambda_pos * k
         down_left[k] = f - lambda_pos * k
+    up_right_min = list(itertools.accumulate(reversed(up_right), min))[::-1]  # [k] == min(up_right[k:])
+    down_left_min = list(itertools.accumulate(down_left, min))  # [k] == min(down_left[: k + 1])
+    label, flip_min, flip_max = inst.cluster_of, inst.flip_min, inst.flip_max
     inf = float("inf")
     right, left = [inf] * n, [inf] * n
     for i, x in enumerate(perm):
-        # flip[label[x]] == 0, so min(flip) <= 0 <= max(flip)
-        flip = inst.cluster_flip[inst.cluster_of[x]]
         seam = (ext[i - 1] + 1 == ext[i + 1]) - (ext[i - 1] + 1 == x) - (x + 1 == ext[i + 1])
         below = pos[x - 1] if x > 0 else i  # i stands for a draft neighbour x lacks
         above = pos[x + 1] if x < n - 1 else i
         turn = lambda_pos * x
         if i < n - 1:
-            reach = min(up_right[max(i + 1, x) :]) - turn
+            reach = up_right_min[max(i + 1, x)] - turn
             if x > i + 1:
                 reach = min(reach, min(down_right[i + 1 : x + 1]) + turn)
             here = (up_right[i] - turn if i >= x else down_right[i] + turn) - broken[i]
@@ -406,10 +418,10 @@ def _half_row_bounds(inst: _Instance, perm: list[int]) -> tuple[list[float], lis
                 - here
                 + lambda_raw * relief_right[x]
                 - lambda_edge * (seam + (below > i) + (above > i + 1))
-                + lambda_cluster * (n - 1 - i) * min(flip)
+                + lambda_cluster * (n - 1 - i) * flip_min[label[x]]
             )
         if i > 0:
-            reach = min(down_left[: min(i - 1, x) + 1]) + turn
+            reach = down_left_min[min(i - 1, x)] + turn
             if x < i - 1:
                 reach = min(reach, min(up_left[x:i]) - turn)
             here = (up_left[i] - turn if i >= x else down_left[i] + turn) - broken[i - 1]
@@ -418,38 +430,29 @@ def _half_row_bounds(inst: _Instance, perm: list[int]) -> tuple[list[float], lis
                 - here
                 + lambda_raw * relief_left[x]
                 - lambda_edge * (seam + (above < i) + (below < i - 1))
-                - lambda_cluster * i * max(flip)
+                - lambda_cluster * i * flip_max[label[x]]
             )
     return right, left
 
 
 def _neighbourhood(inst: _Instance, perm: list[int]):
-    """Yield ``(i, d_total)`` for the source positions i of perm, in order.
+    """Prepare one scan of perm's reinsertions and return its sweep.
 
-    ``d_total[j]`` is the exact change of the total cost when the element
-    at position i is reinserted at position j (``d_total[i]`` is inf).
-    Each row sweeps j right from i+1, then left from i-1.  A step moves
+    ``sweep(i, right, left, d_total)`` sets ``d_total[j]`` to the exact
+    change of the total cost when the element at position i is
+    reinserted at position j, for every j > i if ``right`` and every
+    j < i if ``left``: the two half-rows of row i.  It leaves the other
+    entries as they are.  A half-row sweeps outward from i.  A step moves
     the element x over one element e, which shifts one place, so every
     running term changes only by what involves e: its displacement, its
     cluster order against x, and the precedence constraints incident to x
     or e.  Broken adjacencies change only at the removal seam and the
-    insertion point.  A full scan costs O(n² + m) for n steps and m
-    constraints.
-
-    A plain ``for`` gets every row in full.  A caller may instead
-    ``send`` a limit, the running best delta, for each row after the
-    first.  A half-row (one sweep direction) whose lower bound from
-    :func:`_half_row_bounds` lies above the limit is then not swept, and
-    its entries stay inf; a row with neither half swept is not yielded.
-    The bounds are built once per scan, at the first limit.  The margin
-    of 1e-9 per unit of the largest weight covers the callers' 1e-12 tie
-    band and the rounding of bound and sweep, so a skipped entry could
-    neither start nor join the tie set.
+    insertion point.  The preparation costs O(n + m), so sweeping every
+    row costs O(n² + m) for n steps and m constraints.
     """
     n = inst.n
     w = inst.weights
     lambda_pos, lambda_edge, lambda_cluster, lambda_raw = w.lambda_pos, w.lambda_edge, w.lambda_cluster, w.lambda_raw
-    slack = 1e-9 * max(1.0, lambda_pos, lambda_edge, lambda_cluster, lambda_raw)
     gap_mode = inst.raw_mode == RAW_GAP
     pos = [0] * n
     for p, e in enumerate(perm):
@@ -466,17 +469,8 @@ def _neighbourhood(inst: _Instance, perm: list[int]):
                 net[a] += 1
                 net[b] -= 1
     label = inst.cluster_of
-    inf = float("inf")
-    limit = right_floor = left_floor = None
-    for i in range(n):
-        right, left = i < n - 1, i > 0
-        if limit is not None:
-            if right_floor is None:
-                right_floor, left_floor = _half_row_bounds(inst, perm)
-            right = right_floor[i] <= limit + slack
-            left = left_floor[i] <= limit + slack
-            if not (right or left):
-                continue
+
+    def sweep(i: int, right: bool, left: bool, d_total: list[float]) -> None:
         x = perm[i]
         # rel[e]: constraints between x and e, as (x, e) + (e, x) in gap
         # mode and (x, e) - (e, x) in binary mode
@@ -493,7 +487,6 @@ def _neighbourhood(inst: _Instance, perm: list[int]):
         flip = inst.cluster_flip[label[x]]
         seam = (ext[i - 1] + 1 == ext[i + 1]) - (ext[i - 1] + 1 == x) - (x + 1 == ext[i + 1])
         base = abs(i - x)
-        d_total = [inf] * n
 
         if right:
             run_pos = run_cluster = run_raw = 0
@@ -526,7 +519,8 @@ def _neighbourhood(inst: _Instance, perm: list[int]):
                 dp = run_pos + abs(j - x) - base
                 d_edge = kept[j - 1] - seam - (x + 1 == e) - (ext[j - 1] + 1 == x)
                 d_total[j] = lambda_pos * dp + lambda_edge * d_edge + lambda_cluster * run_cluster + lambda_raw * run_raw
-        limit = yield i, d_total
+
+    return sweep
 
 
 def _best_move(inst: _Instance, perm: list[int]):
@@ -535,17 +529,58 @@ def _best_move(inst: _Instance, perm: list[int]):
 
     Moves within 1e-12 of the running best tie; ties break toward minimum
     displacement from the draft, then the lexicographically smallest
-    moved permutation, then the smallest (i, j).  Moves above the tie
-    band can neither start nor join it: the scan is sent the running best
-    before each row and skips every half-row whose lower bound lies above
-    it, and a row whose minimum lies above it is passed over without a
-    Python pass over its entries.
+    moved permutation, then the smallest (i, j).  Rows are compared in
+    the order i = 0…n−1, but not every half-row is swept.  The scan first
+    sweeps the probe, the half-row with the smallest bound from
+    :func:`_half_row_bounds`; its minimum is a real move's delta, so the
+    scan's best lies at or below it.  Every row, row 0 included, then
+    sweeps only the half-rows whose bound is within a margin of the
+    limit, the smaller of the probe's minimum and the running best; the
+    other entries stay inf, and a row whose minimum lies above the tie
+    band is passed over without a Python pass over its entries.
+
+    Why this is exact: the margin, 1e-9 times the largest of 1 and the
+    weights, covers the rounding of bound and sweep, so a skipped move
+    lies more than the margin above a move the scan does sweep.  The
+    final best lies within 1e-12 of the scan's minimum and the tie band
+    within 2e-12, so a skipped move can neither set the final best nor
+    join the band.  Unlike a limit of the running best alone, the
+    probe's minimum also skips moves that a full scan would compare
+    while its running best was still higher, in rows before the probe's.
+    Such a move stops mattering once the scan compares a move within the
+    margin of the minimum that lies a tie band below every earlier move:
+    both scans then restart their ties from it.  The margin is a
+    thousand tie bands wide, so such a move exists unless about a
+    thousand distinct deltas crowd into it.
     """
+    n = inst.n
+    if n < 2:
+        return None
+    w = inst.weights
+    slack = 1e-9 * max(1.0, w.lambda_pos, w.lambda_edge, w.lambda_cluster, w.lambda_raw)
+    right_floor, left_floor = _half_row_bounds(inst, perm)
+    sweep = _neighbourhood(inst, perm)
+    inf = float("inf")
+    floors = right_floor + left_floor  # the right half-rows, then the left ones
+    k = floors.index(min(floors))
+    probe_i, probe_right = k % n, k < n
+    probe = [inf] * n
+    sweep(probe_i, probe_right, not probe_right, probe)
+    cap = limit = min(probe) + slack
     best_delta = None
     ties: list[tuple[int, int]] = []
-    scan = _neighbourhood(inst, perm)
-    # iter() calls send until the scan ends; no row equals the sentinel None
-    for i, row in iter(lambda: scan.send(best_delta), None):
+    for i in range(n):
+        right = right_floor[i] <= limit
+        left = left_floor[i] <= limit
+        if i == probe_i:
+            row = probe
+            if left if probe_right else right:  # the probe's other half
+                sweep(i, not probe_right, probe_right, row)
+        elif right or left:
+            row = [inf] * n
+            sweep(i, right, left, row)
+        else:
+            continue
         if best_delta is not None and min(row) > best_delta + 1e-12:
             continue
         for j, d_total in enumerate(row):
@@ -556,8 +591,7 @@ def _best_move(inst: _Instance, perm: list[int]):
                 ties = [(i, j)]
             elif d_total <= best_delta + 1e-12:
                 ties.append((i, j))
-    if best_delta is None:
-        return None
+        limit = min(cap, best_delta + slack)
 
     def rank(move):
         moved = _reinsert(perm, *move)
@@ -572,7 +606,10 @@ def _descend(
 ):
     """Steepest descent over single-step reinsertions (which subsume all
     adjacent swaps), tolerating equal-cost moves for a bounded number of
-    stale iterations.  Ties break as in :func:`_best_move`.
+    stale iterations.  Ties break as in :func:`_best_move`, which scans a
+    permutation: it builds the half-row bounds, sweeps the probe, then
+    only the half-rows that could hold the best move or a tie with it,
+    about 6% of them on the benchmark's ``all`` + ``tune``.
 
     ``moves`` maps each permutation already scanned to its best move, and
     is shared by every descent of one :func:`repair` call: the move

@@ -50,6 +50,10 @@ class ExtractionConfig:
     min_valid_weight: int = 3
 
     def __post_init__(self):
+        for name in ("theta_hi", "theta_lo", "gamma", "epsilon0"):
+            value = getattr(self, name)
+            if isinstance(value, bool):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         if not 0.0 <= self.theta_lo < self.theta_hi <= 1.0:
             raise ValueError("need 0 <= theta_lo < theta_hi <= 1")
         if not 0.5 < self.gamma <= 1.0:

@@ -121,6 +121,8 @@ class NoiseSpec:
     def __post_init__(self):
         for name in ("reward_flip_rate", "effect_corrupt_rate"):
             rate = getattr(self, name)
+            if isinstance(rate, bool):
+                raise ValueError(f"{name} must be a finite number, got {rate!r}")
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {rate}")
 

@@ -475,6 +475,11 @@ GRID = "lambda_pos = [0.5, 2.0]\nlambda_edge = [1.0]\nlambda_cluster = [0.0]\n" 
         ("n_misorderings = 6", "n_misorderings = 2.7", "n_misorderings must be an integer, got 2.7"),
         ("n_misorderings = 6", "n_misorderings = true", "n_misorderings must be an integer, got True"),
         ("min_valid_weight = 3", "min_valid_weight = 2.5", "min_valid_weight must be an integer >= 1, got 2.5"),
+        ("lambda_pos = 0.5", "lambda_pos = true", "lambda_pos must be a finite number, got True"),
+        ("lambda_pos = [0.5, 2.0]", "lambda_pos = [true, 2.0]", "'tune.grid.lambda_pos' True: lambda_pos must be a finite"),
+        ("theta_hi = 0.8", "theta_hi = true", "theta_hi must be a finite number, got True"),
+        ("epsilon0 = 0.05", "epsilon0 = false", "epsilon0 must be a finite number, got False"),
+        ("reward_flip_rate = 0.0", "reward_flip_rate = true", "reward_flip_rate must be a finite number, got True"),
     ],
     ids=[
         "missing-n-misorderings",
@@ -495,6 +500,11 @@ GRID = "lambda_pos = [0.5, 2.0]\nlambda_edge = [1.0]\nlambda_cluster = [0.0]\n" 
         "fractional-misorderings",
         "boolean-misorderings",
         "fractional-min-valid-weight",
+        "boolean-weight",
+        "boolean-grid-value",
+        "boolean-threshold",
+        "boolean-tolerance",
+        "boolean-noise-rate",
     ],
 )
 def test_cli_bad_perturb_or_endpoint_table_is_config_error(workdir, capsys, line, edit, message):

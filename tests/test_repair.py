@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from procforge import metrics
 from procforge.errors import PermutationError, ProcforgeError
 from procforge.metrics import RAW_BINARY, RAW_GAP
 from procforge.repair import (
@@ -20,7 +21,15 @@ from procforge.repair import (
     procedure_to_dict,
     repair,
 )
-from procforge.repair import RepairResult, _half_row_bounds, _Instance, _neighbourhood, _reinsert, derive_seed
+from procforge.repair import (
+    RepairResult,
+    _best_move,
+    _half_row_bounds,
+    _Instance,
+    _neighbourhood,
+    _reinsert,
+    derive_seed,
+)
 from procforge.rules import INITIAL_STATE, CausalRule
 from procforge.templates import bound_action_from_parts
 
@@ -337,11 +346,52 @@ def instance_inputs(draw):
 
 
 @st.composite
-def neighbourhood_cases(draw):
+def permuted_inputs(draw):
+    """Repair inputs and a random permutation of the draft's indices."""
+    inputs = draw(instance_inputs())
+    return inputs, list(draw(st.permutations(range(len(inputs[0].steps)))))
+
+
+def neighbourhood_cases():
     """A random permutation of a random instance."""
-    draft, constraints, clusters, weights, mode = draw(instance_inputs())
-    perm = draw(st.permutations(range(len(draft.steps))))
-    return _Instance(draft, constraints, clusters, weights, mode), list(perm)
+    return permuted_inputs().map(lambda case: (_Instance(*case[0]), case[1]))
+
+
+def full_rows(inst, perm):
+    """Yield ``(i, d_total)`` for every row of perm, both halves swept."""
+    sweep = _neighbourhood(inst, perm)
+    for i in range(inst.n):
+        d_total = [float("inf")] * inst.n
+        sweep(i, True, True, d_total)
+        yield i, d_total
+
+
+@settings(max_examples=300, deadline=None)
+@given(permuted_inputs())
+def test_cost_terms_match_their_definitions(case):
+    (draft, constraints, clusters, weights, mode), perm = case
+    inst = _Instance(draft, constraints, clusters, weights, mode)
+    draft_ids = [s.id for s in draft.steps]
+    order = [draft_ids[k] for k in perm]
+    label = {s.id: s.cluster for s in draft.steps}
+    cost = inst.cost(perm)
+    assert cost.position == sum(abs(p - k) for p, k in enumerate(perm))
+    assert cost.edge == metrics.breakpoints(order, draft_ids)
+    assert cost.raw == metrics.raw_slack(order, [(c.predecessor, c.successor) for c in constraints], mode)
+    # once per cluster constraint, every pair placed later-label first
+    inversions = sum(
+        label[order[p]] == cc.later and label[order[q]] == cc.earlier
+        for cc in clusters
+        for p in range(len(order))
+        for q in range(p + 1, len(order))
+    )
+    assert cost.cluster == inversions
+    assert cost.total == (
+        weights.lambda_pos * cost.position
+        + weights.lambda_edge * cost.edge
+        + weights.lambda_cluster * cost.cluster
+        + weights.lambda_raw * cost.raw
+    )
 
 
 @settings(max_examples=300, deadline=None)
@@ -350,7 +400,7 @@ def test_neighbourhood_matches_full_cost_recompute(case):
     inst, perm = case
     before = inst.cost(perm)
     rows = 0
-    for i, d_total in _neighbourhood(inst, perm):
+    for i, d_total in full_rows(inst, perm):
         rows += 1
         for j in range(inst.n):
             if j == i:
@@ -372,10 +422,48 @@ def test_half_row_bounds_lie_below_every_move_of_the_half_row(case):
         assert left[i] <= min(deltas[:i], default=float("inf")) + 1e-9
 
 
+def reference_best_move(inst, perm):
+    """The best move without row skipping: every entry of every row is
+    compared in row order, and ties keep the minimum displacement change
+    first, then the lexicographically smallest moved permutation, then the
+    first (i, j)."""
+    best_delta = None
+    ties = []  # (d_pos, i, j)
+    for i, row_total in full_rows(inst, perm):
+        for j in range(inst.n):
+            if j == i:
+                continue
+            d_pos = inst.displacement(_reinsert(perm, i, j)) - inst.displacement(perm)
+            d_total = row_total[j]
+            if best_delta is None or d_total < best_delta - 1e-12:
+                best_delta = d_total
+                ties = [(d_pos, i, j)]
+            elif d_total <= best_delta + 1e-12:
+                ties.append((d_pos, i, j))
+    if best_delta is None:
+        return None
+    min_disp = min(t[0] for t in ties)
+    finalists = [t for t in ties if t[0] == min_disp]
+    _, i, j = min(finalists, key=lambda t: tuple(_reinsert(perm, t[1], t[2])))
+    return best_delta, i, j
+
+
+@settings(max_examples=300, deadline=None)
+@given(neighbourhood_cases())
+# an exact plateau: every move ties at 0
+@example((_Instance(proc("a", "b", "c", "d", "e"), [], [], RepairWeights(0, 0, 0, 1), RAW_BINARY), [3, 0, 4, 1, 2]))
+# the probe, row 0 moving right, reaches -1; the best move, row 2 to 0, is -2
+@example(
+    (_Instance(proc("a", "b", "c"), [PrecedenceConstraint("c", "b")], [], RepairWeights(1, 1, 0, 1), RAW_BINARY), [2, 1, 0])
+)
+def test_best_move_matches_full_row_reference(case):
+    inst, perm = case
+    assert _best_move(inst, perm) == reference_best_move(inst, perm)
+
+
 def reference_descend(inst, start, max_stale):
-    """The descent without a move table or row skipping: every entry of
-    every row is compared, and ties keep the minimum displacement change
-    first, then the lexicographically smallest moved permutation."""
+    """The descent without a move table or row skipping, making each
+    move :func:`reference_best_move` picks."""
     n = inst.n
     current = list(start)
     current_cost = inst.cost(current).total
@@ -383,24 +471,10 @@ def reference_descend(inst, start, max_stale):
     stale = iterations = 0
     while iterations < 200 * max(n, 1):
         iterations += 1
-        best_delta = None
-        ties = []  # (d_pos, i, j)
-        for i, row_total in _neighbourhood(inst, current):
-            for j in range(n):
-                if j == i:
-                    continue
-                d_pos = inst.displacement(_reinsert(current, i, j)) - inst.displacement(current)
-                d_total = row_total[j]
-                if best_delta is None or d_total < best_delta - 1e-12:
-                    best_delta = d_total
-                    ties = [(d_pos, i, j)]
-                elif d_total <= best_delta + 1e-12:
-                    ties.append((d_pos, i, j))
-        if best_delta is None:
+        move = reference_best_move(inst, current)
+        if move is None:
             break
-        min_disp = min(t[0] for t in ties)
-        finalists = [t for t in ties if t[0] == min_disp]
-        _, i, j = min(finalists, key=lambda t: tuple(_reinsert(current, t[1], t[2])))
+        best_delta, i, j = move
         if best_delta < -1e-12:
             stale = 0
         elif best_delta <= 1e-12 and stale < max_stale:
@@ -515,25 +589,25 @@ def test_pruned_repair_matches_reference_descent_at_benchmark_scale(monkeypatch,
     every move the unpruned reference makes."""
     draft, constraints, clusters, weights = scale_instance(random.Random(seed), n)
     search = SearchParams(restarts=2, max_stale_iters=2)
-    yielded = []
+    swept = []  # per scan, the rows with at least one half-row swept
     kernel = repair_module._neighbourhood
 
     def counted(inst, perm):
-        # forwards every limit the caller sends, and counts the rows
-        scan = kernel(inst, perm)
-        yielded.append(0)
-        limit = None
-        while True:
-            try:
-                row = scan.send(limit)
-            except StopIteration:
-                return
-            yielded[-1] += 1
-            limit = yield row
+        sweep = kernel(inst, perm)
+        rows = set()
+        swept.append(rows)
+
+        def counted_sweep(i, right, left, d_total):
+            if right or left:
+                rows.add(i)
+            sweep(i, right, left, d_total)
+
+        return counted_sweep
 
     monkeypatch.setattr(repair_module, "_neighbourhood", counted)
     got = repair(draft, constraints, clusters, weights=weights, search=search, seed=seed, raw_mode=mode)
     monkeypatch.undo()
+    yielded = [len(rows) for rows in swept]
     want = reference_repair(draft, constraints, clusters, weights, search, seed, mode)
     assert got.order == want.order
     assert got.cost == want.cost
@@ -607,7 +681,7 @@ def test_weights_invariants():
         RepairWeights(-1, 1, 0, 1)
 
 
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), True, False])
 @pytest.mark.parametrize("slot", range(4))
 def test_non_finite_weights_rejected(value, slot):
     values = [0.5, 1.0, 0.0, 2.0]
