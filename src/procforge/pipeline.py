@@ -95,8 +95,8 @@ class PipelineConfig:
 
 
 def _load_config_doc(path: Path) -> tuple[dict, str]:
-    raw = path.read_bytes()
-    digest = hashlib.sha256(raw).hexdigest()
+    text = _read_text(path, "config file not found")
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()  # the file's own bytes: UTF-8 round-trips
     if path.suffix == ".toml":
         try:
             import tomllib  # Python 3.11+
@@ -106,11 +106,11 @@ def _load_config_doc(path: Path) -> tuple[dict, str]:
             except ModuleNotFoundError as exc:
                 raise ConfigError("TOML config needs Python 3.11+ or the tomli package") from exc
         try:
-            return tomllib.loads(raw.decode("utf-8")), digest
+            return tomllib.loads(text), digest
         except tomllib.TOMLDecodeError as exc:
             raise ConfigError(f"{path}: invalid TOML: {exc}") from exc
     try:
-        return json.loads(raw.decode("utf-8")), digest
+        return json.loads(text), digest
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
 
@@ -141,8 +141,6 @@ def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConf
     over the file where they are not None, and are checked the same way.
     """
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
     doc, digest = _load_config_doc(path)
     # [extraction], [repair.weights], [repair.search] and [endpoint] are
     # checked by the dataclasses they are passed to.
@@ -283,11 +281,23 @@ def _write_json(
     return path
 
 
-def _read_json(path: Path, schema: str | None = None) -> dict:
+def _read_text(path: Path, missing: str = "missing input artifact") -> str:
+    """The text of an input file, read as UTF-8 without newline translation.
+
+    A missing file fails as ``missing: path``, and bytes that are not
+    UTF-8 fail naming the file; both are config errors (exit 1).
+    """
     if not path.exists():
-        raise ConfigError(f"missing input artifact: {path}")
+        raise ConfigError(f"{missing}: {path}")
     try:
-        doc = json.loads(path.read_text("utf-8"))
+        return path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
+
+
+def _read_json(path: Path, schema: str | None = None) -> dict:
+    try:
+        doc = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     if schema:
@@ -314,10 +324,7 @@ def _artifact_files(directory: Path, what: str, stage: str, pattern: str = "*.js
 
 
 def _load_inventory(cfg: PipelineConfig) -> DomainInventory:
-    path = cfg.path("inventory")
-    if not path.exists():
-        raise ConfigError(f"missing input artifact: {path}")
-    return resolve_dynamic_domains(parse_inventory(path.read_text("utf-8")))
+    return resolve_dynamic_domains(parse_inventory(_read_text(cfg.path("inventory"))))
 
 
 def _load_template_files(cfg: PipelineConfig):
@@ -360,9 +367,8 @@ def stage_sample(cfg: PipelineConfig) -> list[Path]:
             lines = None
         else:
             if cfg.sample_source == SOURCE_FILE:
-                if not out.exists():
-                    raise ConfigError(f"sample source 'file' expects an existing file: {out}")
-                report = ingest_samples(out.read_text("utf-8"), tpl, strict=cfg.strict)
+                text = _read_text(out, "sample source 'file' expects an existing file")
+                report = ingest_samples(text, tpl, strict=cfg.strict)
                 rejection_inputs = [*inputs, out]  # hashed before the accepted lines replace it
             else:
                 if cfg.endpoint is None:
@@ -388,7 +394,7 @@ def stage_aggregate(cfg: PipelineConfig) -> list[Path]:
         if obj not in by_object:
             raise ConfigError(f"samples file {sample_path} has no matching template")
         tpl_path, tpl = by_object[obj]
-        report = ingest_samples(sample_path.read_text("utf-8"), tpl, strict=True)
+        report = ingest_samples(_read_text(sample_path), tpl, strict=True)
         wm = aggregate(report.batch)
         out = cfg.path("world_models_dir") / f"{obj}.json"
         write_artifact(out, serialize_world_model(wm), cfg, "aggregate", [sample_path, tpl_path])

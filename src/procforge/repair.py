@@ -12,7 +12,7 @@ import hashlib
 import itertools
 import math
 import random
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 from .errors import PermutationError, ProcforgeError
 from .metrics import RAW_BINARY, RAW_GAP
@@ -117,13 +117,7 @@ class CostBreakdown:
     total: float
 
     def to_dict(self) -> dict:
-        return {
-            "position": self.position,
-            "edge": self.edge,
-            "cluster": self.cluster,
-            "raw": self.raw,
-            "total": self.total,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -315,13 +309,25 @@ def _reinsert(perm: list[int], i: int, j: int) -> list[int]:
     return out
 
 
-def _half_row_bounds(inst: _Instance, perm: list[int]) -> tuple[list[float], list[float]]:
-    """Lower bounds ``(right, left)`` on the half-rows of :func:`_neighbourhood`.
+def _scan(inst: _Instance, perm: list[int]):
+    """Prepare one scan of perm's reinsertions: ``(right, left, sweep)``.
 
-    ``right[i]`` is at most every ``d_total[j]`` of row i with j > i, and
-    ``left[i]`` at most every one with j < i; both are inf where the
-    half-row is empty.  Moving x = perm[i] to j, each bound adds lower
-    bounds on four parts of the cost change:
+    ``sweep(i, right, left, d_total)`` sets ``d_total[j]`` to the exact
+    change of the total cost when the element at position i is
+    reinserted at position j, for every j > i if ``right`` and every
+    j < i if ``left``: the two half-rows of row i.  It leaves the other
+    entries as they are.  ``right[i]`` lies at or below every move of row
+    i with j > i, and ``left[i]`` at or below every one with j < i; both
+    are inf where the half-row is empty.
+
+    A half-row sweeps outward from i.  A step moves the element x over
+    one element e, which shifts one place, so every running term changes
+    only by what involves e: its displacement, its cluster order against
+    x, and the precedence constraints incident to x or e.  Broken
+    adjacencies change only at the removal seam and the insertion point.
+
+    Moving x = perm[i] to j, each bound adds lower bounds on four parts
+    of the cost change:
 
     - every step's displacement, the gap-mode penalties that crossing a
       step books through its net count, and the kept adjacency that the
@@ -338,8 +344,9 @@ def _half_row_bounds(inst: _Instance, perm: list[int]) -> tuple[list[float], lis
     - clusters: the most negative inversion change of one crossed step,
       times the number of steps the half-row can cross.
 
-    Building the sums and minima costs O(n + m) per permutation, and the
-    slices between i and x add the permutation's displacement.
+    The preparation, bounds included, costs O(n + m) plus the slices
+    between i and x, which add the permutation's displacement; sweeping
+    every row costs O(n² + m) for n steps and m constraints.
     """
     n = inst.n
     w = inst.weights
@@ -348,15 +355,22 @@ def _half_row_bounds(inst: _Instance, perm: list[int]) -> tuple[list[float], lis
     pos = [0] * n
     for p, e in enumerate(perm):
         pos[e] = p
-    ext = perm + [-2]  # as in _neighbourhood
-    # net[e] is _neighbourhood's gap-mode net count: crossing e changes the
-    # penalties of its violated constraints by -net[e] moving right and by
-    # +net[e] moving left.  That books part of the change of x's own
-    # constraints too; relief_right[x] and relief_left[x] bound the rest.
-    # A violated (a, b) has a to the right of b.  Moving toward each other,
-    # a gap-mode penalty falls at most from its gap to 0, of which the
-    # crossed end's net count books 1 (a binary one falls by 1); moving
-    # apart, the gap grows by at least 1 (a binary one stays at 1).
+    ext = perm + [-2]  # ext[n] == ext[-1] == -2: a sentinel no step is adjacent to
+    kept = [ext[p] + 1 == ext[p + 1] for p in range(n)]
+    # seam[i]: change of kept adjacencies at the gap that removing perm[i] closes
+    seam = [
+        (ext[i - 1] + 1 == ext[i + 1]) - (ext[i - 1] + 1 == x) - (x + 1 == ext[i + 1]) for i, x in enumerate(perm)
+    ]
+    # Gap mode: a violated constraint without x changes by one when one of
+    # its endpoints shifts; net[e] counts e's violated constraints as
+    # predecessor minus those as successor.  Crossing e thus changes the
+    # penalties by -net[e] moving right and by +net[e] moving left.  That
+    # books part of the change of x's own constraints too; relief_right[x]
+    # and relief_left[x] bound the rest.  A violated (a, b) has a to the
+    # right of b.  Moving toward each other, a gap-mode penalty falls at
+    # most from its gap to 0, of which the crossed end's net count books 1
+    # (a binary one falls by 1); moving apart, the gap grows by at least 1
+    # (a binary one stays at 1).
     net = [0] * n
     relief_right = [0] * n
     relief_left = [0] * n
@@ -381,7 +395,7 @@ def _half_row_bounds(inst: _Instance, perm: list[int]) -> tuple[list[float], lis
     # (broken[-1] == 0).  f(j) is up_right[j] - lambda_pos * x for j >= x
     # and down_right[j] + lambda_pos * x for j <= x.  Moving left mirrors
     # this with suffix sums.
-    broken = [lambda_edge * (ext[p] + 1 == ext[p + 1]) for p in range(n)]
+    broken = [lambda_edge * k for k in kept]
     up_right, down_right, up_left, down_left = [0.0] * n, [0.0] * n, [0.0] * n, [0.0] * n
     run_pos = run_net = 0
     for k, e in enumerate(perm):
@@ -404,7 +418,6 @@ def _half_row_bounds(inst: _Instance, perm: list[int]) -> tuple[list[float], lis
     inf = float("inf")
     right, left = [inf] * n, [inf] * n
     for i, x in enumerate(perm):
-        seam = (ext[i - 1] + 1 == ext[i + 1]) - (ext[i - 1] + 1 == x) - (x + 1 == ext[i + 1])
         below = pos[x - 1] if x > 0 else i  # i stands for a draft neighbour x lacks
         above = pos[x + 1] if x < n - 1 else i
         turn = lambda_pos * x
@@ -417,7 +430,7 @@ def _half_row_bounds(inst: _Instance, perm: list[int]) -> tuple[list[float], lis
                 reach
                 - here
                 + lambda_raw * relief_right[x]
-                - lambda_edge * (seam + (below > i) + (above > i + 1))
+                - lambda_edge * (seam[i] + (below > i) + (above > i + 1))
                 + lambda_cluster * (n - 1 - i) * flip_min[label[x]]
             )
         if i > 0:
@@ -429,46 +442,9 @@ def _half_row_bounds(inst: _Instance, perm: list[int]) -> tuple[list[float], lis
                 reach
                 - here
                 + lambda_raw * relief_left[x]
-                - lambda_edge * (seam + (above < i) + (below < i - 1))
+                - lambda_edge * (seam[i] + (above < i) + (below < i - 1))
                 - lambda_cluster * i * flip_max[label[x]]
             )
-    return right, left
-
-
-def _neighbourhood(inst: _Instance, perm: list[int]):
-    """Prepare one scan of perm's reinsertions and return its sweep.
-
-    ``sweep(i, right, left, d_total)`` sets ``d_total[j]`` to the exact
-    change of the total cost when the element at position i is
-    reinserted at position j, for every j > i if ``right`` and every
-    j < i if ``left``: the two half-rows of row i.  It leaves the other
-    entries as they are.  A half-row sweeps outward from i.  A step moves
-    the element x over one element e, which shifts one place, so every
-    running term changes only by what involves e: its displacement, its
-    cluster order against x, and the precedence constraints incident to x
-    or e.  Broken adjacencies change only at the removal seam and the
-    insertion point.  The preparation costs O(n + m), so sweeping every
-    row costs O(n² + m) for n steps and m constraints.
-    """
-    n = inst.n
-    w = inst.weights
-    lambda_pos, lambda_edge, lambda_cluster, lambda_raw = w.lambda_pos, w.lambda_edge, w.lambda_cluster, w.lambda_raw
-    gap_mode = inst.raw_mode == RAW_GAP
-    pos = [0] * n
-    for p, e in enumerate(perm):
-        pos[e] = p
-    ext = perm + [-2]  # ext[n] == ext[-1] == -2: a sentinel no step is adjacent to
-    kept = [ext[p] + 1 == ext[p + 1] for p in range(n)]
-    # Gap mode: a violated constraint without x changes by one when one of
-    # its endpoints shifts; net[e] counts e's violated constraints as
-    # predecessor minus those as successor.
-    net = [0] * n
-    if gap_mode:
-        for a, b in inst.constraints:
-            if pos[a] > pos[b]:
-                net[a] += 1
-                net[b] -= 1
-    label = inst.cluster_of
 
     def sweep(i: int, right: bool, left: bool, d_total: list[float]) -> None:
         x = perm[i]
@@ -485,7 +461,7 @@ def _neighbourhood(inst: _Instance, perm: list[int]):
         growing = sum(pos[y] < i for y in inst.succs[x]) - sum(pos[y] > i for y in inst.preds[x])
         # flip[b]: change of cluster inversions when x moves right past a step of label b
         flip = inst.cluster_flip[label[x]]
-        seam = (ext[i - 1] + 1 == ext[i + 1]) - (ext[i - 1] + 1 == x) - (x + 1 == ext[i + 1])
+        seam_i = seam[i]
         base = abs(i - x)
 
         if right:
@@ -501,7 +477,7 @@ def _neighbourhood(inst: _Instance, perm: list[int]):
                 else:
                     run_raw += rel[e]
                 dp = run_pos + abs(j - x) - base
-                d_edge = kept[j] - seam - (e + 1 == x) - (x + 1 == ext[j + 1])
+                d_edge = kept[j] - seam_i - (e + 1 == x) - (x + 1 == ext[j + 1])
                 d_total[j] = lambda_pos * dp + lambda_edge * d_edge + lambda_cluster * run_cluster + lambda_raw * run_raw
 
         if left:
@@ -517,10 +493,10 @@ def _neighbourhood(inst: _Instance, perm: list[int]):
                 else:
                     run_raw -= rel[e]
                 dp = run_pos + abs(j - x) - base
-                d_edge = kept[j - 1] - seam - (x + 1 == e) - (ext[j - 1] + 1 == x)
+                d_edge = kept[j - 1] - seam_i - (x + 1 == e) - (ext[j - 1] + 1 == x)
                 d_total[j] = lambda_pos * dp + lambda_edge * d_edge + lambda_cluster * run_cluster + lambda_raw * run_raw
 
-    return sweep
+    return right, left, sweep
 
 
 def _best_move(inst: _Instance, perm: list[int]):
@@ -530,10 +506,10 @@ def _best_move(inst: _Instance, perm: list[int]):
     Moves within 1e-12 of the running best tie; ties break toward minimum
     displacement from the draft, then the lexicographically smallest
     moved permutation, then the smallest (i, j).  Rows are compared in
-    the order i = 0…n−1, but not every half-row is swept.  The scan first
-    sweeps the probe, the half-row with the smallest bound from
-    :func:`_half_row_bounds`; its minimum is a real move's delta, so the
-    scan's best lies at or below it.  Every row, row 0 included, then
+    the order i = 0…n−1, but not every half-row is swept.  One call of
+    :func:`_scan` prepares the scan.  It first sweeps the probe, the
+    half-row with the smallest bound; its minimum is a real move's delta,
+    so the scan's best lies at or below it.  Every row, row 0 included, then
     sweeps only the half-rows whose bound is within a margin of the
     limit, the smaller of the probe's minimum and the running best; the
     other entries stay inf, and a row whose minimum lies above the tie
@@ -558,8 +534,7 @@ def _best_move(inst: _Instance, perm: list[int]):
         return None
     w = inst.weights
     slack = 1e-9 * max(1.0, w.lambda_pos, w.lambda_edge, w.lambda_cluster, w.lambda_raw)
-    right_floor, left_floor = _half_row_bounds(inst, perm)
-    sweep = _neighbourhood(inst, perm)
+    right_floor, left_floor, sweep = _scan(inst, perm)
     inf = float("inf")
     floors = right_floor + left_floor  # the right half-rows, then the left ones
     k = floors.index(min(floors))
@@ -607,9 +582,10 @@ def _descend(
     """Steepest descent over single-step reinsertions (which subsume all
     adjacent swaps), tolerating equal-cost moves for a bounded number of
     stale iterations.  Ties break as in :func:`_best_move`, which scans a
-    permutation: it builds the half-row bounds, sweeps the probe, then
-    only the half-rows that could hold the best move or a tie with it,
-    about 6% of them on the benchmark's ``all`` + ``tune``.
+    permutation: :func:`_scan` prepares it and its half-row bounds once,
+    then it sweeps the probe and only the half-rows that could hold the
+    best move or a tie with it, about 6% of them on the benchmark's
+    ``all`` + ``tune``.
 
     ``moves`` maps each permutation already scanned to its best move, and
     is shared by every descent of one :func:`repair` call: the move

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from bisect import insort
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from operator import attrgetter
 
 from .inventory import DomainInventory
@@ -64,13 +64,7 @@ class ExtractionConfig:
             raise ValueError(f"min_valid_weight must be an integer >= 1, got {self.min_valid_weight!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "theta_hi": self.theta_hi,
-            "theta_lo": self.theta_lo,
-            "gamma": self.gamma,
-            "epsilon0": self.epsilon0,
-            "min_valid_weight": self.min_valid_weight,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -157,17 +151,7 @@ class Precondition:
     valid_weight: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "action": self.action,
-            "variable": self.variable,
-            "value": self.value,
-            "kind": self.kind,
-            "strength": self.strength,
-            "valid_support": self.valid_support,
-            "invalid_support": self.invalid_support,
-            "contrast": self.contrast,
-            "valid_weight": self.valid_weight,
-        }
+        return asdict(self)
 
 
 @dataclass

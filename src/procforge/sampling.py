@@ -347,7 +347,8 @@ class EndpointConfig:
         if not all(type(v) is int for v in counts) or self.n_requests < 1 or self.max_retries < 0:
             raise ValueError(f"endpoint needs integers n_requests >= 1 and max_retries >= 0, got {counts}")
         times = (self.timeout_s, self.backoff_s)
-        if not all(math.isfinite(v) for v in times) or self.timeout_s <= 0 or self.backoff_s < 0:
+        finite = all(not isinstance(v, bool) and math.isfinite(v) for v in times)
+        if not finite or self.timeout_s <= 0 or self.backoff_s < 0:
             raise ValueError(f"endpoint needs finite timeout_s > 0 and backoff_s >= 0, got {times}")
 
 

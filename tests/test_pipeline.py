@@ -452,6 +452,7 @@ def test_cli_misspelt_config_key_is_config_error(workdir, capsys, line, typo, ke
 
 GRID_RAW = "lambda_raw = [0.5, 1.0, 2.0]"
 GRID = "lambda_pos = [0.5, 2.0]\nlambda_edge = [1.0]\nlambda_cluster = [0.0]\n" + GRID_RAW
+ENDPOINT = '[endpoint]\nbase_url = "http://localhost"\nmodel = "m"\n'
 
 
 @pytest.mark.parametrize(
@@ -480,6 +481,8 @@ GRID = "lambda_pos = [0.5, 2.0]\nlambda_edge = [1.0]\nlambda_cluster = [0.0]\n" 
         ("theta_hi = 0.8", "theta_hi = true", "theta_hi must be a finite number, got True"),
         ("epsilon0 = 0.05", "epsilon0 = false", "epsilon0 must be a finite number, got False"),
         ("reward_flip_rate = 0.0", "reward_flip_rate = true", "reward_flip_rate must be a finite number, got True"),
+        ("[tune.grid]", ENDPOINT + "timeout_s = true\n\n[tune.grid]", "backoff_s >= 0, got (True, 1.0)"),
+        ("[tune.grid]", ENDPOINT + "backoff_s = false\n\n[tune.grid]", "backoff_s >= 0, got (60.0, False)"),
     ],
     ids=[
         "missing-n-misorderings",
@@ -505,6 +508,8 @@ GRID = "lambda_pos = [0.5, 2.0]\nlambda_edge = [1.0]\nlambda_cluster = [0.0]\n" 
         "boolean-threshold",
         "boolean-tolerance",
         "boolean-noise-rate",
+        "boolean-endpoint-timeout",
+        "boolean-endpoint-backoff",
     ],
 )
 def test_cli_bad_perturb_or_endpoint_table_is_config_error(workdir, capsys, line, edit, message):
@@ -540,6 +545,31 @@ def test_cli_extract_rejects_a_hand_edited_world_model(workdir, capsys, edit, me
     err = capsys.readouterr().err
     assert f"{path}: $.entries[4].state" in err
     assert message in err
+
+
+@pytest.mark.parametrize(
+    "name, stage",
+    [
+        ("config.toml", "template"),
+        ("c.json", "template"),
+        ("inventory.json", "template"),
+        ("out/world_models/electronic_pipette.json", "extract"),
+    ],
+    ids=["toml-config", "json-config", "inventory", "world-model"],
+)
+def test_cli_input_that_is_not_utf8_is_config_error(workdir, capsys, name, stage):
+    (workdir / "c.json").write_text(json.dumps({"seed": 20240}))
+    config = str(workdir / ("c.json" if name == "c.json" else "config.toml"))
+    if stage == "extract":
+        for earlier in ("template", "sample", "aggregate"):
+            assert cli_main([earlier, "--config", config]) == 0
+    path = workdir / name
+    path.write_bytes(path.read_bytes() + b"\n# \xff\xfe\n")
+    capsys.readouterr()
+    assert cli_main([stage, "--config", config]) == 1
+    err = capsys.readouterr().err
+    assert "validation error" in err
+    assert f"{path}: not UTF-8 text" in err
 
 
 @pytest.mark.parametrize("flags", [["--n", "0"], ["--n", "-3"]])

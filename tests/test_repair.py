@@ -24,10 +24,9 @@ from procforge.repair import (
 from procforge.repair import (
     RepairResult,
     _best_move,
-    _half_row_bounds,
     _Instance,
-    _neighbourhood,
     _reinsert,
+    _scan,
     derive_seed,
 )
 from procforge.rules import INITIAL_STATE, CausalRule
@@ -359,7 +358,7 @@ def neighbourhood_cases():
 
 def full_rows(inst, perm):
     """Yield ``(i, d_total)`` for every row of perm, both halves swept."""
-    sweep = _neighbourhood(inst, perm)
+    _, _, sweep = _scan(inst, perm)
     for i in range(inst.n):
         d_total = [float("inf")] * inst.n
         sweep(i, True, True, d_total)
@@ -415,7 +414,7 @@ def test_neighbourhood_matches_full_cost_recompute(case):
 def test_half_row_bounds_lie_below_every_move_of_the_half_row(case):
     inst, perm = case
     before = inst.cost(perm).total
-    right, left = _half_row_bounds(inst, perm)
+    right, left, _ = _scan(inst, perm)
     for i in range(inst.n):
         deltas = [inst.cost(_reinsert(perm, i, j)).total - before for j in range(inst.n)]
         assert right[i] <= min(deltas[i + 1 :], default=float("inf")) + 1e-9
@@ -548,13 +547,13 @@ def test_repair_matches_reference_descent(inputs, restarts, max_stale, seed):
 )
 def test_each_permutation_is_scanned_once_per_call(monkeypatch, draft, constraints, weights, search):
     scanned = []
-    kernel = repair_module._neighbourhood
+    kernel = repair_module._scan
 
     def counted(inst, perm):
         scanned.append(tuple(perm))
         return kernel(inst, perm)
 
-    monkeypatch.setattr(repair_module, "_neighbourhood", counted)
+    monkeypatch.setattr(repair_module, "_scan", counted)
     result = repair(draft, constraints, weights=weights, search=search, seed=3)
     want = reference_repair(draft, constraints, (), weights, search, 3, RAW_BINARY)
     assert result.trace["iterations"] == want.trace["iterations"]
@@ -590,10 +589,10 @@ def test_pruned_repair_matches_reference_descent_at_benchmark_scale(monkeypatch,
     draft, constraints, clusters, weights = scale_instance(random.Random(seed), n)
     search = SearchParams(restarts=2, max_stale_iters=2)
     swept = []  # per scan, the rows with at least one half-row swept
-    kernel = repair_module._neighbourhood
+    kernel = repair_module._scan
 
     def counted(inst, perm):
-        sweep = kernel(inst, perm)
+        right_floor, left_floor, sweep = kernel(inst, perm)
         rows = set()
         swept.append(rows)
 
@@ -602,9 +601,9 @@ def test_pruned_repair_matches_reference_descent_at_benchmark_scale(monkeypatch,
                 rows.add(i)
             sweep(i, right, left, d_total)
 
-        return counted_sweep
+        return right_floor, left_floor, counted_sweep
 
-    monkeypatch.setattr(repair_module, "_neighbourhood", counted)
+    monkeypatch.setattr(repair_module, "_scan", counted)
     got = repair(draft, constraints, clusters, weights=weights, search=search, seed=seed, raw_mode=mode)
     monkeypatch.undo()
     yielded = [len(rows) for rows in swept]
