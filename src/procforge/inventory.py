@@ -275,6 +275,8 @@ def parse_inventory(text: str) -> DomainInventory:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InventorySyntaxError(exc.msg, exc.lineno, exc.colno) from exc
+    except RecursionError as exc:  # nesting deeper than the decoder's recursion limit
+        raise InventorySyntaxError("JSON nested too deeply") from exc
     violation = first_violation("inventory", doc)
     if violation is not None:
         path, message = violation

@@ -9,16 +9,19 @@ produce byte-identical artifacts.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import itertools
 import json
 import os
 import tempfile
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
+from typing import TextIO
 
 from . import __version__
-from .errors import ConfigError, SampleValidationError
+from .errors import ConfigError, DanglingReferenceError, DuplicateIdError, SampleValidationError, ValidationError
 from .inventory import DomainInventory, parse_inventory, resolve_dynamic_domains
 from .metrics import RAW_BINARY, RAW_GAP, evaluate, format_table, sequence_report
 from .perturb import PerturbationSpec, perturb
@@ -107,11 +110,11 @@ def _load_config_doc(path: Path) -> tuple[dict, str]:
                 raise ConfigError("TOML config needs Python 3.11+ or the tomli package") from exc
         try:
             return tomllib.loads(text), digest
-        except tomllib.TOMLDecodeError as exc:
+        except (tomllib.TOMLDecodeError, RecursionError) as exc:  # nesting deeper than the recursion limit
             raise ConfigError(f"{path}: invalid TOML: {exc}") from exc
     try:
         return json.loads(text), digest
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
 
 
@@ -231,12 +234,21 @@ def _check_tune_grid(cfg: PipelineConfig) -> None:
 # ── artifact io ───────────────────────────────────────────────────────────
 
 
-def write_atomic(path: Path, text: str) -> None:
+def write_atomic(path: Path, text: str | Iterable[str]) -> None:
+    """Write ``text``, one string or an iterable of string chunks, to ``path`` as UTF-8.
+
+    The chunks go to a temp file beside ``path`` that replaces it only
+    once all are written, so a chunk that fails to render leaves ``path``
+    as it was.  They are joined a few hundred at a time: one write per
+    JSONL line costs more than rendering the line.
+    """
+    chunks = iter([text] if isinstance(text, str) else text)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            while group := list(itertools.islice(chunks, 256)):
+                handle.write("".join(group))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -245,12 +257,14 @@ def write_atomic(path: Path, text: str) -> None:
 
 
 def write_artifact(
-    path: Path, text: str, cfg: PipelineConfig, stage: str, inputs: list[Path], lines: dict | None = None
+    path: Path, text: str | Iterable[str], cfg: PipelineConfig, stage: str, inputs: list[Path],
+    lines: dict | None = None,
 ) -> None:
     """Write an artifact atomically plus its run manifest.
 
-    ``lines``, when given, records the accepted and rejected input line
-    counts of an ingested samples file.
+    ``text`` is the artifact as one string or as string chunks (see
+    :func:`write_atomic`).  ``lines``, when given, records the accepted
+    and rejected input line counts of an ingested samples file.
     """
     write_atomic(path, text)
     manifest = {
@@ -259,11 +273,20 @@ def write_artifact(
         "tool_version": __version__,
         "seed": cfg.seed,
         "config_sha256": cfg.config_hash,
-        "inputs": {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(inputs) if p.exists()},
+        "inputs": {p.name: _sha256_file(p) for p in sorted(inputs) if p.exists()},
     }
     if lines is not None:
         manifest["lines"] = lines
     write_atomic(path.with_name(path.name + ".manifest.json"), _encode(manifest))
+
+
+def _sha256_file(path: Path) -> str:
+    """The sha256 of a file's bytes, read in fixed-size chunks."""
+    digest = hashlib.sha256()
+    with path.open("rb") as handle:
+        for chunk in iter(lambda: handle.read(1 << 16), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def _encode(doc: object) -> str:
@@ -281,24 +304,38 @@ def _write_json(
     return path
 
 
-def _read_text(path: Path, missing: str = "missing input artifact") -> str:
-    """The text of an input file, read as UTF-8 without newline translation.
+@contextlib.contextmanager
+def _open_text(path: Path, missing: str = "missing input artifact") -> Iterator[TextIO]:
+    """An input file open as UTF-8 text whose lines end at LF only.
 
-    A missing file fails as ``missing: path``, and bytes that are not
-    UTF-8 fail naming the file; both are config errors (exit 1).
+    Nothing is translated: a CRLF line keeps its CR, and U+2028 or U+0085
+    inside a line does not end it, so iterating the handle gives the
+    pieces that ``text.split`` at LF gives.  A missing file fails as
+    ``missing: path``.  Bytes that are not UTF-8 fail naming the file
+    when the chunk that holds them is read, so an invalid line before
+    them, at which strict ingestion stops, raises its own
+    :class:`SampleValidationError` first.  Every one of these is a
+    validation error (exit 1).
     """
     if not path.exists():
         raise ConfigError(f"{missing}: {path}")
     try:
-        return path.read_bytes().decode("utf-8")
+        with path.open(encoding="utf-8", newline="\n") as handle:
+            yield handle
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
+
+
+def _read_text(path: Path, missing: str = "missing input artifact") -> str:
+    """The whole text of an input file, read through :func:`_open_text`."""
+    with _open_text(path, missing) as handle:
+        return handle.read()
 
 
 def _read_json(path: Path, schema: str | None = None) -> dict:
     try:
         doc = json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # nesting deeper than the recursion limit
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     if schema:
         validate_artifact(schema, doc, str(path))
@@ -306,7 +343,12 @@ def _read_json(path: Path, schema: str | None = None) -> dict:
 
 
 def _read_procedure(cfg: PipelineConfig, key: str) -> Procedure:
-    return procedure_from_dict(_read_json(cfg.path(key), "procedure"))
+    path = cfg.path(key)
+    doc = _read_json(path, "procedure")
+    try:
+        return procedure_from_dict(doc)
+    except DuplicateIdError as exc:
+        raise DuplicateIdError(f"{path}: {exc}") from exc
 
 
 def _read_constraints(cfg: PipelineConfig):
@@ -324,7 +366,12 @@ def _artifact_files(directory: Path, what: str, stage: str, pattern: str = "*.js
 
 
 def _load_inventory(cfg: PipelineConfig) -> DomainInventory:
-    return resolve_dynamic_domains(parse_inventory(_read_text(cfg.path("inventory"))))
+    path = cfg.path("inventory")
+    text = _read_text(path)
+    try:
+        return resolve_dynamic_domains(parse_inventory(text))
+    except ValidationError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _load_template_files(cfg: PipelineConfig):
@@ -367,8 +414,8 @@ def stage_sample(cfg: PipelineConfig) -> list[Path]:
             lines = None
         else:
             if cfg.sample_source == SOURCE_FILE:
-                text = _read_text(out, "sample source 'file' expects an existing file")
-                report = ingest_samples(text, tpl, strict=cfg.strict)
+                with _open_text(out, "sample source 'file' expects an existing file") as handle:
+                    report = ingest_samples(handle, tpl, strict=cfg.strict)
                 rejection_inputs = [*inputs, out]  # hashed before the accepted lines replace it
             else:
                 if cfg.endpoint is None:
@@ -381,7 +428,7 @@ def stage_sample(cfg: PipelineConfig) -> list[Path]:
             rejected = out.with_name(f"{tpl.focal_object}.rejections.json")
             outputs.append(_write_json(rejected, report.rejections, cfg, "sample", rejection_inputs))
             lines = {"accepted": len(batch.samples), "rejected": len(report.rejections)}
-        write_artifact(out, batch.to_jsonl(), cfg, "sample", inputs, lines)
+        write_artifact(out, batch.jsonl_lines(), cfg, "sample", inputs, lines)
         outputs.append(out)
     return outputs
 
@@ -394,7 +441,8 @@ def stage_aggregate(cfg: PipelineConfig) -> list[Path]:
         if obj not in by_object:
             raise ConfigError(f"samples file {sample_path} has no matching template")
         tpl_path, tpl = by_object[obj]
-        report = ingest_samples(_read_text(sample_path), tpl, strict=True)
+        with _open_text(sample_path) as handle:
+            report = ingest_samples(handle, tpl, strict=True)
         wm = aggregate(report.batch)
         out = cfg.path("world_models_dir") / f"{obj}.json"
         write_artifact(out, serialize_world_model(wm), cfg, "aggregate", [sample_path, tpl_path])
@@ -427,11 +475,19 @@ def stage_map(cfg: PipelineConfig) -> list[Path]:
     return [_write_json(cfg.path("constraints"), doc, cfg, "map", inputs, "constraints")]
 
 
+def _repair(cfg: PipelineConfig, draft: Procedure, constraints, clusters, weights: RepairWeights, seed: int):
+    """``repair`` under the configured search; a constraint naming no draft step fails naming its file."""
+    try:
+        return repair(draft, constraints, clusters, weights=weights, search=cfg.search, seed=seed,
+                      raw_mode=cfg.raw_penalty)
+    except DanglingReferenceError as exc:
+        raise DanglingReferenceError(f"{cfg.path('constraints')}: {exc}") from exc
+
+
 def stage_repair(cfg: PipelineConfig) -> list[Path]:
     draft = _read_procedure(cfg, "draft_procedure")
     constraints, clusters = _read_constraints(cfg)
-    result = repair(draft, constraints, clusters, weights=cfg.weights, search=cfg.search,
-                    seed=derive_seed(cfg.seed, "repair"), raw_mode=cfg.raw_penalty)
+    result = _repair(cfg, draft, constraints, clusters, cfg.weights, derive_seed(cfg.seed, "repair"))
     doc = procedure_to_dict(draft.reordered(list(result.order)))
     doc["repair"] = result.to_dict()
     inputs = [cfg.path("draft_procedure"), cfg.path("constraints")]
@@ -478,8 +534,7 @@ def stage_tune(cfg: PipelineConfig) -> list[Path]:
     rows = []
     for values in itertools.product(*grid.values()):
         weights = dict(zip(grid, values))
-        result = repair(draft, constraints, clusters, weights=RepairWeights(**weights), search=cfg.search,
-                        seed=seed, raw_mode=cfg.raw_penalty)
+        result = _repair(cfg, draft, constraints, clusters, RepairWeights(**weights), seed)
         report = sequence_report(list(result.order), truth.step_ids, pairs)
         rows.append({"weights": weights, "raw_slack": report.raw_slack, "kendall_tau": report.kendall_tau,
                      "breakpoints": report.breakpoints, "metrics": report.to_dict()})

@@ -14,7 +14,7 @@ import math
 import random
 from dataclasses import asdict, dataclass, field, fields
 
-from .errors import PermutationError, ProcforgeError
+from .errors import DanglingReferenceError, DuplicateIdError, PermutationError, ProcforgeError
 from .metrics import RAW_BINARY, RAW_GAP
 from .rules import INITIAL_STATE, CausalRule
 from .templates import BoundAction, bound_action_from_parts
@@ -39,7 +39,7 @@ class Procedure:
     def __post_init__(self):
         ids = [s.id for s in self.steps]
         if len(set(ids)) != len(ids):
-            raise ProcforgeError("duplicate step ids in procedure")
+            raise DuplicateIdError("duplicate step ids in procedure")
 
     @property
     def step_ids(self) -> list[str]:
@@ -222,7 +222,7 @@ class _Instance:
             c for c in constraints if c.predecessor not in self.index or c.successor not in self.index
         ]
         if missing:
-            raise ProcforgeError(f"constraint references unknown step ids: {missing[0]}")
+            raise DanglingReferenceError(f"constraint references unknown step ids: {missing[0]}")
         self.constraints = [(self.index[c.predecessor], self.index[c.successor]) for c in constraints]
         self.succs: list[list[int]] = [[] for _ in range(self.n)]
         self.preds: list[list[int]] = [[] for _ in range(self.n)]

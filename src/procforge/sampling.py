@@ -13,6 +13,7 @@ import math
 import os
 import random
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -65,10 +66,17 @@ class SampleBatch:
     samples: tuple[TransitionSample, ...]
     source: str
 
+    def jsonl_lines(self) -> Iterator[str]:
+        """The JSONL text as one LF-ended line per sample; each distinct record is rendered once."""
+        lines: dict[int, str] = {}
+        for s in self.samples:
+            line = lines.get(id(s))
+            if line is None:
+                line = lines[id(s)] = s.to_json_line() + "\n"
+            yield line
+
     def to_jsonl(self) -> str:
-        distinct = {id(s): s for s in self.samples}
-        lines = {key: s.to_json_line() + "\n" for key, s in distinct.items()}
-        return "".join(lines[id(s)] for s in self.samples)
+        return "".join(self.jsonl_lines())
 
 
 @dataclass(frozen=True)

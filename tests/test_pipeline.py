@@ -3,6 +3,7 @@ import json
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -24,10 +25,10 @@ from procforge.errors import (
     StateSpaceLimitError,
     UnknownObjectError,
 )
-from procforge import sampling
+from procforge import pipeline, sampling
 from procforge.metrics import kendall_tau
-from procforge.pipeline import load_config, run_all, run_stage, validate_artifact
-from procforge.sampling import EndpointConfig, ingest_samples
+from procforge.pipeline import _open_text, load_config, run_all, run_stage, validate_artifact, write_atomic
+from procforge.sampling import EndpointConfig, NoiseSpec, ingest_samples, simulate_oracle
 from procforge.templates import template_from_dict
 from procforge.world_model import world_model_from_dict
 
@@ -254,6 +255,102 @@ def test_sample_stage_file_source_splits_lines_only_at_newlines(cfg):
     rejections = read_json(cfg.path("samples_dir") / "electronic_pipette.rejections.json")
     assert [lineno for lineno, _ in rejections] == [3]
     assert samples.read_text().split("\n") == [lines[0], lines[1], ""]
+
+
+def _samples_text(lines, case):
+    """The text of a samples file built from valid ``lines`` in one of the shapes a reader must keep."""
+    odd = json.dumps({**json.loads(lines[1]), "note": "a\u2028b\u0085c"}, ensure_ascii=False)
+    return {
+        "crlf": "\r\n".join([*lines, "not json", ""]),
+        "lone-cr": "\n".join([lines[0], lines[1] + "\r" + lines[2], "not json", ""]),  # one invalid line
+        "raw-line-separators": "\n".join([lines[0], odd, "not json", lines[2], ""]),
+        "no-trailing-newline": "\n".join([*lines, "not json", lines[0]]),
+        "blank-lines": "\n".join(["", lines[0], "", "   ", "not json", "\t", lines[1], "", ""]),
+        "strict-error": "\n".join([lines[0], lines[1], "not json", lines[2], ""]),
+    }[case]
+
+
+def _ingest_outcome(stream, tpl, strict):
+    """The samples and rejections ingested from ``stream``, or the message of the error that stops it."""
+    try:
+        report = ingest_samples(stream, tpl, strict=strict)
+    except SampleValidationError as exc:
+        return str(exc)
+    return report.batch.samples, report.rejections
+
+
+@pytest.mark.parametrize(
+    "case", ["crlf", "lone-cr", "raw-line-separators", "no-trailing-newline", "blank-lines", "strict-error"]
+)
+def test_streamed_ingest_equals_ingest_of_the_whole_text(tmp_path, pipette_template, pipette_oracles, case):
+    batch = simulate_oracle(pipette_template, pipette_oracles["electronic_pipette"], 3, NoiseSpec(seed=5))
+    text = _samples_text(batch.to_jsonl().split("\n")[:3], case)
+    path = tmp_path / "samples.jsonl"
+    path.write_bytes(text.encode("utf-8"))
+    strict = case == "strict-error"
+    with _open_text(path) as handle:
+        streamed = _ingest_outcome(handle, pipette_template, strict)
+    assert streamed == _ingest_outcome(text, pipette_template, strict)
+    if strict:
+        assert streamed == "line 3: invalid JSON: Expecting value"
+        return
+    samples, rejections = streamed
+    pieces = [piece.strip() for piece in text.split("\n")]
+    assert "not json" in [pieces[lineno - 1] for lineno, _ in rejections]
+    assert len(samples) + len(rejections) == sum(1 for piece in pieces if piece)
+
+
+def test_sample_stage_writes_exactly_the_batch_jsonl(cfg, monkeypatch):
+    batches = {}
+
+    def recording(tpl, *args, **kwargs):
+        batches[tpl.focal_object] = batch = simulate_oracle(tpl, *args, **kwargs)
+        return batch
+
+    monkeypatch.setattr(pipeline, "simulate_oracle", recording)
+    run_stage("template", cfg)
+    run_stage("sample", cfg)
+    assert sorted(batches) == sorted(cfg.sample_objects)
+    for obj, batch in batches.items():
+        assert (cfg.path("samples_dir") / f"{obj}.jsonl").read_bytes() == batch.to_jsonl().encode("utf-8")
+
+
+def test_write_atomic_writes_every_chunk_or_leaves_the_old_file(tmp_path):
+    path = tmp_path / "a.jsonl"
+    lines = [f"{i}\n" for i in range(1000)]
+    write_atomic(path, iter(lines))
+    assert path.read_text() == "".join(lines)
+
+    def failing():
+        yield from ["x\n"] * 600
+        raise ValueError("render failed")
+
+    with pytest.raises(ValueError, match="render failed"):
+        write_atomic(path, failing())
+    assert path.read_text() == "".join(lines)
+    assert [p.name for p in tmp_path.iterdir()] == ["a.jsonl"]
+
+
+def test_sample_and_aggregate_memory_stays_below_the_samples_file(cfg):
+    # The samples file is streamed in and out, so neither stage holds its
+    # text: at 20000 samples each peaks well below one file's size (it
+    # was about twice the size when the file was built and read whole).
+    cfg.sample_n = 20000
+    cfg.sample_objects = ["magnetic_stirrer"]
+    run_stage("template", cfg)
+    peaks = {}
+    tracemalloc.start()
+    try:
+        for stage in ("sample", "aggregate"):
+            tracemalloc.reset_peak()
+            run_stage(stage, cfg)
+            peaks[stage] = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = max(p.stat().st_size for p in cfg.path("samples_dir").glob("*.jsonl"))
+    assert size > 5_000_000
+    assert peaks["sample"] < size
+    assert peaks["aggregate"] < size
 
 
 # sha256 over the (name, bytes) of every samples/*.jsonl and
@@ -548,28 +645,83 @@ def test_cli_extract_rejects_a_hand_edited_world_model(workdir, capsys, edit, me
 
 
 @pytest.mark.parametrize(
-    "name, stage",
+    "name, earlier, argv",
     [
-        ("config.toml", "template"),
-        ("c.json", "template"),
-        ("inventory.json", "template"),
-        ("out/world_models/electronic_pipette.json", "extract"),
+        ("config.toml", [], ["template"]),
+        ("c.json", [], ["template"]),
+        ("inventory.json", [], ["template"]),
+        ("out/world_models/electronic_pipette.json", ["template", "sample", "aggregate"], ["extract"]),
+        ("out/samples/electronic_pipette.jsonl", ["template", "sample"], ["aggregate"]),
+        ("out/samples/electronic_pipette.jsonl", ["template", "sample"], ["sample", "--source", "file"]),
     ],
-    ids=["toml-config", "json-config", "inventory", "world-model"],
+    ids=["toml-config", "json-config", "inventory", "world-model", "samples", "samples-file-source"],
 )
-def test_cli_input_that_is_not_utf8_is_config_error(workdir, capsys, name, stage):
+def test_cli_input_that_is_not_utf8_is_config_error(workdir, capsys, name, earlier, argv):
     (workdir / "c.json").write_text(json.dumps({"seed": 20240}))
     config = str(workdir / ("c.json" if name == "c.json" else "config.toml"))
-    if stage == "extract":
-        for earlier in ("template", "sample", "aggregate"):
-            assert cli_main([earlier, "--config", config]) == 0
+    for stage in earlier:
+        assert cli_main([stage, "--config", config]) == 0
     path = workdir / name
     path.write_bytes(path.read_bytes() + b"\n# \xff\xfe\n")
+    capsys.readouterr()
+    assert cli_main([*argv, "--config", config]) == 1
+    err = capsys.readouterr().err
+    assert "validation error" in err
+    assert f"{path}: not UTF-8 text" in err
+
+
+@pytest.mark.parametrize(
+    "name, text, stage",
+    [
+        ("inventory.json", "[" * 200_000, "template"),
+        ("c.json", "[" * 200_000, "template"),
+        ("config.toml", "a = " + "[" * 200_000, "template"),
+        ("out/repaired.json", "[" * 200_000, "evaluate"),
+    ],
+    ids=["inventory", "json-config", "toml-config", "artifact"],
+)
+def test_cli_json_nested_past_the_recursion_limit_is_config_error(workdir, capsys, name, text, stage):
+    config = str(workdir / ("c.json" if name == "c.json" else "config.toml"))
+    if stage == "evaluate":
+        assert cli_main(["all", "--config", config]) == 0
+    path = workdir / name
+    path.write_text(text)
     capsys.readouterr()
     assert cli_main([stage, "--config", config]) == 1
     err = capsys.readouterr().err
     assert "validation error" in err
-    assert f"{path}: not UTF-8 text" in err
+    assert str(path) in err
+
+
+def _duplicate_first_step_id(doc):
+    doc["steps"][1]["id"] = doc["steps"][0]["id"]
+
+
+def _constrain_an_unknown_step(doc):
+    doc["raw"][0]["predecessor"] = "s99"
+
+
+@pytest.mark.parametrize(
+    "name, edit, stage, message",
+    [
+        ("out/draft.json", _duplicate_first_step_id, "map", "duplicate step ids in procedure"),
+        ("out/constraints.json", _constrain_an_unknown_step, "repair", "constraint references unknown step ids"),
+        ("out/constraints.json", _constrain_an_unknown_step, "tune", "constraint references unknown step ids"),
+    ],
+    ids=["duplicate-step-id", "unknown-step-at-repair", "unknown-step-at-tune"],
+)
+def test_cli_bad_procedure_reference_is_validation_error(workdir, capsys, name, edit, stage, message):
+    config = str(workdir / "config.toml")
+    assert cli_main(["all", "--config", config]) == 0
+    path = workdir / name
+    doc = read_json(path)
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli_main([stage, "--config", config]) == 1
+    err = capsys.readouterr().err
+    assert "validation error" in err
+    assert f"{path}: {message}" in err
 
 
 @pytest.mark.parametrize("flags", [["--n", "0"], ["--n", "-3"]])
