@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .errors import ProcforgeError
+from .errors import ProcforgeError, ValidationError
 from .repair import Procedure, Step
 
 KIND_EARLY_TRANSFER = "early_transfer_before_open"
@@ -197,11 +197,11 @@ def perturb(truth: Procedure, spec: PerturbationSpec, strict: bool = False) -> t
 
     Kinds are applied in the listed order, cycling until
     ``n_misorderings`` moves have been made.  Inapplicable kinds are
-    logged and skipped unless ``strict`` is set.  Deterministic given the
+    logged and skipped, or fail as a validation error if ``strict`` is set.  Deterministic given the
     seed.
     """
     if len(truth.steps) < 2:
-        raise ProcforgeError("perturbation needs at least 2 steps")
+        raise ValidationError("perturbation needs at least 2 steps")
     rng = random.Random(spec.seed)
     seq = list(truth.steps)
     log = PerturbationLog()
@@ -216,7 +216,7 @@ def perturb(truth: Procedure, spec: PerturbationSpec, strict: bool = False) -> t
             if move is None:
                 message = {"kind": kind, "reason": "no applicable steps"}
                 if strict:
-                    raise ProcforgeError(f"perturbation kind {kind!r} is not applicable")
+                    raise ValidationError(f"perturbation kind {kind!r} is not applicable")
                 log.skipped.append(message)
                 continue
             moved_id = before[move["from"]]

@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import TextIO
 
 from . import __version__
-from .errors import ConfigError, DanglingReferenceError, DuplicateIdError, SampleValidationError, ValidationError
+from .errors import ConfigError, SequenceMismatchError, ValidationError
 from .inventory import DomainInventory, parse_inventory, resolve_dynamic_domains
 from .metrics import RAW_BINARY, RAW_GAP, evaluate, format_table, sequence_report
 from .perturb import PerturbationSpec, perturb
@@ -332,27 +332,41 @@ def _read_text(path: Path, missing: str = "missing input artifact") -> str:
         return handle.read()
 
 
-def _read_json(path: Path, schema: str | None = None) -> dict:
+@contextlib.contextmanager
+def _naming(path: Path) -> Iterator[None]:
+    """Re-raise a validation error from the block with ``path`` at the head of its message."""
+    try:
+        yield
+    except ValidationError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
+
+
+def _read_json(path: Path, schema: str | None = None, parse=None):
+    """The JSON document at ``path``, checked against ``schema`` and then
+    turned into an object by ``parse`` where these are given."""
     try:
         doc = json.loads(_read_text(path))
     except (json.JSONDecodeError, RecursionError) as exc:  # nesting deeper than the recursion limit
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     if schema:
         validate_artifact(schema, doc, str(path))
-    return doc
+    if parse is None:
+        return doc
+    with _naming(path):
+        return parse(doc)
 
 
-def _read_procedure(cfg: PipelineConfig, key: str) -> Procedure:
+def _read_procedure(cfg: PipelineConfig, key: str, truth: Procedure | None = None) -> Procedure:
+    """The procedure at ``key``; with ``truth``, it must order the same steps."""
     path = cfg.path(key)
-    doc = _read_json(path, "procedure")
-    try:
-        return procedure_from_dict(doc)
-    except DuplicateIdError as exc:
-        raise DuplicateIdError(f"{path}: {exc}") from exc
+    proc = _read_json(path, "procedure", procedure_from_dict)
+    if truth is not None and set(proc.step_ids) != set(truth.step_ids):  # step ids are distinct
+        raise SequenceMismatchError(f"{path}: steps differ from those of {cfg.path('truth_procedure')}")
+    return proc
 
 
 def _read_constraints(cfg: PipelineConfig):
-    return constraints_from_dict(_read_json(cfg.path("constraints"), "constraints"))
+    return _read_json(cfg.path("constraints"), "constraints", constraints_from_dict)
 
 
 def _artifact_files(directory: Path, what: str, stage: str, pattern: str = "*.json") -> list[Path]:
@@ -368,15 +382,13 @@ def _artifact_files(directory: Path, what: str, stage: str, pattern: str = "*.js
 def _load_inventory(cfg: PipelineConfig) -> DomainInventory:
     path = cfg.path("inventory")
     text = _read_text(path)
-    try:
+    with _naming(path):
         return resolve_dynamic_domains(parse_inventory(text))
-    except ValidationError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _load_template_files(cfg: PipelineConfig):
     paths = _artifact_files(cfg.path("templates_dir"), "templates", "template")
-    return [(path, template_from_dict(_read_json(path, "template"))) for path in paths]
+    return [(path, _read_json(path, "template", template_from_dict)) for path in paths]
 
 
 # ── stages ────────────────────────────────────────────────────────────────
@@ -405,16 +417,17 @@ def stage_sample(cfg: PipelineConfig) -> list[Path]:
         out = cfg.path("samples_dir") / f"{tpl.focal_object}.jsonl"
         inputs = [cfg.path("inventory"), tpl_path]
         if cfg.sample_source == SOURCE_ORACLE:
-            if tpl.focal_object not in oracles_doc:
-                raise ConfigError(f"no oracle spec for object {tpl.focal_object!r}")
-            oracle = OracleSpec.from_dict(oracles_doc[tpl.focal_object])
             noise = replace(cfg.noise, seed=derive_seed(cfg.seed, f"sample:{tpl.focal_object}"))
-            batch = simulate_oracle(tpl, oracle, cfg.sample_n, noise)
+            with _naming(cfg.path("oracles")):
+                if tpl.focal_object not in oracles_doc:
+                    raise ConfigError(f"no oracle spec for object {tpl.focal_object!r}")
+                oracle = OracleSpec.from_dict(oracles_doc[tpl.focal_object])
+                batch = simulate_oracle(tpl, oracle, cfg.sample_n, noise)
             inputs.append(cfg.path("oracles"))
             lines = None
         else:
             if cfg.sample_source == SOURCE_FILE:
-                with _open_text(out, "sample source 'file' expects an existing file") as handle:
+                with _open_text(out, "sample source 'file' expects an existing file") as handle, _naming(out):
                     report = ingest_samples(handle, tpl, strict=cfg.strict)
                 rejection_inputs = [*inputs, out]  # hashed before the accepted lines replace it
             else:
@@ -441,7 +454,7 @@ def stage_aggregate(cfg: PipelineConfig) -> list[Path]:
         if obj not in by_object:
             raise ConfigError(f"samples file {sample_path} has no matching template")
         tpl_path, tpl = by_object[obj]
-        with _open_text(sample_path) as handle:
+        with _open_text(sample_path) as handle, _naming(sample_path):
             report = ingest_samples(handle, tpl, strict=True)
         wm = aggregate(report.batch)
         out = cfg.path("world_models_dir") / f"{obj}.json"
@@ -453,19 +466,14 @@ def stage_aggregate(cfg: PipelineConfig) -> list[Path]:
 def stage_extract(cfg: PipelineConfig) -> list[Path]:
     inv = _load_inventory(cfg)
     paths = _artifact_files(cfg.path("world_models_dir"), "world models", "aggregate")
-    models = []
-    for path in paths:
-        try:
-            models.append(world_model_from_dict(_read_json(path, "world_model")))
-        except SampleValidationError as exc:
-            raise SampleValidationError(f"{path}: {exc}") from exc
+    models = [_read_json(path, "world_model", world_model_from_dict) for path in paths]
     rule_set = extract_rules(models, inv, cfg.extraction)
     inputs = [cfg.path("inventory"), *paths]
     return [_write_json(cfg.path("rules"), rule_set_to_dict(rule_set), cfg, "extract", inputs, "rules")]
 
 
 def stage_map(cfg: PipelineConfig) -> list[Path]:
-    rule_set = rule_set_from_dict(_read_json(cfg.path("rules"), "rules"))
+    rule_set = _read_json(cfg.path("rules"), "rules", rule_set_from_dict)
     draft = _read_procedure(cfg, "draft_procedure")
     mapping = map_rules_to_constraints(draft, list(rule_set.causal_rules))
     doc = constraints_to_dict(list(mapping.constraints), [])
@@ -476,12 +484,10 @@ def stage_map(cfg: PipelineConfig) -> list[Path]:
 
 
 def _repair(cfg: PipelineConfig, draft: Procedure, constraints, clusters, weights: RepairWeights, seed: int):
-    """``repair`` under the configured search; a constraint naming no draft step fails naming its file."""
-    try:
+    """``repair`` under the configured search; a bad constraint fails naming its file."""
+    with _naming(cfg.path("constraints")):
         return repair(draft, constraints, clusters, weights=weights, search=cfg.search, seed=seed,
                       raw_mode=cfg.raw_penalty)
-    except DanglingReferenceError as exc:
-        raise DanglingReferenceError(f"{cfg.path('constraints')}: {exc}") from exc
 
 
 def stage_repair(cfg: PipelineConfig) -> list[Path]:
@@ -496,11 +502,12 @@ def stage_repair(cfg: PipelineConfig) -> list[Path]:
 
 def stage_evaluate(cfg: PipelineConfig) -> list[Path]:
     truth = _read_procedure(cfg, "truth_procedure")
-    draft = _read_procedure(cfg, "draft_procedure")
-    repaired = _read_procedure(cfg, "repaired_procedure")
+    draft = _read_procedure(cfg, "draft_procedure", truth)
+    repaired = _read_procedure(cfg, "repaired_procedure", truth)
     constraints, _ = _read_constraints(cfg)
     pairs = [(c.predecessor, c.successor) for c in constraints]
-    draft_report, repaired_report = evaluate(draft.step_ids, repaired.step_ids, truth.step_ids, pairs)
+    with _naming(cfg.path("constraints")):  # the orders are checked: only a constraint's step ids can fail
+        draft_report, repaired_report = evaluate(draft.step_ids, repaired.step_ids, truth.step_ids, pairs)
     rows = {"draft": draft_report, "repaired": repaired_report}
     inputs = [cfg.path(key) for key in ("truth_procedure", "draft_procedure", "repaired_procedure", "constraints")]
     doc = {label: report.to_dict() for label, report in rows.items()}
@@ -514,7 +521,8 @@ def stage_perturb(cfg: PipelineConfig) -> list[Path]:
     if cfg.perturbation is None:
         raise ConfigError("config has no [perturb] section")
     truth = _read_procedure(cfg, "truth_procedure")
-    draft, log = perturb(truth, cfg.perturbation, strict=cfg.strict)
+    with _naming(cfg.path("truth_procedure")):
+        draft, log = perturb(truth, cfg.perturbation, strict=cfg.strict)
     inputs = [cfg.path("truth_procedure")]
     return [
         _write_json(cfg.path("draft_procedure"), procedure_to_dict(draft), cfg, "perturb", inputs),
@@ -526,7 +534,7 @@ def stage_tune(cfg: PipelineConfig) -> list[Path]:
     if not cfg.tune_grid:
         raise ConfigError("config has no [tune.grid] section")
     truth = _read_procedure(cfg, "truth_procedure")
-    draft = _read_procedure(cfg, "draft_procedure")
+    draft = _read_procedure(cfg, "draft_procedure", truth)
     constraints, clusters = _read_constraints(cfg)
     pairs = [(c.predecessor, c.successor) for c in constraints]
     grid = _weight_grid(cfg)

@@ -14,7 +14,7 @@ import math
 import random
 from dataclasses import asdict, dataclass, field, fields
 
-from .errors import DanglingReferenceError, DuplicateIdError, PermutationError, ProcforgeError
+from .errors import DanglingReferenceError, DuplicateIdError, PermutationError, ProcforgeError, ValidationError
 from .metrics import RAW_BINARY, RAW_GAP
 from .rules import INITIAL_STATE, CausalRule
 from .templates import BoundAction, bound_action_from_parts
@@ -64,7 +64,7 @@ class PrecedenceConstraint:
 
     def __post_init__(self):
         if self.predecessor == self.successor:
-            raise ProcforgeError("constraint predecessor and successor must differ")
+            raise ValidationError("constraint predecessor and successor must differ")
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,7 @@ class ClusterConstraint:
 
     def __post_init__(self):
         if self.earlier == self.later:
-            raise ProcforgeError("cluster constraint labels must differ")
+            raise ValidationError("cluster constraint labels must differ")
 
 
 @dataclass(frozen=True)
@@ -505,29 +505,23 @@ def _best_move(inst: _Instance, perm: list[int]):
 
     Moves within 1e-12 of the running best tie; ties break toward minimum
     displacement from the draft, then the lexicographically smallest
-    moved permutation, then the smallest (i, j).  Rows are compared in
-    the order i = 0…n−1, but not every half-row is swept.  One call of
-    :func:`_scan` prepares the scan.  It first sweeps the probe, the
-    half-row with the smallest bound; its minimum is a real move's delta,
-    so the scan's best lies at or below it.  Every row, row 0 included, then
-    sweeps only the half-rows whose bound is within a margin of the
-    limit, the smaller of the probe's minimum and the running best; the
-    other entries stay inf, and a row whose minimum lies above the tie
-    band is passed over without a Python pass over its entries.
+    moved permutation, then the smallest (i, j).  One call of
+    :func:`_scan` prepares the scan and bounds each half-row.  The
+    half-rows are swept in ascending bound order until a bound lies more
+    than a margin above the smallest move swept so far; the rest are
+    skipped, and their entries stay inf.  The swept rows are then
+    compared in the order i = 0…n−1, and a row whose minimum lies above
+    the tie band is passed over without a Python pass over its entries.
 
     Why this is exact: the margin, 1e-9 times the largest of 1 and the
-    weights, covers the rounding of bound and sweep, so a skipped move
-    lies more than the margin above a move the scan does sweep.  The
-    final best lies within 1e-12 of the scan's minimum and the tie band
+    weights, covers the rounding of bound and sweep, and every half-row
+    whose bound lies within the margin of the scan's minimum is swept.
+    The final best lies within 1e-12 of that minimum and the tie band
     within 2e-12, so a skipped move can neither set the final best nor
-    join the band.  Unlike a limit of the running best alone, the
-    probe's minimum also skips moves that a full scan would compare
-    while its running best was still higher, in rows before the probe's.
-    Such a move stops mattering once the scan compares a move within the
-    margin of the minimum that lies a tie band below every earlier move:
-    both scans then restart their ties from it.  The margin is a
-    thousand tie bands wide, so such a move exists unless about a
-    thousand distinct deltas crowd into it.
+    join the band.  It could only change the running best before the
+    final one, and that change lasts to the end of the scan only if
+    about a thousand distinct deltas crowd into the margin, each less
+    than a tie band below the last.
     """
     n = inst.n
     if n < 2:
@@ -537,25 +531,19 @@ def _best_move(inst: _Instance, perm: list[int]):
     right_floor, left_floor, sweep = _scan(inst, perm)
     inf = float("inf")
     floors = right_floor + left_floor  # the right half-rows, then the left ones
-    k = floors.index(min(floors))
-    probe_i, probe_right = k % n, k < n
-    probe = [inf] * n
-    sweep(probe_i, probe_right, not probe_right, probe)
-    cap = limit = min(probe) + slack
+    rows: dict[int, list[float]] = {}
+    stop = inf
+    for k in sorted(range(2 * n), key=floors.__getitem__):
+        if floors[k] > stop:
+            break
+        i = k % n
+        row = rows.setdefault(i, [inf] * n)
+        sweep(i, k < n, k >= n, row)
+        stop = min(stop, min(row) + slack)
     best_delta = None
     ties: list[tuple[int, int]] = []
-    for i in range(n):
-        right = right_floor[i] <= limit
-        left = left_floor[i] <= limit
-        if i == probe_i:
-            row = probe
-            if left if probe_right else right:  # the probe's other half
-                sweep(i, not probe_right, probe_right, row)
-        elif right or left:
-            row = [inf] * n
-            sweep(i, right, left, row)
-        else:
-            continue
+    for i in sorted(rows):
+        row = rows[i]
         if best_delta is not None and min(row) > best_delta + 1e-12:
             continue
         for j, d_total in enumerate(row):
@@ -566,7 +554,6 @@ def _best_move(inst: _Instance, perm: list[int]):
                 ties = [(i, j)]
             elif d_total <= best_delta + 1e-12:
                 ties.append((i, j))
-        limit = min(cap, best_delta + slack)
 
     def rank(move):
         moved = _reinsert(perm, *move)
@@ -583,9 +570,9 @@ def _descend(
     adjacent swaps), tolerating equal-cost moves for a bounded number of
     stale iterations.  Ties break as in :func:`_best_move`, which scans a
     permutation: :func:`_scan` prepares it and its half-row bounds once,
-    then it sweeps the probe and only the half-rows that could hold the
-    best move or a tie with it, about 6% of them on the benchmark's
-    ``all`` + ``tune``.
+    then it sweeps, lowest bound first, only the half-rows that could
+    hold the best move or a tie with it, about 4.5% of them on the
+    benchmark's ``all`` + ``tune``.
 
     ``moves`` maps each permutation already scanned to its best move, and
     is shared by every descent of one :func:`repair` call: the move

@@ -15,6 +15,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
 from operator import attrgetter
 
+from .errors import ValidationError
 from .inventory import DomainInventory
 from .world_model import WorldModel, WorldModelEntry
 
@@ -430,7 +431,10 @@ def rule_set_to_dict(rules: RuleSet) -> dict:
 
 
 def rule_set_from_dict(doc: dict) -> RuleSet:
-    cfg = ExtractionConfig(**doc["config"])
+    try:
+        cfg = ExtractionConfig(**doc["config"])
+    except ValueError as exc:
+        raise ValidationError(f"invalid extraction config: {exc}") from exc
     preconditions = tuple(Precondition(**p) for p in doc["preconditions"])
     rules = tuple(
         CausalRule(

@@ -724,6 +724,86 @@ def test_cli_bad_procedure_reference_is_validation_error(workdir, capsys, name, 
     assert f"{path}: {message}" in err
 
 
+def _editing(edit):
+    """A corruption that applies ``edit(doc, workdir)`` to a JSON file."""
+
+    def corrupt(path, workdir):
+        doc = read_json(path)
+        edit(doc, workdir)
+        path.write_text(json.dumps(doc))
+
+    return corrupt
+
+
+def _truncate(path, workdir):
+    text = path.read_text()
+    path.write_text(text[: len(text) // 2])
+
+
+def _self_precedence(doc, workdir):
+    doc["raw"][0]["successor"] = doc["raw"][0]["predecessor"]
+
+
+def _drop_an_unconstrained_step(doc, workdir):
+    constraints = read_json(workdir / "out/constraints.json")["raw"]
+    named = {c["predecessor"] for c in constraints} | {c["successor"] for c in constraints}
+    doc["steps"].remove(next(step for step in doc["steps"] if step["id"] not in named))
+
+
+def _extraction_config(key, value):
+    return _editing(lambda doc, workdir: doc["config"].update({key: value}))
+
+
+ALL = ["all"]
+SAMPLED = ["template", "sample"]
+BAD_INPUTS = {
+    # (file, corruption, stages run before it, the stage's argv)
+    "self-precedence-at-repair": ("out/constraints.json", _editing(_self_precedence), ALL, ["repair"]),
+    "self-precedence-at-evaluate": ("out/constraints.json", _editing(_self_precedence), ALL, ["evaluate"]),
+    "equal-cluster-labels-at-tune": (
+        "out/constraints.json", _editing(lambda doc, w: doc["cluster"].append({"earlier": "x", "later": "x"})),
+        ALL, ["tune"],
+    ),
+    "rules-gamma-at-map": ("out/rules.json", _extraction_config("gamma", 0.4), ALL, ["map"]),
+    "rules-thetas-at-map": ("out/rules.json", _extraction_config("theta_hi", 0.1), ALL, ["map"]),
+    "rules-min-valid-weight-at-map": ("out/rules.json", _extraction_config("min_valid_weight", 0), ALL, ["map"]),
+    "one-step-truth-at-perturb": (
+        "truth_procedure.json", _editing(lambda doc, w: doc.update(steps=doc["steps"][:1])), [], ["perturb"],
+    ),
+    "strict-inapplicable-kind-at-perturb": (
+        "truth_procedure.json", _editing(lambda doc, w: doc.update(steps=doc["steps"][:2])), [], ["perturb", "--strict"],
+    ),
+    "truncated-samples-at-aggregate": ("out/samples/spoon.jsonl", _truncate, SAMPLED, ["aggregate"]),
+    "truncated-samples-at-file-source": (
+        "out/samples/spoon.jsonl", _truncate, SAMPLED, ["sample", "--source", "file", "--strict"],
+    ),
+    "unknown-step-at-evaluate": (
+        "out/constraints.json", _editing(lambda doc, w: doc["raw"][0].update(predecessor="s99")), ALL, ["evaluate"],
+    ),
+    "not-a-permutation-at-evaluate": (
+        "out/repaired.json", _editing(lambda doc, w: doc["steps"].pop()), ALL, ["evaluate"],
+    ),
+    "not-a-permutation-at-tune": ("out/draft.json", _editing(_drop_an_unconstrained_step), ALL, ["tune"]),
+    "oracle-coverage-at-sample": (
+        "oracles.json", _editing(lambda doc, w: doc["spoon"].popitem()), ["template"], ["sample"],
+    ),
+}
+
+
+@pytest.mark.parametrize("name, corrupt, earlier, argv", BAD_INPUTS.values(), ids=BAD_INPUTS)
+def test_cli_bad_input_is_validation_error_naming_its_file_once(workdir, capsys, name, corrupt, earlier, argv):
+    config = str(workdir / "config.toml")
+    for stage in earlier:
+        assert cli_main([stage, "--config", config]) == 0
+    path = workdir / name
+    corrupt(path, workdir)
+    capsys.readouterr()
+    assert cli_main([*argv, "--config", config]) == 1
+    err = capsys.readouterr().err
+    assert "validation error" in err
+    assert err.count(str(path)) == 1
+
+
 @pytest.mark.parametrize("flags", [["--n", "0"], ["--n", "-3"]])
 def test_cli_bad_sample_flag_is_config_error(workdir, capsys, flags):
     code = cli_main(["template", "--config", str(workdir / "config.toml"), *flags])

@@ -614,6 +614,42 @@ def test_pruned_repair_matches_reference_descent_at_benchmark_scale(monkeypatch,
     assert min(yielded) < n
 
 
+@pytest.mark.parametrize(
+    "n, mode, seed", [(30, RAW_GAP, 1), (40, RAW_BINARY, 2), (60, RAW_GAP, 3)], ids=["30-gap", "40-binary", "60-gap"]
+)
+def test_scan_sweeps_half_rows_in_bound_order_through_the_margin(monkeypatch, n, mode, seed):
+    """Each scan sweeps its half-rows lowest bound first, and sweeps every
+    half-row whose bound lies within the margin of the scan's minimum."""
+    draft, constraints, clusters, weights = scale_instance(random.Random(seed), n)
+    scans = []  # per scan: perm, its half-row bounds, and the half-rows swept as (i, right) in order
+    kernel = repair_module._scan
+
+    def recorded(inst, perm):
+        right_floor, left_floor, sweep = kernel(inst, perm)
+        swept = []
+        scans.append((list(perm), right_floor, left_floor, swept))
+
+        def recorded_sweep(i, right, left, d_total):
+            swept.extend([(i, True)] * right + [(i, False)] * left)
+            sweep(i, right, left, d_total)
+
+        return right_floor, left_floor, recorded_sweep
+
+    monkeypatch.setattr(repair_module, "_scan", recorded)
+    search = SearchParams(restarts=2, max_stale_iters=2)
+    repair(draft, constraints, clusters, weights=weights, search=search, seed=seed, raw_mode=mode)
+    monkeypatch.undo()
+    inst = _Instance(draft, constraints, clusters, weights, mode)
+    margin = 1e-9 * max(1.0, weights.lambda_pos, weights.lambda_edge, weights.lambda_cluster, weights.lambda_raw)
+    for perm, right_floor, left_floor, swept in scans:
+        bound = {(i, right): (right_floor if right else left_floor)[i] for i in range(n) for right in (True, False)}
+        order = [bound[half] for half in swept]
+        assert order == sorted(order)
+        assert len(set(swept)) == len(swept)
+        minimum = min(min(d_total) for _, d_total in full_rows(inst, perm))
+        assert {half for half, b in bound.items() if b <= minimum + margin} <= set(swept)
+
+
 # ── brute force ───────────────────────────────────────────────────────────
 
 
