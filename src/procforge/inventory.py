@@ -176,14 +176,23 @@ def _parse_states(raw: list[dict], prefix: str, path: str) -> tuple[StateVariabl
     return states
 
 
-def _parse_actions(raw: list[dict], prefix: str) -> tuple[ActionDef, ...]:
-    return tuple(
+def _parse_actions(raw: list[dict], prefix: str, path: str) -> tuple[ActionDef, ...]:
+    actions = tuple(
         ActionDef(
             id=f"{prefix}.{item['id']}",
-            params=tuple((p["name"], tuple(p["domain"])) for p in item.get("params", [])),
+            params=tuple(
+                (p["name"], _parse_domain(p["domain"], f"{path}[{i}].params[{k}].domain"))
+                for k, p in enumerate(item.get("params", []))
+            ),
         )
-        for item in raw
+        for i, item in enumerate(raw)
     )
+    if len({a.id for a in actions}) != len(actions):
+        raise DuplicateIdError(f"{path}: duplicate action ids in {prefix!r}")
+    for i, action in enumerate(actions):
+        if len(dict(action.params)) != len(action.params):
+            raise DuplicateIdError(f"{path}[{i}].params: duplicate parameter names in {action.id!r}")
+    return actions
 
 
 def _parse_object(item: dict, path: str) -> LabObject:
@@ -192,7 +201,7 @@ def _parse_object(item: dict, path: str) -> LabObject:
     for i, citem in enumerate(item.get("components", [])):
         prefix = f"{obj_id}.{citem['id']}"
         states = _parse_states(citem.get("states", []), prefix, f"{path}.components[{i}].states")
-        actions = _parse_actions(citem.get("actions", []), prefix)
+        actions = _parse_actions(citem.get("actions", []), prefix, f"{path}.components[{i}].actions")
         components.append(Component(id=citem["id"], kind=citem["kind"], states=states, actions=actions))
     if len({c.id for c in components}) != len(components):
         raise DuplicateIdError(f"{path}: duplicate component ids in object {obj_id!r}")
@@ -201,7 +210,7 @@ def _parse_object(item: dict, path: str) -> LabObject:
         category=item["category"],
         components=tuple(components),
         states=_parse_states(item.get("states", []), obj_id, f"{path}.states"),
-        actions=_parse_actions(item.get("actions", []), obj_id),
+        actions=_parse_actions(item.get("actions", []), obj_id, f"{path}.actions"),
         initial_state=dict(item.get("initial_state", {})),
     )
 

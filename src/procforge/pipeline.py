@@ -387,8 +387,16 @@ def _load_inventory(cfg: PipelineConfig) -> DomainInventory:
 
 
 def _load_template_files(cfg: PipelineConfig):
-    paths = _artifact_files(cfg.path("templates_dir"), "templates", "template")
-    return [(path, _read_json(path, "template", template_from_dict)) for path in paths]
+    """Every ``(path, template)`` under the templates directory; the
+    stages key templates by focal object, so each file must be named
+    ``<focal_object>.json``."""
+    templates = []
+    for path in _artifact_files(cfg.path("templates_dir"), "templates", "template"):
+        tpl = _read_json(path, "template", template_from_dict)
+        if path.name != f"{tpl.focal_object}.json":
+            raise ConfigError(f"{path}: a template for {tpl.focal_object!r} must be named {tpl.focal_object}.json")
+        templates.append((path, tpl))
+    return templates
 
 
 # ── stages ────────────────────────────────────────────────────────────────
@@ -411,6 +419,9 @@ def stage_sample(cfg: PipelineConfig) -> list[Path]:
             raise ConfigError(f"[sample] objects with no template: {', '.join(map(repr, unknown))}")
         templates = [(path, tpl) for path, tpl in templates if tpl.focal_object in cfg.sample_objects]
     if cfg.sample_source == SOURCE_ORACLE:
+        for tpl_path, tpl in templates:
+            if not tpl.actions:  # a template may have none, but the oracle would have nothing to draw
+                raise ConfigError(f"{tpl_path}: template has no actions to sample")
         oracles_doc = _read_json(cfg.path("oracles"), "oracles")
     outputs = []
     for tpl_path, tpl in templates:

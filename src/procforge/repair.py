@@ -503,25 +503,20 @@ def _best_move(inst: _Instance, perm: list[int]):
     """The steepest reinsertion from perm as ``(delta, i, j)``, or None
     when perm has fewer than two steps.
 
-    Moves within 1e-12 of the running best tie; ties break toward minimum
-    displacement from the draft, then the lexicographically smallest
-    moved permutation, then the smallest (i, j).  One call of
+    ``delta`` is the smallest change of the total cost, and every move
+    within 1e-12 of it ties.  Ties break toward minimum displacement from
+    the draft, then the lexicographically smallest moved permutation,
+    then the smallest (i, j), so the move depends only on the set of
+    moves, not on the order in which they are compared.  One call of
     :func:`_scan` prepares the scan and bounds each half-row.  The
     half-rows are swept in ascending bound order until a bound lies more
     than a margin above the smallest move swept so far; the rest are
-    skipped, and their entries stay inf.  The swept rows are then
-    compared in the order i = 0…n−1, and a row whose minimum lies above
-    the tie band is passed over without a Python pass over its entries.
+    skipped.
 
     Why this is exact: the margin, 1e-9 times the largest of 1 and the
-    weights, covers the rounding of bound and sweep, and every half-row
-    whose bound lies within the margin of the scan's minimum is swept.
-    The final best lies within 1e-12 of that minimum and the tie band
-    within 2e-12, so a skipped move can neither set the final best nor
-    join the band.  It could only change the running best before the
-    final one, and that change lasts to the end of the scan only if
-    about a thousand distinct deltas crowd into the margin, each less
-    than a tie band below the last.
+    weights, covers the rounding of bound and sweep, so every half-row
+    whose bound lies within the margin of the scan's minimum is swept,
+    and with it every move of the tie band.
     """
     n = inst.n
     if n < 2:
@@ -529,31 +524,18 @@ def _best_move(inst: _Instance, perm: list[int]):
     w = inst.weights
     slack = 1e-9 * max(1.0, w.lambda_pos, w.lambda_edge, w.lambda_cluster, w.lambda_raw)
     right_floor, left_floor, sweep = _scan(inst, perm)
-    inf = float("inf")
     floors = right_floor + left_floor  # the right half-rows, then the left ones
-    rows: dict[int, list[float]] = {}
-    stop = inf
+    swept: list[tuple[int, list[float]]] = []
+    best_delta = float("inf")
     for k in sorted(range(2 * n), key=floors.__getitem__):
-        if floors[k] > stop:
+        if floors[k] > best_delta + slack:
             break
         i = k % n
-        row = rows.setdefault(i, [inf] * n)
+        row = [float("inf")] * n
         sweep(i, k < n, k >= n, row)
-        stop = min(stop, min(row) + slack)
-    best_delta = None
-    ties: list[tuple[int, int]] = []
-    for i in sorted(rows):
-        row = rows[i]
-        if best_delta is not None and min(row) > best_delta + 1e-12:
-            continue
-        for j, d_total in enumerate(row):
-            if j == i:
-                continue
-            if best_delta is None or d_total < best_delta - 1e-12:
-                best_delta = d_total
-                ties = [(i, j)]
-            elif d_total <= best_delta + 1e-12:
-                ties.append((i, j))
+        swept.append((i, row))
+        best_delta = min(best_delta, min(row))
+    ties = [(i, j) for i, row in swept for j, d_total in enumerate(row) if d_total <= best_delta + 1e-12]
 
     def rank(move):
         moved = _reinsert(perm, *move)
@@ -568,26 +550,26 @@ def _descend(
 ):
     """Steepest descent over single-step reinsertions (which subsume all
     adjacent swaps), tolerating equal-cost moves for a bounded number of
-    stale iterations.  Ties break as in :func:`_best_move`, which scans a
-    permutation: :func:`_scan` prepares it and its half-row bounds once,
-    then it sweeps, lowest bound first, only the half-rows that could
-    hold the best move or a tie with it, about 4.5% of them on the
-    benchmark's ``all`` + ``tune``.
+    stale iterations.  Returns ``(best, iterations)``: best is the
+    permutation reached by the last move whose delta lies below -1e-12,
+    or start when none does.  Each move comes from :func:`_best_move`,
+    which scans a permutation: :func:`_scan` prepares it and its half-row
+    bounds once, then it sweeps, lowest bound first, only the half-rows
+    that could hold the best move or a tie with it, about 4.5% of them on
+    the benchmark's ``all`` + ``tune``.
 
     ``moves`` maps each permutation already scanned to its best move, and
     is shared by every descent of one :func:`repair` call: the move
     depends only on the permutation, so a plateau walk that returns to a
     permutation, or a restart that reaches one an earlier restart
-    scanned, costs O(n + m) for the reinsertion and its cost, not a scan.
+    scanned, costs O(n) for the reinsertion, not a scan.  The scan's
+    deltas alone decide the walk; no cost is recomputed.
     """
-    n = inst.n
     current = list(start)
-    current_cost = inst.cost(current).total
-    best = list(current)
-    best_cost = current_cost
+    best = current
     stale = 0
     iterations = 0
-    max_iterations = 200 * max(n, 1)
+    max_iterations = 200 * max(inst.n, 1)
     while iterations < max_iterations:
         iterations += 1
         key = tuple(current)
@@ -605,11 +587,9 @@ def _descend(
         else:
             break
         current = _reinsert(current, i, j)
-        current_cost = inst.cost(current).total
-        if current_cost < best_cost - 1e-12:
-            best = list(current)
-            best_cost = current_cost
-    return best, best_cost, iterations
+        if best_delta < -1e-12:
+            best = current
+    return best, iterations
 
 
 def repair(
@@ -626,8 +606,9 @@ def repair(
     The first restart begins at the draft, so the result never costs more
     than the draft does; later restarts begin at seeded shuffles.  All
     restarts share one move table, so each distinct permutation the call
-    visits is scanned once; a revisit costs O(n + m).  The table lives
-    only for the call.  Contradictory constraints are not an error:
+    visits is scanned once; a revisit costs O(n) for the reinsertion.
+    Each descent's result is costed once, to compare the restarts.  The
+    table lives only for the call.  Contradictory constraints are not an error:
     violations are soft penalties and the search simply minimizes them.
     Deterministic given the seed.
     """
@@ -644,8 +625,9 @@ def repair(
             rng = random.Random(derive_seed(seed, f"restart:{r}"))
             start = list(draft_perm)
             rng.shuffle(start)
-        perm, cost, iters = _descend(inst, start, search.max_stale_iters, moves)
+        perm, iters = _descend(inst, start, search.max_stale_iters, moves)
         total_iterations += iters
+        cost = inst.cost(perm).total
         if best_cost is None or cost < best_cost - 1e-12:
             best_perm, best_cost = perm, cost
     order = tuple(inst.ids[i] for i in best_perm)

@@ -12,7 +12,13 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import DomainResolutionError, SampleValidationError, StateSpaceLimitError, UnknownObjectError
+from .errors import (
+    DomainResolutionError,
+    DuplicateIdError,
+    SampleValidationError,
+    StateSpaceLimitError,
+    UnknownObjectError,
+)
 from .inventory import DomainInventory, Interaction, LabObject, StateVariable
 
 ORIGIN_OWN = "own"
@@ -241,17 +247,37 @@ def template_to_dict(tpl: MdpTemplate) -> dict:
     }
 
 
+def _distinct(values, what: str) -> tuple:
+    """``values`` as a tuple; a repeated value raises :class:`DuplicateIdError`."""
+    values = tuple(values)
+    if len(set(values)) != len(values):
+        raise DuplicateIdError(f"duplicate {what} in template: {list(values)}")
+    return values
+
+
 def template_from_dict(doc: dict) -> MdpTemplate:
+    """The template of a document that fits its schema; a repeated variable
+    id, action id, parameter name or domain value raises
+    :class:`DuplicateIdError`."""
     variables = tuple(
-        TemplateVariable(id=v["id"], domain=tuple(v["domain"]), origin=v["origin"])
+        TemplateVariable(
+            id=v["id"], domain=_distinct(v["domain"], f"domain values of {v['id']}"), origin=v["origin"]
+        )
         for v in doc["variables"]
     )
+    _distinct((v.id for v in variables), "variable ids")
     actions = tuple(
         TemplateAction(
             id=a["id"],
-            params=tuple((p["name"], tuple(p["domain"])) for p in a.get("params", [])),
+            params=tuple(
+                (p["name"], _distinct(p["domain"], f"domain values of {a['id']}({p['name']})"))
+                for p in a.get("params", [])
+            ),
             kind=a["kind"],
         )
         for a in doc["actions"]
     )
+    _distinct((a.id for a in actions), "action ids")
+    for a in actions:
+        _distinct((name for name, _ in a.params), f"parameter names of {a.id}")
     return MdpTemplate(focal_object=doc["focal_object"], variables=variables, actions=actions)

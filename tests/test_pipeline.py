@@ -754,8 +754,27 @@ def _extraction_config(key, value):
     return _editing(lambda doc, workdir: doc["config"].update({key: value}))
 
 
+def _repeating(select):
+    """A corruption that repeats the first item of the list ``select(doc)`` in a JSON file."""
+    return _editing(lambda doc, workdir: select(doc).append(select(doc)[0]))
+
+
+def _scale_power_button(inventory):
+    scale = next(obj for obj in inventory["objects"] if obj["id"] == "electronic_scale")
+    return next(comp for comp in scale["components"] if comp["id"] == "power_button")
+
+
+def _copy_of(name):
+    """A corruption that writes a copy of the file ``name`` to the path."""
+    return lambda path, workdir: shutil.copy(workdir / name, path)
+
+
 ALL = ["all"]
 SAMPLED = ["template", "sample"]
+SPOON = "out/templates/spoon.json"
+REPEAT_VARIABLE = _repeating(lambda doc: doc["variables"])
+REPEAT_DOMAIN_VALUE = _repeating(lambda doc: doc["variables"][0]["domain"])
+REPEAT_ACTION = _repeating(lambda doc: doc["actions"])
 BAD_INPUTS = {
     # (file, corruption, stages run before it, the stage's argv)
     "self-precedence-at-repair": ("out/constraints.json", _editing(_self_precedence), ALL, ["repair"]),
@@ -786,6 +805,34 @@ BAD_INPUTS = {
     "not-a-permutation-at-tune": ("out/draft.json", _editing(_drop_an_unconstrained_step), ALL, ["tune"]),
     "oracle-coverage-at-sample": (
         "oracles.json", _editing(lambda doc, w: doc["spoon"].popitem()), ["template"], ["sample"],
+    ),
+    "no-actions-at-sample": (SPOON, _editing(lambda doc, w: doc.update(actions=[])), ["template"], ["sample"]),
+    "repeated-variable-at-sample": (SPOON, REPEAT_VARIABLE, ["template"], ["sample"]),
+    "repeated-variable-at-aggregate": (SPOON, REPEAT_VARIABLE, SAMPLED, ["aggregate"]),
+    "repeated-domain-value-at-sample": (SPOON, REPEAT_DOMAIN_VALUE, ["template"], ["sample"]),
+    "repeated-domain-value-at-aggregate": (SPOON, REPEAT_DOMAIN_VALUE, SAMPLED, ["aggregate"]),
+    "repeated-action-at-sample": (SPOON, REPEAT_ACTION, ["template"], ["sample"]),
+    "repeated-action-at-aggregate": (SPOON, REPEAT_ACTION, SAMPLED, ["aggregate"]),
+    "world-model-repeated-variable-at-extract": (
+        "out/world_models/spoon.json", _repeating(lambda doc: doc["template"]["variables"]),
+        [*SAMPLED, "aggregate"], ["extract"],
+    ),
+    "inventory-repeated-action-at-template": (
+        "inventory.json", _repeating(lambda doc: _scale_power_button(doc)["actions"]), [], ["template"],
+    ),
+    "inventory-repeated-parameter-at-template": (
+        "inventory.json", _repeating(lambda doc: _scale_power_button(doc)["actions"][0]["params"]),
+        [], ["template"],
+    ),
+    "repeated-parameter-at-sample": (
+        "out/templates/electronic_scale.json",
+        _repeating(lambda doc: next(a["params"] for a in doc["actions"] if a["params"])),
+        ["template"], ["sample"],
+    ),
+    "template-copy-at-sample": ("out/templates/zz_spoon_copy.json", _copy_of(SPOON), ["template"], ["sample"]),
+    "template-copy-at-aggregate": ("out/templates/zz_spoon_copy.json", _copy_of(SPOON), SAMPLED, ["aggregate"]),
+    "template-of-another-object-at-sample": (
+        SPOON, _editing(lambda doc, w: doc.update(focal_object="fork")), ["template"], ["sample"],
     ),
 }
 

@@ -422,25 +422,20 @@ def test_half_row_bounds_lie_below_every_move_of_the_half_row(case):
 
 
 def reference_best_move(inst, perm):
-    """The best move without row skipping: every entry of every row is
-    compared in row order, and ties keep the minimum displacement change
+    """The best move without row skipping: every move within 1e-12 of the
+    full-row minimum ties, and ties keep the minimum displacement change
     first, then the lexicographically smallest moved permutation, then the
     first (i, j)."""
-    best_delta = None
-    ties = []  # (d_pos, i, j)
-    for i, row_total in full_rows(inst, perm):
-        for j in range(inst.n):
-            if j == i:
-                continue
-            d_pos = inst.displacement(_reinsert(perm, i, j)) - inst.displacement(perm)
-            d_total = row_total[j]
-            if best_delta is None or d_total < best_delta - 1e-12:
-                best_delta = d_total
-                ties = [(d_pos, i, j)]
-            elif d_total <= best_delta + 1e-12:
-                ties.append((d_pos, i, j))
-    if best_delta is None:
+    if inst.n < 2:
         return None
+    rows = list(full_rows(inst, perm))
+    best_delta = min(min(row_total) for _, row_total in rows)
+    ties = [
+        (inst.displacement(_reinsert(perm, i, j)) - inst.displacement(perm), i, j)
+        for i, row_total in rows
+        for j in range(inst.n)
+        if j != i and row_total[j] <= best_delta + 1e-12
+    ]
     min_disp = min(t[0] for t in ties)
     finalists = [t for t in ties if t[0] == min_disp]
     _, i, j = min(finalists, key=lambda t: tuple(_reinsert(perm, t[1], t[2])))
@@ -454,6 +449,21 @@ def reference_best_move(inst, perm):
 # the probe, row 0 moving right, reaches -1; the best move, row 2 to 0, is -2
 @example(
     (_Instance(proc("a", "b", "c"), [PrecedenceConstraint("c", "b")], [], RepairWeights(1, 1, 0, 1), RAW_BINARY), [2, 1, 0])
+)
+# the minimum is (3, 0), and (0, 3) lies 6e-13 above it, so both tie; a
+# running tie rule in row order drops (0, 3), the better-ranked one, when
+# (3, 0) undercuts the band that row 0 opened
+@example(
+    (
+        _Instance(
+            proc("s0", "s1", "s2", "s3"),
+            [PrecedenceConstraint("s1", "s3"), PrecedenceConstraint("s3", "s0")],
+            [],
+            RepairWeights(1, 0, 0, 6e-13),
+            RAW_GAP,
+        ),
+        [2, 0, 3, 1],
+    )
 )
 def test_best_move_matches_full_row_reference(case):
     inst, perm = case
