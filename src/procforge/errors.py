@@ -80,4 +80,4 @@ class SequenceMismatchError(ValidationError):
 
 
 class ConfigError(ValidationError):
-    """A pipeline configuration file is missing or invalid."""
+    """An input file (the config, an inventory or an artifact) is missing or malformed."""

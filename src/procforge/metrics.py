@@ -5,7 +5,7 @@ tau, displacement, and precedence-constraint slack.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import SequenceMismatchError
 
@@ -127,17 +127,7 @@ class MetricsReport:
         return f"{self.lcs}/{self.n}"
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "bigram_overlap": self.bigram_overlap,
-            "trigram_overlap": self.trigram_overlap,
-            "breakpoints": self.breakpoints,
-            "lcs": self.lcs,
-            "kendall_tau": self.kendall_tau,
-            "mean_displacement": self.mean_displacement,
-            "max_displacement": self.max_displacement,
-            "raw_slack": self.raw_slack,
-        }
+        return asdict(self)
 
 
 def sequence_report(cand: list, truth: list, constraints=()) -> MetricsReport:

@@ -9,7 +9,7 @@ cap actions, power-button settings, knob resets, transfer interactions).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .errors import ProcforgeError, ValidationError
 from .repair import Procedure, Step
@@ -38,6 +38,7 @@ class PerturbationSpec:
     seed: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "kinds", tuple(self.kinds))
         if type(self.n_misorderings) is not int:
             raise ValueError(f"n_misorderings must be an integer, got {self.n_misorderings!r}")
         if self.n_misorderings < 1:
@@ -55,7 +56,7 @@ class PerturbationLog:
     skipped: list[dict] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {"moves": self.moves, "skipped": self.skipped}
+        return asdict(self)
 
 
 def _is_open(step: Step) -> bool:

@@ -16,7 +16,7 @@ import json
 import os
 import tempfile
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 from typing import TextIO
 
@@ -97,10 +97,9 @@ class PipelineConfig:
         return self.paths[key]
 
 
-def _load_config_doc(path: Path) -> tuple[dict, str]:
-    text = _read_text(path, "config file not found")
-    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()  # the file's own bytes: UTF-8 round-trips
-    if path.suffix == ".toml":
+def _parse_config(text: str, suffix: str) -> dict:
+    """The config document in ``text``: TOML for a ``.toml`` file, else JSON."""
+    if suffix == ".toml":
         try:
             import tomllib  # Python 3.11+
         except ModuleNotFoundError:
@@ -109,13 +108,13 @@ def _load_config_doc(path: Path) -> tuple[dict, str]:
             except ModuleNotFoundError as exc:
                 raise ConfigError("TOML config needs Python 3.11+ or the tomli package") from exc
         try:
-            return tomllib.loads(text), digest
+            return tomllib.loads(text)
         except (tomllib.TOMLDecodeError, RecursionError) as exc:  # nesting deeper than the recursion limit
-            raise ConfigError(f"{path}: invalid TOML: {exc}") from exc
+            raise ConfigError(f"invalid TOML: {exc}") from exc
     try:
-        return json.loads(text), digest
+        return json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
-        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+        raise ConfigError(f"invalid JSON: {exc}") from exc
 
 
 def _config_table(table: object, where: str, allowed) -> dict:
@@ -133,6 +132,23 @@ def _config_table(table: object, where: str, allowed) -> dict:
     return table
 
 
+def _table(cls, table: object, where: str, **fixed):
+    """A ``cls`` built from config table ``[where]`` and the ``fixed`` fields.
+
+    The table's keys are ``cls``'s other fields; each one without a
+    default must be there.
+    """
+    own = [f for f in fields(cls) if f.name not in fixed]
+    _config_table(table, where, [f.name for f in own])
+    for f in own:
+        if f.name not in table and f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"missing config key '{where}.{f.name}'")
+    try:
+        return cls(**table, **fixed)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid config value: {exc}") from exc
+
+
 def _is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
@@ -142,71 +158,57 @@ def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConf
 
     ``overrides`` (``seed``, ``n``, ``source``, ``strict``) take precedence
     over the file where they are not None, and are checked the same way.
+    Every error names the file once.
     """
     path = Path(path)
-    doc, digest = _load_config_doc(path)
-    # [extraction], [repair.weights], [repair.search] and [endpoint] are
-    # checked by the dataclasses they are passed to.
-    _config_table(doc, "", ("seed", "paths", "sample", "extraction", "repair", "perturb", "tune", "endpoint"))
-    overrides = {key: value for key, value in (overrides or {}).items() if value is not None}
-    seed = overrides.get("seed", doc.get("seed"))
-    if seed is None:
-        raise ConfigError("config must set a master seed")
-    if not _is_int(seed):
-        raise ConfigError(f"config seed must be an integer, got {seed!r}")
-    paths = dict(DEFAULT_PATHS)
-    paths.update(_config_table(doc.get("paths", {}), "paths", DEFAULT_PATHS))
+    text = _read_text(path, "config file not found")  # its errors name the file
+    with _naming(path):
+        doc = _parse_config(text, path.suffix)
+        _config_table(doc, "", ("seed", "paths", "sample", "extraction", "repair", "perturb", "tune", "endpoint"))
+        overrides = {key: value for key, value in (overrides or {}).items() if value is not None}
+        seed = overrides.get("seed", doc.get("seed"))
+        if seed is None:
+            raise ConfigError("config must set a master seed")
+        if not _is_int(seed):
+            raise ConfigError(f"config seed must be an integer, got {seed!r}")
+        paths = dict(DEFAULT_PATHS)
+        paths.update(_config_table(doc.get("paths", {}), "paths", DEFAULT_PATHS))
 
-    sample = _config_table(doc.get("sample", {}), "sample", ("n", "source", "objects", "noise"))
-    sample_n = overrides.get("n", sample.get("n", 250))
-    if not _is_int(sample_n) or sample_n < 1:
-        raise ConfigError(f"config key 'sample.n' must be an integer >= 1, got {sample_n!r}")
-    sample_source = overrides.get("source", sample.get("source", SOURCE_ORACLE))
-    if sample_source not in SOURCES:
-        raise ConfigError(f"unknown sample source {sample_source!r}")
-    sample_objects = sample.get("objects", [])
-    if not isinstance(sample_objects, list) or not all(isinstance(name, str) for name in sample_objects):
-        raise ConfigError(f"config key 'sample.objects' must be a list of strings, got {sample_objects!r}")
-    noise_doc = _config_table(sample.get("noise", {}), "sample.noise", ("reward_flip_rate", "effect_corrupt_rate"))
-    repair_doc = _config_table(doc.get("repair", {}), "repair", ("weights", "search", "raw_penalty"))
-    raw_penalty = repair_doc.get("raw_penalty", RAW_BINARY)
-    if raw_penalty not in (RAW_BINARY, RAW_GAP):
-        raise ConfigError(f"repair.raw_penalty must be 'binary' or 'gap', got {raw_penalty!r}")
-    perturb_doc = doc.get("perturb")
-    tune_doc = _config_table(doc.get("tune", {}), "tune", ("grid",))
-    tune_grid = _config_table(tune_doc.get("grid", {}), "tune.grid", [f.name for f in fields(RepairWeights)])
-    endpoint_doc = doc.get("endpoint")
-    try:
-        perturbation = None
-        if perturb_doc:
-            _config_table(perturb_doc, "perturb", ("n_misorderings", "kinds"))
-            perturbation = PerturbationSpec(
-                n_misorderings=perturb_doc["n_misorderings"],
-                kinds=tuple(perturb_doc["kinds"]),
-                seed=derive_seed(seed, "perturb"),
-            )
+        sample = _config_table(doc.get("sample", {}), "sample", ("n", "source", "objects", "noise"))
+        sample_n = overrides.get("n", sample.get("n", 250))
+        if not _is_int(sample_n) or sample_n < 1:
+            raise ConfigError(f"config key 'sample.n' must be an integer >= 1, got {sample_n!r}")
+        sample_source = overrides.get("source", sample.get("source", SOURCE_ORACLE))
+        if sample_source not in SOURCES:
+            raise ConfigError(f"unknown sample source {sample_source!r}")
+        sample_objects = sample.get("objects", [])
+        if not isinstance(sample_objects, list) or not all(isinstance(name, str) for name in sample_objects):
+            raise ConfigError(f"config key 'sample.objects' must be a list of strings, got {sample_objects!r}")
+        repair_doc = _config_table(doc.get("repair", {}), "repair", ("weights", "search", "raw_penalty"))
+        raw_penalty = repair_doc.get("raw_penalty", RAW_BINARY)
+        if raw_penalty not in (RAW_BINARY, RAW_GAP):
+            raise ConfigError(f"repair.raw_penalty must be 'binary' or 'gap', got {raw_penalty!r}")
+        tune_doc = _config_table(doc.get("tune", {}), "tune", ("grid",))
+        perturb_doc, endpoint_doc = doc.get("perturb"), doc.get("endpoint")
         cfg = PipelineConfig(
             paths={k: path.parent / v for k, v in paths.items()},
             seed=seed,
             sample_n=sample_n,
             sample_source=sample_source,
             sample_objects=sample_objects,
-            noise=NoiseSpec(**noise_doc),
-            extraction=ExtractionConfig(**doc.get("extraction", {})),
-            weights=RepairWeights(**repair_doc.get("weights", {})),
-            search=SearchParams(**repair_doc.get("search", {})),
+            noise=_table(NoiseSpec, sample.get("noise", {}), "sample.noise", seed=0),  # each object derives its own
+            extraction=_table(ExtractionConfig, doc.get("extraction", {}), "extraction"),
+            weights=_table(RepairWeights, repair_doc.get("weights", {}), "repair.weights"),
+            search=_table(SearchParams, repair_doc.get("search", {}), "repair.search"),
             raw_penalty=raw_penalty,
-            perturbation=perturbation,
-            tune_grid=tune_grid,
-            endpoint=EndpointConfig(**endpoint_doc) if endpoint_doc else None,
+            perturbation=(_table(PerturbationSpec, perturb_doc, "perturb", seed=derive_seed(seed, "perturb"))
+                          if perturb_doc else None),
+            tune_grid=_config_table(tune_doc.get("grid", {}), "tune.grid", [f.name for f in fields(RepairWeights)]),
+            endpoint=_table(EndpointConfig, endpoint_doc, "endpoint") if endpoint_doc else None,
             strict=bool(overrides.get("strict", False)),
-            config_hash=digest,
+            config_hash=hashlib.sha256(text.encode("utf-8")).hexdigest(),  # the file's own bytes: UTF-8 round-trips
         )
-    except KeyError as exc:  # [perturb] holds the only keys read without a default
-        raise ConfigError(f"missing config key 'perturb.{exc.args[0]}'") from exc
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid config value: {exc}") from exc
-    _check_tune_grid(cfg)
+        _check_tune_grid(cfg)
     return cfg
 
 
@@ -418,6 +420,8 @@ def stage_sample(cfg: PipelineConfig) -> list[Path]:
         if unknown:
             raise ConfigError(f"[sample] objects with no template: {', '.join(map(repr, unknown))}")
         templates = [(path, tpl) for path, tpl in templates if tpl.focal_object in cfg.sample_objects]
+    else:  # unset: every template with an action to sample
+        templates = [(path, tpl) for path, tpl in templates if tpl.actions]
     if cfg.sample_source == SOURCE_ORACLE:
         for tpl_path, tpl in templates:
             if not tpl.actions:  # a template may have none, but the oracle would have nothing to draw

@@ -708,26 +708,10 @@ def procedure_from_dict(doc: dict) -> Procedure:
 
 
 def constraints_to_dict(constraints: list[PrecedenceConstraint], clusters: list[ClusterConstraint]) -> dict:
-    return {
-        "raw": [
-            {"predecessor": c.predecessor, "successor": c.successor, "origin": c.origin}
-            for c in constraints
-        ],
-        "cluster": [{"earlier": c.earlier, "later": c.later} for c in clusters],
-    }
+    return {"raw": [asdict(c) for c in constraints], "cluster": [asdict(c) for c in clusters]}
 
 
 def constraints_from_dict(doc: dict) -> tuple[list[PrecedenceConstraint], list[ClusterConstraint]]:
-    raw = [
-        PrecedenceConstraint(
-            predecessor=item["predecessor"],
-            successor=item["successor"],
-            origin=item.get("origin", "manual"),
-        )
-        for item in doc.get("raw", [])
-    ]
-    clusters = [
-        ClusterConstraint(earlier=item["earlier"], later=item["later"])
-        for item in doc.get("cluster", [])
-    ]
+    raw = [PrecedenceConstraint(**item) for item in doc.get("raw", [])]
+    clusters = [ClusterConstraint(**item) for item in doc.get("cluster", [])]
     return raw, clusters

@@ -163,12 +163,7 @@ class ExtractionReport:
     conflicts: list[dict] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "ambiguous_entries": dict(sorted(self.ambiguous_entries.items())),
-            "insufficient_evidence": sorted(self.insufficient_evidence),
-            "suppressed_rules": self.suppressed_rules,
-            "conflicts": self.conflicts,
-        }
+        return asdict(self)
 
 
 #: The order of every precondition list.
@@ -339,13 +334,7 @@ class CausalRule:
     strength: str
 
     def to_dict(self) -> dict:
-        return {
-            "action": self.action,
-            "variable": self.variable,
-            "value": self.value,
-            "producers": list(self.producers),
-            "strength": self.strength,
-        }
+        return {**asdict(self), "producers": list(self.producers)}  # a JSON document holds lists
 
 
 def extract_causal_rules(
@@ -436,20 +425,6 @@ def rule_set_from_dict(doc: dict) -> RuleSet:
     except ValueError as exc:
         raise ValidationError(f"invalid extraction config: {exc}") from exc
     preconditions = tuple(Precondition(**p) for p in doc["preconditions"])
-    rules = tuple(
-        CausalRule(
-            action=r["action"],
-            variable=r["variable"],
-            value=r["value"],
-            producers=tuple(r["producers"]),
-            strength=r["strength"],
-        )
-        for r in doc["causal_rules"]
-    )
-    report = ExtractionReport(
-        ambiguous_entries=dict(doc["extraction_report"].get("ambiguous_entries", {})),
-        insufficient_evidence=list(doc["extraction_report"].get("insufficient_evidence", [])),
-        suppressed_rules=list(doc["extraction_report"].get("suppressed_rules", [])),
-        conflicts=list(doc["extraction_report"].get("conflicts", [])),
-    )
+    rules = tuple(CausalRule(**{**r, "producers": tuple(r["producers"])}) for r in doc["causal_rules"])
+    report = ExtractionReport(**doc["extraction_report"])
     return RuleSet(preconditions=preconditions, causal_rules=rules, report=report, config=cfg)

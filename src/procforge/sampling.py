@@ -110,14 +110,7 @@ class OracleSpec:
 
     @staticmethod
     def from_dict(doc: dict) -> "OracleSpec":
-        rules = {}
-        for key, item in doc.items():
-            rules[key] = OracleRule(
-                preconditions=dict(item.get("preconditions", {})),
-                effects=dict(item.get("effects", {})),
-                valid_only=bool(item.get("valid_only", False)),
-            )
-        return OracleSpec(rules=rules)
+        return OracleSpec(rules={key: OracleRule(**item) for key, item in doc.items()})
 
 
 @dataclass(frozen=True)
@@ -351,6 +344,9 @@ class EndpointConfig:
     response_path: str = "choices.0.message.content"
 
     def __post_init__(self):
+        texts = (self.base_url, self.model, self.api_key_env, self.response_path)
+        if not all(isinstance(v, str) for v in texts):
+            raise ValueError(f"endpoint needs strings base_url, model, api_key_env and response_path, got {texts}")
         counts = (self.n_requests, self.max_retries)
         if not all(type(v) is int for v in counts) or self.n_requests < 1 or self.max_retries < 0:
             raise ValueError(f"endpoint needs integers n_requests >= 1 and max_retries >= 0, got {counts}")

@@ -80,6 +80,10 @@ def test_config_sample_objects_must_be_a_list_of_strings(tmp_path, objects):
         ("timeout_s", float("inf")),
         ("backoff_s", -1.0),
         ("backoff_s", float("nan")),
+        ("base_url", 5),
+        ("model", 5),
+        ("api_key_env", 5),
+        ("response_path", None),
     ],
 )
 def test_config_rejects_a_bad_endpoint_value(tmp_path, key, value):
@@ -181,6 +185,21 @@ def test_sample_stage_rejects_objects_without_a_template(workdir):
     with pytest.raises(ConfigError, match="\\[sample\\] objects with no template: 'electronic_scal', 'spon'"):
         run_stage("sample", cfg)
     assert not cfg.path("samples_dir").exists()
+
+
+def test_sample_stage_without_objects_samples_every_template_with_an_action(workdir):
+    listed = load_config(workdir / "config.toml")
+    run_stage("template", listed)
+    expected = {p.name: p.read_bytes() for p in run_stage("sample", listed)}
+    assert len(expected) == 10
+    text = (workdir / "config.toml").read_text().replace("out/", "unlisted/")
+    start = text.index("objects = [")
+    config = workdir / "unlisted.toml"
+    config.write_text(text[:start] + text[text.index("]", start) + 1 :])
+    assert cli_main(["template", "--config", str(config)]) == 0
+    assert cli_main(["sample", "--config", str(config)]) == 0
+    written = {p.name: p.read_bytes() for p in (workdir / "unlisted/samples").glob("*.jsonl")}
+    assert written == expected
 
 
 def test_sample_stage_file_source_validates_existing(cfg):
@@ -526,6 +545,11 @@ def test_cli_bad_weight_or_search_value_is_config_error(workdir, capsys, line, b
     assert "invalid config value" in capsys.readouterr().err
 
 
+GRID_RAW = "lambda_raw = [0.5, 1.0, 2.0]"
+GRID = "lambda_pos = [0.5, 2.0]\nlambda_edge = [1.0]\nlambda_cluster = [0.0]\n" + GRID_RAW
+ENDPOINT = '[endpoint]\nbase_url = "http://localhost"\nmodel = "m"\n'
+
+
 @pytest.mark.parametrize(
     "line, typo, key",
     [
@@ -535,6 +559,10 @@ def test_cli_bad_weight_or_search_value_is_config_error(workdir, capsys, line, b
         ('raw_penalty = "gap"', 'raw_penalti = "gap"', "'repair.raw_penalti'"),
         ("n_misorderings = 6", "n_misorderings = 6\nkind = []", "'perturb.kind'"),
         ("lambda_raw = [0.5, 1.0, 2.0]", "lambda_rw = [0.5, 1.0, 2.0]", "'tune.grid.lambda_rw'"),
+        ("theta_hi = 0.8", "thet_hi = 0.8", "'extraction.thet_hi'"),
+        ("lambda_edge = 1.0", "lambda_edg = 1.0", "'repair.weights.lambda_edg'"),
+        ("max_stale_iters = 10", "max_stale_iter = 10", "'repair.search.max_stale_iter'"),
+        ("[tune.grid]", ENDPOINT + "timeout = 5\n\n[tune.grid]", "'endpoint.timeout'"),
     ],
 )
 def test_cli_misspelt_config_key_is_config_error(workdir, capsys, line, typo, key):
@@ -547,17 +575,19 @@ def test_cli_misspelt_config_key_is_config_error(workdir, capsys, line, typo, ke
     assert f"unknown config key {key}" in capsys.readouterr().err
 
 
-GRID_RAW = "lambda_raw = [0.5, 1.0, 2.0]"
-GRID = "lambda_pos = [0.5, 2.0]\nlambda_edge = [1.0]\nlambda_cluster = [0.0]\n" + GRID_RAW
-ENDPOINT = '[endpoint]\nbase_url = "http://localhost"\nmodel = "m"\n'
-
-
 @pytest.mark.parametrize(
     "line, edit, message",
     [
         ("n_misorderings = 6\n", "", "missing config key 'perturb.n_misorderings'"),
         ("n_misorderings = 6", "n_misorderings = 0", "n_misorderings must be >= 1"),
-        ("[tune.grid]", '[endpoint]\nbase_url = "http://localhost"\nmodle = "m"\n\n[tune.grid]', "'modle'"),
+        (
+            "[tune.grid]", '[endpoint]\nbase_url = "http://localhost"\nmodle = "m"\n\n[tune.grid]',
+            "unknown config key 'endpoint.modle'",
+        ),
+        (
+            "[tune.grid]", '[endpoint]\nbase_url = "http://localhost"\n\n[tune.grid]',
+            "missing config key 'endpoint.model'",
+        ),
         (GRID_RAW, "lambda_raw = []", "config key 'tune.grid.lambda_raw' must be a non-empty list"),
         (GRID_RAW, "lambda_raw = [0.5, -1.0]", "'tune.grid.lambda_raw' -1.0: weights must be non-negative"),
         (GRID_RAW, "lambda_raw = [nan]", "'tune.grid.lambda_raw' nan: weights must be finite"),
@@ -585,6 +615,7 @@ ENDPOINT = '[endpoint]\nbase_url = "http://localhost"\nmodel = "m"\n'
         "missing-n-misorderings",
         "zero-misorderings",
         "misspelt-endpoint-key",
+        "missing-endpoint-model",
         "empty-grid-list",
         "negative-grid-value",
         "nan-grid-value",
@@ -764,6 +795,16 @@ def _scale_power_button(inventory):
     return next(comp for comp in scale["components"] if comp["id"] == "power_button")
 
 
+def _writing(text):
+    """A corruption that replaces the file's text."""
+    return lambda path, workdir: path.write_text(text)
+
+
+def _replacing(old, new):
+    """A corruption that replaces the one occurrence of ``old`` in the file's text."""
+    return lambda path, workdir: path.write_text(path.read_text().replace(old, new))
+
+
 def _copy_of(name):
     """A corruption that writes a copy of the file ``name`` to the path."""
     return lambda path, workdir: shutil.copy(workdir / name, path)
@@ -777,6 +818,12 @@ REPEAT_DOMAIN_VALUE = _repeating(lambda doc: doc["variables"][0]["domain"])
 REPEAT_ACTION = _repeating(lambda doc: doc["actions"])
 BAD_INPUTS = {
     # (file, corruption, stages run before it, the stage's argv)
+    "config-missing": ("config.toml", lambda path, workdir: path.unlink(), [], ["template"]),
+    "config-invalid-toml": ("config.toml", _writing("seed = "), [], ["template"]),
+    "config-invalid-json": ("c.json", _writing('{"seed": '), [], ["template"]),
+    "config-unknown-key": ("config.toml", _replacing("n = 250", "nn = 250"), [], ["template"]),
+    "config-bad-value": ("config.toml", _replacing("restarts = 8", "restarts = 0"), [], ["template"]),
+    "config-missing-key": ("config.toml", _replacing("n_misorderings = 6\n", ""), [], ["template"]),
     "self-precedence-at-repair": ("out/constraints.json", _editing(_self_precedence), ALL, ["repair"]),
     "self-precedence-at-evaluate": ("out/constraints.json", _editing(_self_precedence), ALL, ["evaluate"]),
     "equal-cluster-labels-at-tune": (
@@ -839,7 +886,7 @@ BAD_INPUTS = {
 
 @pytest.mark.parametrize("name, corrupt, earlier, argv", BAD_INPUTS.values(), ids=BAD_INPUTS)
 def test_cli_bad_input_is_validation_error_naming_its_file_once(workdir, capsys, name, corrupt, earlier, argv):
-    config = str(workdir / "config.toml")
+    config = str(workdir / ("c.json" if name == "c.json" else "config.toml"))
     for stage in earlier:
         assert cli_main([stage, "--config", config]) == 0
     path = workdir / name
