@@ -8,6 +8,7 @@ against the ground truth.
 """
 
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 from procforge import PerturbationSpec, map_rules_to_constraints, perturb, repair
@@ -47,7 +48,7 @@ def main():
         raw_mode="gap",
     )
     repaired = draft.reordered(list(result.order))
-    print(f"\nrepair cost breakdown: {result.cost.to_dict()}")
+    print(f"\nrepair cost breakdown: {asdict(result.cost)}")
 
     pairs = [(c.predecessor, c.successor) for c in mapping.constraints]
     draft_report, repaired_report = evaluate(draft.step_ids, repaired.step_ids, truth.step_ids, pairs)

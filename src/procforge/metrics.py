@@ -5,7 +5,7 @@ tau, displacement, and precedence-constraint slack.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from .errors import SequenceMismatchError
 
@@ -125,9 +125,6 @@ class MetricsReport:
     @property
     def lcs_fraction(self) -> str:
         return f"{self.lcs}/{self.n}"
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def sequence_report(cand: list, truth: list, constraints=()) -> MetricsReport:

@@ -9,7 +9,7 @@ cap actions, power-button settings, knob resets, transfer interactions).
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 from .errors import ProcforgeError, ValidationError
 from .repair import Procedure, Step
@@ -54,9 +54,6 @@ class PerturbationSpec:
 class PerturbationLog:
     moves: list[dict] = field(default_factory=list)
     skipped: list[dict] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _is_open(step: Step) -> bool:

@@ -16,7 +16,7 @@ import json
 import os
 import tempfile
 from collections.abc import Iterable, Iterator
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import TextIO
 
@@ -41,7 +41,7 @@ from .rules import ExtractionConfig, extract_rules, rule_set_from_dict, rule_set
 from .sampling import NoiseSpec, OracleSpec, build_prompt, fetch_samples, ingest_samples, simulate_oracle
 from .sampling import EndpointConfig, SOURCE_FILE, SOURCE_ORACLE, SOURCES
 from .schemas import first_violation
-from .templates import build_template, template_from_dict, template_to_dict
+from .templates import DEFAULT_STATE_LIMIT, build_template, template_from_dict, template_to_dict
 from .world_model import aggregate, serialize_world_model, world_model_from_dict
 
 
@@ -173,6 +173,9 @@ def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConf
             raise ConfigError(f"config seed must be an integer, got {seed!r}")
         paths = dict(DEFAULT_PATHS)
         paths.update(_config_table(doc.get("paths", {}), "paths", DEFAULT_PATHS))
+        for key, value in paths.items():
+            if not isinstance(value, str):
+                raise ConfigError(f"config key 'paths.{key}' must be a string, got {value!r}")
 
         sample = _config_table(doc.get("sample", {}), "sample", ("n", "source", "objects", "noise"))
         sample_n = overrides.get("n", sample.get("n", 250))
@@ -296,12 +299,8 @@ def _encode(doc: object) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _write_json(
-    path: Path, doc: object, cfg: PipelineConfig, stage: str, inputs: list[Path], schema: str | None = None
-) -> Path:
-    """Write ``doc`` as a JSON artifact, checked first against ``schema`` when one is named."""
-    if schema:
-        validate_artifact(schema, doc, str(path))
+def _write_json(path: Path, doc: object, cfg: PipelineConfig, stage: str, inputs: list[Path]) -> Path:
+    """Write ``doc`` as a JSON artifact; a stage that reads it checks it against its schema."""
     write_artifact(path, _encode(doc), cfg, stage, inputs)
     return path
 
@@ -313,14 +312,17 @@ def _open_text(path: Path, missing: str = "missing input artifact") -> Iterator[
     Nothing is translated: a CRLF line keeps its CR, and U+2028 or U+0085
     inside a line does not end it, so iterating the handle gives the
     pieces that ``text.split`` at LF gives.  A missing file fails as
-    ``missing: path``.  Bytes that are not UTF-8 fail naming the file
-    when the chunk that holds them is read, so an invalid line before
+    ``missing: path``, and a path that is not a regular file, such as a
+    directory, fails naming it.  Bytes that are not UTF-8 fail naming the
+    file when the chunk that holds them is read, so an invalid line before
     them, at which strict ingestion stops, raises its own
     :class:`SampleValidationError` first.  Every one of these is a
     validation error (exit 1).
     """
     if not path.exists():
         raise ConfigError(f"{missing}: {path}")
+    if not path.is_file():
+        raise ConfigError(f"{path}: not a regular file")
     try:
         with path.open(encoding="utf-8", newline="\n") as handle:
             yield handle
@@ -426,6 +428,9 @@ def stage_sample(cfg: PipelineConfig) -> list[Path]:
         for tpl_path, tpl in templates:
             if not tpl.actions:  # a template may have none, but the oracle would have nothing to draw
                 raise ConfigError(f"{tpl_path}: template has no actions to sample")
+            if (size := tpl.state_space_size()) > DEFAULT_STATE_LIMIT:  # the oracle enumerates every state
+                raise ConfigError(f"{tpl_path}: template has {size} states, "
+                                  f"over the oracle's limit of {DEFAULT_STATE_LIMIT}")
         oracles_doc = _read_json(cfg.path("oracles"), "oracles")
     outputs = []
     for tpl_path, tpl in templates:
@@ -484,7 +489,7 @@ def stage_extract(cfg: PipelineConfig) -> list[Path]:
     models = [_read_json(path, "world_model", world_model_from_dict) for path in paths]
     rule_set = extract_rules(models, inv, cfg.extraction)
     inputs = [cfg.path("inventory"), *paths]
-    return [_write_json(cfg.path("rules"), rule_set_to_dict(rule_set), cfg, "extract", inputs, "rules")]
+    return [_write_json(cfg.path("rules"), rule_set_to_dict(rule_set), cfg, "extract", inputs)]
 
 
 def stage_map(cfg: PipelineConfig) -> list[Path]:
@@ -492,10 +497,10 @@ def stage_map(cfg: PipelineConfig) -> list[Path]:
     draft = _read_procedure(cfg, "draft_procedure")
     mapping = map_rules_to_constraints(draft, list(rule_set.causal_rules))
     doc = constraints_to_dict(list(mapping.constraints), [])
-    doc["unmatched_rules"] = [r.to_dict() for r in mapping.unmatched]
+    doc["unmatched_rules"] = [asdict(r) for r in mapping.unmatched]
     doc["dropped_contradictions"] = constraints_to_dict(list(mapping.dropped), [])["raw"]
     inputs = [cfg.path("rules"), cfg.path("draft_procedure")]
-    return [_write_json(cfg.path("constraints"), doc, cfg, "map", inputs, "constraints")]
+    return [_write_json(cfg.path("constraints"), doc, cfg, "map", inputs)]
 
 
 def _repair(cfg: PipelineConfig, draft: Procedure, constraints, clusters, weights: RepairWeights, seed: int):
@@ -510,9 +515,9 @@ def stage_repair(cfg: PipelineConfig) -> list[Path]:
     constraints, clusters = _read_constraints(cfg)
     result = _repair(cfg, draft, constraints, clusters, cfg.weights, derive_seed(cfg.seed, "repair"))
     doc = procedure_to_dict(draft.reordered(list(result.order)))
-    doc["repair"] = result.to_dict()
+    doc["repair"] = asdict(result)
     inputs = [cfg.path("draft_procedure"), cfg.path("constraints")]
-    return [_write_json(cfg.path("repaired_procedure"), doc, cfg, "repair", inputs, "procedure")]
+    return [_write_json(cfg.path("repaired_procedure"), doc, cfg, "repair", inputs)]
 
 
 def stage_evaluate(cfg: PipelineConfig) -> list[Path]:
@@ -525,8 +530,8 @@ def stage_evaluate(cfg: PipelineConfig) -> list[Path]:
         draft_report, repaired_report = evaluate(draft.step_ids, repaired.step_ids, truth.step_ids, pairs)
     rows = {"draft": draft_report, "repaired": repaired_report}
     inputs = [cfg.path(key) for key in ("truth_procedure", "draft_procedure", "repaired_procedure", "constraints")]
-    doc = {label: report.to_dict() for label, report in rows.items()}
-    out = _write_json(cfg.path("metrics"), doc, cfg, "evaluate", inputs, "metrics")
+    doc = {label: asdict(report) for label, report in rows.items()}
+    out = _write_json(cfg.path("metrics"), doc, cfg, "evaluate", inputs)
     table = cfg.path("metrics_table")
     write_artifact(table, format_table(rows), cfg, "evaluate", inputs)
     return [out, table]
@@ -541,7 +546,7 @@ def stage_perturb(cfg: PipelineConfig) -> list[Path]:
     inputs = [cfg.path("truth_procedure")]
     return [
         _write_json(cfg.path("draft_procedure"), procedure_to_dict(draft), cfg, "perturb", inputs),
-        _write_json(cfg.path("perturbation_log"), log.to_dict(), cfg, "perturb", inputs),
+        _write_json(cfg.path("perturbation_log"), asdict(log), cfg, "perturb", inputs),
     ]
 
 
@@ -560,7 +565,7 @@ def stage_tune(cfg: PipelineConfig) -> list[Path]:
         result = _repair(cfg, draft, constraints, clusters, RepairWeights(**weights), seed)
         report = sequence_report(list(result.order), truth.step_ids, pairs)
         rows.append({"weights": weights, "raw_slack": report.raw_slack, "kendall_tau": report.kendall_tau,
-                     "breakpoints": report.breakpoints, "metrics": report.to_dict()})
+                     "breakpoints": report.breakpoints, "metrics": asdict(report)})
     rows.sort(key=lambda r: (r["raw_slack"], -r["kendall_tau"], r["breakpoints"]))
     for rank, row in enumerate(rows, start=1):
         row["rank"] = rank

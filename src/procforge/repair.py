@@ -116,18 +116,12 @@ class CostBreakdown:
     raw: float
     total: float
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class RepairResult:
     order: tuple[str, ...]
     cost: CostBreakdown
     trace: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {"order": list(self.order), "cost": self.cost.to_dict(), "trace": self.trace}
 
 
 # ── rule → constraint mapping ─────────────────────────────────────────────

@@ -64,9 +64,6 @@ class ExtractionConfig:
         if type(self.min_valid_weight) is not int or self.min_valid_weight < 1:
             raise ValueError(f"min_valid_weight must be an integer >= 1, got {self.min_valid_weight!r}")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class ActionPools:
@@ -151,9 +148,6 @@ class Precondition:
     contrast: int = 0
     valid_weight: int = 0
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class ExtractionReport:
@@ -161,9 +155,6 @@ class ExtractionReport:
     insufficient_evidence: list[str] = field(default_factory=list)
     suppressed_rules: list[dict] = field(default_factory=list)
     conflicts: list[dict] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 #: The order of every precondition list.
@@ -333,9 +324,6 @@ class CausalRule:
     producers: tuple[str, ...]
     strength: str
 
-    def to_dict(self) -> dict:
-        return {**asdict(self), "producers": list(self.producers)}  # a JSON document holds lists
-
 
 def extract_causal_rules(
     preconditions: list[Precondition],
@@ -412,10 +400,10 @@ def extract_rules(models: list[WorldModel], inv: DomainInventory, cfg: Extractio
 
 def rule_set_to_dict(rules: RuleSet) -> dict:
     return {
-        "config": rules.config.to_dict(),
-        "preconditions": [p.to_dict() for p in rules.preconditions],
-        "causal_rules": [r.to_dict() for r in rules.causal_rules],
-        "extraction_report": rules.report.to_dict(),
+        "config": asdict(rules.config),
+        "preconditions": [asdict(p) for p in rules.preconditions],
+        "causal_rules": [asdict(r) for r in rules.causal_rules],
+        "extraction_report": asdict(rules.report),
     }
 
 

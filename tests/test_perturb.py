@@ -1,6 +1,6 @@
 import hashlib
 import json
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -51,7 +51,7 @@ def test_deterministic_given_seed(truth):
     a, log_a = perturb(truth, spec)
     b, log_b = perturb(truth, spec)
     assert [s.id for s in a.steps] == [s.id for s in b.steps]
-    assert log_a.to_dict() == log_b.to_dict()
+    assert log_a == log_b
 
 
 def test_early_transfer_lands_before_its_open_step(truth):
@@ -246,7 +246,7 @@ def tile(proc, copies):
 
 def perturb_digest(proc, spec):
     draft, log = perturb(proc, spec)
-    doc = {"order": [s.id for s in draft.steps], "log": log.to_dict()}
+    doc = {"order": [s.id for s in draft.steps], "log": asdict(log)}
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import shutil
 import subprocess
 import sys
@@ -489,6 +490,23 @@ def test_every_output_file_matches_its_recorded_digest(cfg, workdir):
     assert written == OUT_SHA256
 
 
+# sha256 over the sorted "path\0sha256\n" lines of the same 78 files that
+# template -> evaluate plus tune writes at master seed 7, recorded before
+# the records were written through asdict; the bytes must not change.
+OUT_SEED_7_SHA256 = "f92088b1741af74a463b44d7078dd615a805a0ddc61990b0f7b74f430ed9a5de"
+
+
+def test_every_output_file_at_seed_7_matches_its_recorded_digest(workdir):
+    cfg = load_config(workdir / "config.toml", {"seed": 7})
+    run_all(cfg)
+    run_stage("tune", cfg)
+    out = workdir / "out"
+    lines = sorted(f"{p.relative_to(out).as_posix()}\0{hashlib.sha256(p.read_bytes()).hexdigest()}\n"
+                   for p in out.rglob("*") if p.is_file())
+    assert len(lines) == 78
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == OUT_SEED_7_SHA256
+
+
 def test_tune_ranks_default_weights_first(cfg):
     run_all(cfg)
     run_stage("tune", cfg)
@@ -805,6 +823,22 @@ def _replacing(old, new):
     return lambda path, workdir: path.write_text(path.read_text().replace(old, new))
 
 
+def _setting_path(key, value):
+    """A corruption that sets ``[paths] key`` to the TOML ``value`` in the config."""
+
+    def corrupt(path, workdir):
+        config = workdir / "config.toml"
+        config.write_text(re.sub(rf"(?m)^{key} = .*$", f"{key} = {value}", config.read_text(), count=1))
+
+    return corrupt
+
+
+def _widening(doc, workdir):
+    """Three 50-value variables: 36 * 50**3 states, over the oracle's limit."""
+    doc["variables"] += [{"id": f"spoon.wide{i}", "domain": [f"v{j}" for j in range(50)], "origin": "own"}
+                         for i in range(3)]
+
+
 def _copy_of(name):
     """A corruption that writes a copy of the file ``name`` to the path."""
     return lambda path, workdir: shutil.copy(workdir / name, path)
@@ -881,6 +915,12 @@ BAD_INPUTS = {
     "template-of-another-object-at-sample": (
         SPOON, _editing(lambda doc, w: doc.update(focal_object="fork")), ["template"], ["sample"],
     ),
+    "template-over-state-limit-at-sample": (SPOON, _editing(_widening), ["template"], ["sample"]),
+    "config-path-not-a-string": ("config.toml", _setting_path("inventory", "5"), [], ["template"]),
+    "config-path-a-list": ("config.toml", _setting_path("rules", '["a"]'), [], ["template"]),
+    # The file named is the one the bad path points at: "" is the config's own directory.
+    "config-path-empty": ("", _setting_path("inventory", '""'), [], ["template"]),
+    "config-path-a-directory": ("out", _setting_path("inventory", '"out"'), ["template"], ["template"]),
 }
 
 

@@ -31,14 +31,19 @@ class PopulationReport:
     worse_than_draft: int  # repairs whose cost exceeds their draft's
 
 
+def population_draft(rules, truth, spec, s):
+    """Draft ``s`` of the population and the constraints ``rules`` map onto it."""
+    draft, _ = perturb(truth, replace(spec, seed=derive_seed(s, "perturb")))
+    return draft, list(map_rules_to_constraints(draft, rules).constraints)
+
+
 def repair_population(rules, truth, spec, weights, search, raw_mode, seeds=range(40)) -> PopulationReport:
     """Perturb ``truth`` once per seed, map ``rules`` onto the draft,
     repair it and score the result against the truth."""
     slack_zero = truth_violates = worse = 0
     taus, draft_taus, breakpoints = [], [], []
     for s in seeds:
-        draft, _ = perturb(truth, replace(spec, seed=derive_seed(s, "perturb")))
-        constraints = list(map_rules_to_constraints(draft, rules).constraints)
+        draft, constraints = population_draft(rules, truth, spec, s)
         pairs = [(c.predecessor, c.successor) for c in constraints]
         result = repair(draft, constraints, weights=weights, search=search, raw_mode=raw_mode)
         report = metrics.sequence_report(list(result.order), truth.step_ids, pairs)
@@ -85,3 +90,21 @@ def test_shipped_weights_on_forty_drafts(benchmark_rules):
     assert report.draft_mean_tau == pytest.approx(0.918046, abs=5e-7)
     assert report.mean_breakpoints == 12.0
     assert report.worse_than_draft == 0
+
+
+def test_shuffled_restarts_lower_cost_on_two_drafts(benchmark_rules):
+    """What restarts 1-7 buy over restart 0 alone: shipped weights, gap
+    mode, ``repair``'s default seed.  Any change to the restarts shows here."""
+    cfg, truth, rules = benchmark_rules
+    lowered = {}
+    for s in range(40):
+        draft, constraints = population_draft(rules, truth, cfg.perturbation, s)
+        one, eight = (
+            repair(draft, constraints, weights=cfg.weights, search=replace(cfg.search, restarts=r),
+                   raw_mode=RAW_GAP).cost.total
+            for r in (1, 8)
+        )
+        assert eight <= one
+        if eight < one:
+            lowered[s] = (one, eight)
+    assert lowered == {4: (18.0, 16.0), 39: (11.0, 10.0)}

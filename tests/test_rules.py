@@ -490,9 +490,8 @@ def test_rule_set_round_trip(pipette_template, bottle_template, pipette_oracles,
         for tpl, offset in ((pipette_template, 0), (bottle_template, 1000))
     ]
     rule_set = extract_rules(models, pipette_inventory, CFG)
-    doc = rule_set_to_dict(rule_set)
-    validate_artifact("rules", doc, "rules")
-    text = json.dumps(doc, indent=2, sort_keys=True)
+    text = json.dumps(rule_set_to_dict(rule_set), indent=2, sort_keys=True)
+    validate_artifact("rules", json.loads(text), "rules")
     restored = rule_set_from_dict(json.loads(text))
     assert restored == rule_set
     assert json.dumps(rule_set_to_dict(restored), indent=2, sort_keys=True) == text
