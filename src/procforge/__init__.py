@@ -33,10 +33,7 @@ from .rules import (
     Precondition,
     RuleSet,
     classify_entries,
-    extract_causal_rules,
-    extract_preconditions,
     extract_rules,
-    find_producers,
 )
 from .repair import (
     ClusterConstraint,

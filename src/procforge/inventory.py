@@ -298,6 +298,11 @@ def parse_inventory(text: str) -> DomainInventory:
         _normalize_interaction(by_id, item, f"$.interactions[{i}]")
         for i, item in enumerate(doc.get("interactions", []))
     )
+    seen: set[str] = set()
+    for i, inter in enumerate(interactions):
+        if (action_id := inter.canonical_action_id()) in seen:
+            raise DuplicateIdError(f"$.interactions[{i}]: repeats interaction {action_id}")
+        seen.add(action_id)
     for i, obj in enumerate(objects):
         _validate_initial_state(obj, f"$.objects[{i}]")
     return DomainInventory(objects=tuple(objects), interactions=interactions)

@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import TextIO
 
 from . import __version__
-from .errors import ConfigError, SequenceMismatchError, ValidationError
+from .errors import ConfigError, DanglingReferenceError, SequenceMismatchError, ValidationError
 from .inventory import DomainInventory, parse_inventory, resolve_dynamic_domains
 from .metrics import RAW_BINARY, RAW_GAP, evaluate, format_table, sequence_report
 from .perturb import PerturbationSpec, perturb
@@ -158,7 +158,8 @@ def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConf
 
     ``overrides`` (``seed``, ``n``, ``source``, ``strict``) take precedence
     over the file where they are not None, and are checked the same way.
-    Every error names the file once.
+    Every error names the file once; a ``[paths]`` value that names an
+    existing path of the wrong kind fails naming that path instead.
     """
     path = Path(path)
     text = _read_text(path, "config file not found")  # its errors name the file
@@ -174,8 +175,9 @@ def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConf
         paths = dict(DEFAULT_PATHS)
         paths.update(_config_table(doc.get("paths", {}), "paths", DEFAULT_PATHS))
         for key, value in paths.items():
-            if not isinstance(value, str):
-                raise ConfigError(f"config key 'paths.{key}' must be a string, got {value!r}")
+            if not isinstance(value, str) or "\0" in value:
+                raise ConfigError(f"config key 'paths.{key}' must be a string without NUL, got {value!r}")
+        paths = {key: path.parent / value for key, value in paths.items()}
 
         sample = _config_table(doc.get("sample", {}), "sample", ("n", "source", "objects", "noise"))
         sample_n = overrides.get("n", sample.get("n", 250))
@@ -194,7 +196,7 @@ def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConf
         tune_doc = _config_table(doc.get("tune", {}), "tune", ("grid",))
         perturb_doc, endpoint_doc = doc.get("perturb"), doc.get("endpoint")
         cfg = PipelineConfig(
-            paths={k: path.parent / v for k, v in paths.items()},
+            paths=paths,
             seed=seed,
             sample_n=sample_n,
             sample_source=sample_source,
@@ -212,7 +214,33 @@ def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConf
             config_hash=hashlib.sha256(text.encode("utf-8")).hexdigest(),  # the file's own bytes: UTF-8 round-trips
         )
         _check_tune_grid(cfg)
+    _check_paths(path, paths)
     return cfg
+
+
+def _check_paths(config: Path, paths: dict[str, Path]) -> None:
+    """Fail on ``[paths]`` values that the stages cannot use as given.
+
+    No two values may name the same path.  A value that names an existing
+    path must name a directory for a ``*_dir`` key and a regular file for
+    any other key; that error names the path, the others name ``config``.
+    No value may lie inside another, unless both are directories, so that
+    no stage writes over, or reads back, another key's files.
+    """
+    owner: dict[Path, str] = {}
+    for key, p in paths.items():
+        if (resolved := p.resolve()) in owner:
+            raise ConfigError(f"{config}: config keys 'paths.{owner[resolved]}' and 'paths.{key}' name the same path")
+        owner[resolved] = key
+    for key, p in paths.items():
+        kind = "directory" if key.endswith("_dir") else "regular file"
+        if p.exists() and not (p.is_dir() if kind == "directory" else p.is_file()):
+            raise ConfigError(f"{p}: config key 'paths.{key}' names an existing path that is not a {kind}")
+    for p, inner in owner.items():
+        for parent in p.parents:
+            outer = owner.get(parent)
+            if outer and not (outer.endswith("_dir") and inner.endswith("_dir")):
+                raise ConfigError(f"{config}: config key 'paths.{inner}' lies inside the path of 'paths.{outer}'")
 
 
 def _weight_grid(cfg: PipelineConfig) -> dict[str, list[float]]:
@@ -417,8 +445,9 @@ def stage_template(cfg: PipelineConfig) -> list[Path]:
 
 def stage_sample(cfg: PipelineConfig) -> list[Path]:
     templates = _load_template_files(cfg)
+    objects = {tpl.focal_object for _, tpl in templates}
     if cfg.sample_objects:
-        unknown = sorted(set(cfg.sample_objects) - {tpl.focal_object for _, tpl in templates})
+        unknown = sorted(set(cfg.sample_objects) - objects)
         if unknown:
             raise ConfigError(f"[sample] objects with no template: {', '.join(map(repr, unknown))}")
         templates = [(path, tpl) for path, tpl in templates if tpl.focal_object in cfg.sample_objects]
@@ -432,6 +461,8 @@ def stage_sample(cfg: PipelineConfig) -> list[Path]:
                 raise ConfigError(f"{tpl_path}: template has {size} states, "
                                   f"over the oracle's limit of {DEFAULT_STATE_LIMIT}")
         oracles_doc = _read_json(cfg.path("oracles"), "oracles")
+        if unknown := sorted(set(oracles_doc) - objects):
+            raise ConfigError(f"{cfg.path('oracles')}: oracle specs for objects with no template: {unknown}")
     outputs = []
     for tpl_path, tpl in templates:
         out = cfg.path("samples_dir") / f"{tpl.focal_object}.jsonl"
@@ -506,6 +537,8 @@ def stage_map(cfg: PipelineConfig) -> list[Path]:
 def _repair(cfg: PipelineConfig, draft: Procedure, constraints, clusters, weights: RepairWeights, seed: int):
     """``repair`` under the configured search; a bad constraint fails naming its file."""
     with _naming(cfg.path("constraints")):
+        if unknown := sorted({c for cc in clusters for c in (cc.earlier, cc.later)} - {s.cluster for s in draft.steps}):
+            raise DanglingReferenceError(f"cluster constraints name labels no draft step carries: {unknown}")
         return repair(draft, constraints, clusters, weights=weights, search=cfg.search, seed=seed,
                       raw_mode=cfg.raw_penalty)
 

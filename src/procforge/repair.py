@@ -708,4 +708,7 @@ def constraints_to_dict(constraints: list[PrecedenceConstraint], clusters: list[
 def constraints_from_dict(doc: dict) -> tuple[list[PrecedenceConstraint], list[ClusterConstraint]]:
     raw = [PrecedenceConstraint(**item) for item in doc.get("raw", [])]
     clusters = [ClusterConstraint(**item) for item in doc.get("cluster", [])]
+    for name, items in (("raw", raw), ("cluster", clusters)):
+        if len(set(items)) != len(items):
+            raise DuplicateIdError(f"{name} constraints repeat a constraint")
     return raw, clusters

@@ -1,27 +1,22 @@
 """Precondition and causal-precedence rule extraction.
 
-World-model entries are classified as valid, invalid, or ambiguous by
-plausibility; weighted value supports are computed per action over the
-valid and invalid evidence pools; required and forbidden values fall out
-of the support thresholds; and required conditions are linked to producer
-actions observed to establish them, yielding producer-before-consumer
-ordering rules.
+Each world model's entries are classified once, as valid, invalid, or
+ambiguous by plausibility.  Weighted value supports over each action's
+valid and invalid pools give its required and forbidden values; the same
+valid pools give the effects that link each required condition to the
+actions observed to establish it, yielding producer-before-consumer
+ordering rules.  :func:`extract_rules` is the one entry point.
 """
 
 from __future__ import annotations
 
-from bisect import insort
 from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
 from operator import attrgetter
 
-from .errors import ValidationError
+from .errors import DuplicateIdError, ValidationError
 from .inventory import DomainInventory
 from .world_model import WorldModel, WorldModelEntry
-
-VALID = "valid"
-INVALID = "invalid"
-AMBIGUOUS = "ambiguous"
 
 REQUIRED = "required"
 FORBIDDEN = "forbidden"
@@ -82,20 +77,17 @@ def classify_entries(wm: WorldModel, cfg: ExtractionConfig) -> dict[str, ActionP
     Valid means plausibility >= theta_hi, invalid means <= theta_lo, and
     everything in between is ambiguous and excluded from supports.
     """
-    buckets: dict[str, dict[str, list[WorldModelEntry]]] = {}
+    sides: dict[str, tuple[list[WorldModelEntry], list[WorldModelEntry], list[WorldModelEntry]]] = {}
     for entry in wm.sorted_entries():
-        slot = buckets.setdefault(entry.action.key, {VALID: [], INVALID: [], AMBIGUOUS: []})
+        valid, invalid, ambiguous = sides.setdefault(entry.action.key, ([], [], []))
         p = entry.plausibility
         if p >= cfg.theta_hi:
-            slot[VALID].append(entry)
+            valid.append(entry)
         elif p <= cfg.theta_lo:
-            slot[INVALID].append(entry)
+            invalid.append(entry)
         else:
-            slot[AMBIGUOUS].append(entry)
-    return {
-        key: ActionPools(valid=tuple(b[VALID]), invalid=tuple(b[INVALID]), ambiguous=tuple(b[AMBIGUOUS]))
-        for key, b in buckets.items()
-    }
+            ambiguous.append(entry)
+    return {key: ActionPools(*map(tuple, lists)) for key, lists in sides.items()}
 
 
 def _value_evidence(
@@ -183,19 +175,20 @@ def _rated(pres: list[Precondition], domains: dict[str, tuple[str, ...]]) -> lis
     return sorted(out, key=_ORDER)
 
 
-def _candidates(wm: WorldModel, cfg: ExtractionConfig, report: ExtractionReport) -> list[Precondition]:
-    """The model's required and forbidden values, unrated, in order."""
+def _candidates(wm: WorldModel, pools: dict[str, ActionPools], cfg: ExtractionConfig) -> list[Precondition]:
+    """The required and forbidden values of model ``wm``, unrated, in order.
+
+    A value is required when its valid support reaches gamma and every
+    alternative value of the same variable stays at or below 1 - gamma.
+    A value is forbidden when it is (nearly) absent from valid evidence
+    and either a one-value contrast or gamma-level invalid support backs
+    the failure.  An action whose valid weight is below
+    ``min_valid_weight`` yields nothing.
+    """
     out: list[Precondition] = []
-    actions = classify_entries(wm, cfg)
-    for action in sorted(actions):
-        action_pools = actions[action]
-        if action_pools.ambiguous:
-            weight = ActionPools.weight(action_pools.ambiguous)
-            report.ambiguous_entries[action] = report.ambiguous_entries.get(action, 0) + weight
+    for action, action_pools in pools.items():
         valid_weight = ActionPools.weight(action_pools.valid)
         if valid_weight < cfg.min_valid_weight:
-            if action not in report.insufficient_evidence:
-                insort(report.insufficient_evidence, action)
             continue
         for idx, var in enumerate(wm.template.variables):
             evidence = _value_evidence(action_pools, idx, var.domain)
@@ -225,27 +218,6 @@ def _candidates(wm: WorldModel, cfg: ExtractionConfig, report: ExtractionReport)
                 out.append(pre)
     # merge_preconditions reports conflicts in the order of these lists.
     return sorted(out, key=_ORDER)
-
-
-def extract_preconditions(
-    wm: WorldModel, cfg: ExtractionConfig, report: ExtractionReport | None = None
-) -> list[Precondition]:
-    """Extract required and forbidden values for every action in the model.
-
-    A value is required when its valid support reaches gamma and every
-    alternative value of the same variable stays at or below 1 - gamma.
-    A value is forbidden when it is (nearly) absent from valid evidence
-    and either a one-value contrast or gamma-level invalid support backs
-    the failure.  A required value is strong exactly when every
-    alternative of its variable is forbidden.  An action whose valid
-    weight is below ``min_valid_weight`` yields nothing and is listed once,
-    in sorted order, in ``report.insufficient_evidence``.  The weight of
-    an action's ambiguous entries is added to ``report.ambiguous_entries``,
-    so a report shared by the models an action lives in holds their sum.
-    """
-    report = report if report is not None else ExtractionReport()
-    domains = {var.id: var.domain for var in wm.template.variables}
-    return _rated(_candidates(wm, cfg, report), domains)
 
 
 def merge_preconditions(
@@ -282,33 +254,26 @@ def merge_preconditions(
     return _rated(merged, domains)
 
 
-def find_producers(
-    condition: tuple[str, str],
-    models: list[WorldModel],
-    inv: DomainInventory,
-    cfg: ExtractionConfig,
-) -> list[str]:
-    """Actions observed (in valid evidence) to establish variable=value.
+#: (variable, value) -> the actions that some valid entry shows moving the
+#: variable to the value from another value.
+EffectIndex = dict[tuple[str, str], set[str]]
 
-    An action produces the condition when some valid entry for it moves
-    the variable from a different value to the target value.  The
-    ``initial_state`` marker is included when the inventory declares the
-    value as the variable's initial value.  Deduplicated across models.
-    """
-    variable, value = condition
-    producers: set[str] = set()
-    for wm in models:
-        if variable not in wm.template.variable_ids:
-            continue
-        idx = wm.template.variable_ids.index(variable)
-        for entry in wm.entries.values():
-            if entry.plausibility < cfg.theta_hi:
-                continue
-            if entry.state[idx] == value:
-                continue
-            if any(o.next_state[idx] == value for o in entry.outcomes):
-                producers.add(entry.action.key)
-    out = sorted(producers)
+
+def _index_effects(pools: dict[str, ActionPools], variable_ids: tuple[str, ...], effects: EffectIndex) -> None:
+    """Add to ``effects`` each (variable, value) that an outcome of a valid entry moves a variable to."""
+    for action, action_pools in pools.items():
+        for entry in action_pools.valid:
+            for outcome in entry.outcomes:
+                for var_id, before, after in zip(variable_ids, entry.state, outcome.next_state):
+                    if before != after:
+                        effects.setdefault((var_id, after), set()).add(action)
+
+
+def _producers(effects: EffectIndex, inv: DomainInventory, variable: str, value: str) -> list[str]:
+    """The actions that establish variable=value, in order, after the
+    ``initial_state`` marker when the inventory declares the value as
+    the variable's initial value."""
+    out = sorted(effects.get((variable, value), ()))
     if inv.initial_value(variable) == value:
         out.insert(0, INITIAL_STATE)
     return out
@@ -325,43 +290,6 @@ class CausalRule:
     strength: str
 
 
-def extract_causal_rules(
-    preconditions: list[Precondition],
-    models: list[WorldModel],
-    inv: DomainInventory,
-    cfg: ExtractionConfig,
-    report: ExtractionReport | None = None,
-) -> list[CausalRule]:
-    """One rule per (consumer action, required condition) with producers.
-
-    Required conditions with no observed producer and no initial-state
-    declaration yield no rule; they are logged in the report instead.
-    """
-    report = report if report is not None else ExtractionReport()
-    rules = []
-    for pre in preconditions:
-        if pre.kind != REQUIRED:
-            continue
-        producers = find_producers((pre.variable, pre.value), models, inv, cfg)
-        producers = [p for p in producers if p != pre.action]  # self-production is no ordering
-        if not producers:
-            report.suppressed_rules.append(
-                {"action": pre.action, "variable": pre.variable, "value": pre.value, "reason": "no producers"}
-            )
-            continue
-        rules.append(
-            CausalRule(
-                action=pre.action,
-                variable=pre.variable,
-                value=pre.value,
-                producers=tuple(producers),
-                strength=pre.strength or WEAK,
-            )
-        )
-    rules.sort(key=lambda r: (r.action, r.variable, r.value))
-    return rules
-
-
 @dataclass(frozen=True)
 class RuleSet:
     preconditions: tuple[Precondition, ...]
@@ -371,28 +299,47 @@ class RuleSet:
 
 
 def extract_rules(models: list[WorldModel], inv: DomainInventory, cfg: ExtractionConfig) -> RuleSet:
-    """Full extraction over one or more world models."""
+    """Preconditions and causal rules over one or more world models.
+
+    Each model is classified once; its valid pools give both the evidence
+    of every precondition and the effects that name each required
+    condition's producers.  An action lives in every template it touches:
+    its ambiguous weight is summed over those models, and it lacks evidence
+    only when no model holding it has ``min_valid_weight``.  A required
+    condition yields one rule per consumer, listing the actions other than
+    the consumer that produce it; with none, the rule is suppressed and
+    reported.
+    """
     report = ExtractionReport()
     domains: dict[str, tuple[str, ...]] = {}
     per_model = []
-    # An action lives in every template it touches; it lacks evidence only
-    # when no model holding it has enough.
-    short: set[str] = set()
-    enough: set[str] = set()
+    effects: EffectIndex = {}
+    valid_weight: dict[str, int] = {}  # the largest over the models holding the action
     for wm in models:
-        for v in wm.template.variables:
-            domains.setdefault(v.id, v.domain)
-        model_report = ExtractionReport(ambiguous_entries=report.ambiguous_entries)
-        per_model.append(_candidates(wm, cfg, model_report))
-        model_short = set(model_report.insufficient_evidence)
-        short |= model_short
-        enough |= {action for action, _ in wm.entries} - model_short
-    report.insufficient_evidence = sorted(short - enough)
+        pools = classify_entries(wm, cfg)
+        for action, action_pools in pools.items():
+            if action_pools.ambiguous:
+                weight = ActionPools.weight(action_pools.ambiguous)
+                report.ambiguous_entries[action] = report.ambiguous_entries.get(action, 0) + weight
+            valid_weight[action] = max(valid_weight.get(action, 0), ActionPools.weight(action_pools.valid))
+        for var_id, domain in wm.template.domains.items():
+            domains.setdefault(var_id, domain)
+        per_model.append(_candidates(wm, pools, cfg))
+        _index_effects(pools, wm.template.variable_ids, effects)
+    report.insufficient_evidence = sorted(a for a, w in valid_weight.items() if w < cfg.min_valid_weight)
     merged = merge_preconditions(per_model, domains, report)
-    rules = extract_causal_rules(merged, models, inv, cfg, report)
-    return RuleSet(
-        preconditions=tuple(merged), causal_rules=tuple(rules), report=report, config=cfg
-    )
+    rules = []
+    for pre in merged:  # in (action, variable, value) order
+        if pre.kind != REQUIRED:
+            continue
+        producers = [p for p in _producers(effects, inv, pre.variable, pre.value) if p != pre.action]
+        if not producers:
+            report.suppressed_rules.append(
+                {"action": pre.action, "variable": pre.variable, "value": pre.value, "reason": "no producers"}
+            )
+            continue
+        rules.append(CausalRule(pre.action, pre.variable, pre.value, tuple(producers), pre.strength))
+    return RuleSet(preconditions=tuple(merged), causal_rules=tuple(rules), report=report, config=cfg)
 
 
 # ── serialization ─────────────────────────────────────────────────────────
@@ -414,5 +361,9 @@ def rule_set_from_dict(doc: dict) -> RuleSet:
         raise ValidationError(f"invalid extraction config: {exc}") from exc
     preconditions = tuple(Precondition(**p) for p in doc["preconditions"])
     rules = tuple(CausalRule(**{**r, "producers": tuple(r["producers"])}) for r in doc["causal_rules"])
+    for name, items in (("preconditions", preconditions), ("causal_rules", rules)):
+        keys = [(item.action, item.variable, item.value) for item in items]
+        if len(set(keys)) != len(keys):
+            raise DuplicateIdError(f"{name} repeat an (action, variable, value)")
     report = ExtractionReport(**doc["extraction_report"])
     return RuleSet(preconditions=preconditions, causal_rules=rules, report=report, config=cfg)

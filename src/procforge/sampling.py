@@ -97,13 +97,20 @@ class OracleSpec:
     rules: dict[str, OracleRule]
 
     def validate_against(self, tpl: MdpTemplate) -> None:
-        var_domains = {v.id: v.domain for v in tpl.variables}
+        """Fail unless the rules cover exactly the template's bound actions,
+        over its variables and their domains."""
+        missing = [key for key in tpl.bound_actions_by_key if key not in self.rules]
+        if missing:
+            raise OracleCoverageError(f"oracle does not cover template actions: {missing}")
+        extra = sorted(self.rules.keys() - tpl.bound_actions_by_key.keys())
+        if extra:
+            raise OracleCoverageError(f"oracle rules for actions not in the template: {extra}")
         for key, rule in self.rules.items():
             for mapping, label in ((rule.preconditions, "precondition"), (rule.effects, "effect")):
                 for var, value in mapping.items():
-                    if var not in var_domains:
+                    if var not in tpl.domains:
                         raise OracleCoverageError(f"{key}: {label} variable {var!r} not in template")
-                    if value not in var_domains[var]:
+                    if value not in tpl.domains[var]:
                         raise OracleCoverageError(
                             f"{key}: {label} value {value!r} not in domain of {var}"
                         )
@@ -148,11 +155,8 @@ def simulate_oracle(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    bound = tpl.bound_actions()
-    missing = [b.key for b in bound if b.key not in oracle.rules]
-    if missing:
-        raise OracleCoverageError(f"oracle does not cover template actions: {missing}")
     oracle.validate_against(tpl)
+    bound = tpl.bound_actions()
     if actions is not None:
         wanted = set(actions)
         unknown = wanted - {b.key for b in bound}
@@ -163,14 +167,13 @@ def simulate_oracle(
             raise ValueError("action filter excludes every template action")
 
     states = [tpl.state_tuple(s) for s in enumerate_states(tpl)]
-    var_index = {v.id: i for i, v in enumerate(tpl.variables)}
     # Per bound action: its state pool and its preconditions and effects
     # as (variable index, value) pairs.
     plans = []
     for b in bound:
         rule = oracle.rules[b.key]
-        pre = [(var_index[v], val) for v, val in rule.preconditions.items()]
-        effects = [(var_index[v], val) for v, val in rule.effects.items()]
+        pre = [(tpl.variable_index[v], val) for v, val in rule.preconditions.items()]
+        effects = [(tpl.variable_index[v], val) for v, val in rule.effects.items()]
         pool = states
         if rule.valid_only:
             pool = [s for s in states if all(s[i] == val for i, val in pre)]

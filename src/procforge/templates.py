@@ -76,15 +76,22 @@ class MdpTemplate:
     variables: tuple[TemplateVariable, ...]
     actions: tuple[TemplateAction, ...]
 
-    @property
+    @cached_property
     def variable_ids(self) -> tuple[str, ...]:
         return tuple(v.id for v in self.variables)
 
+    @cached_property
+    def variable_index(self) -> dict[str, int]:
+        """Each variable's position in a state tuple, under its id."""
+        return {var_id: i for i, var_id in enumerate(self.variable_ids)}
+
+    @cached_property
+    def domains(self) -> dict[str, tuple[str, ...]]:
+        """Each variable's domain, under its id, in variable order."""
+        return {v.id: v.domain for v in self.variables}
+
     def domain_of(self, var_id: str) -> tuple[str, ...]:
-        for v in self.variables:
-            if v.id == var_id:
-                return v.domain
-        raise KeyError(var_id)
+        return self.domains[var_id]
 
     def state_space_size(self) -> int:
         size = 1
@@ -100,13 +107,13 @@ class MdpTemplate:
         """``raw`` if it assigns every variable, and no other, a value in its domain."""
         if not isinstance(raw, dict):
             raise SampleValidationError(f"{label} must be an object")
-        expected, got = set(self.variable_ids), set(raw)
-        if got != expected:
-            gaps = (("missing", expected - got), ("unexpected", got - expected))
+        domains = self.domains
+        if raw.keys() != domains.keys():
+            gaps = (("missing", domains.keys() - raw.keys()), ("unexpected", raw.keys() - domains.keys()))
             detail = ", ".join(f"{word} {sorted(ids)}" for word, ids in gaps if ids)
             raise SampleValidationError(f"{label} variables do not match template: {detail}")
         for var_id, value in raw.items():
-            if value not in self.domain_of(var_id):
+            if value not in domains[var_id]:
                 raise SampleValidationError(f"{label}: value {value!r} not in domain of {var_id}")
         return dict(raw)
 

@@ -839,6 +839,21 @@ def _widening(doc, workdir):
                          for i in range(3)]
 
 
+def _making(make, key):
+    """A corruption that makes the path with ``make`` and sets ``[paths] key`` to it."""
+
+    def corrupt(path, workdir):
+        make(path)
+        _setting_path(key, f'"{path.name}"')(path, workdir)
+
+    return corrupt
+
+
+def _replacing_first(old, new):
+    """A corruption that replaces the first occurrence of ``old`` in the file's text."""
+    return lambda path, workdir: path.write_text(path.read_text().replace(old, new, 1))
+
+
 def _copy_of(name):
     """A corruption that writes a copy of the file ``name`` to the path."""
     return lambda path, workdir: shutil.copy(workdir / name, path)
@@ -921,7 +936,84 @@ BAD_INPUTS = {
     # The file named is the one the bad path points at: "" is the config's own directory.
     "config-path-empty": ("", _setting_path("inventory", '""'), [], ["template"]),
     "config-path-a-directory": ("out", _setting_path("inventory", '"out"'), ["template"], ["template"]),
+    "config-output-path-is-an-input": ("config.toml", _setting_path("metrics", '"truth_procedure.json"'), [], ["all"]),
+    "config-file-key-is-a-directory-key": (
+        "config.toml", _setting_path("rules", '"out/templates"'), ["template"], ["extract"],
+    ),
+    "config-directory-key-is-an-input": (
+        "config.toml", _setting_path("templates_dir", '"inventory.json"'), [], ["template"],
+    ),
+    "config-file-inside-a-directory-key": (
+        "config.toml", _setting_path("tuning", '"out/world_models/tuning.json"'), [], ["all"],
+    ),
+    "config-path-inside-a-file-key": ("config.toml", _setting_path("rules", '"out"'), [], ["all"]),
+    "config-path-with-nul": (
+        "config.toml", _replacing('metrics = "out/metrics.json"', 'metrics = "out/m\\u0000.json"'), [], ["template"],
+    ),
+    "config-file-key-names-a-directory": ("extra", _making(Path.mkdir, "metrics"), [], ["all"]),
+    "config-directory-key-names-a-file": ("extra", _making(Path.touch, "samples_dir"), [], ["template"]),
+    "inventory-dangling-interaction-at-template": (
+        "inventory.json", _editing(lambda doc, w: doc["interactions"][0].update(source="ghost")), [], ["template"],
+    ),
+    "inventory-repeated-object-at-template": (
+        "inventory.json", _repeating(lambda doc: doc["objects"]), [], ["template"],
+    ),
+    "inventory-repeated-interaction-at-template": (
+        "inventory.json", _repeating(lambda doc: doc["interactions"]), [], ["template"],
+    ),
+    "oracles-rule-for-no-template-action-at-sample": (
+        "oracles.json", _editing(lambda doc, w: doc["spoon"].update(ghost={"preconditions": {}, "effects": {}})),
+        ["template"], ["sample"],
+    ),
+    "oracles-object-with-no-template-at-sample": (
+        "oracles.json", _editing(lambda doc, w: doc.update(ghost={})), ["template"], ["sample"],
+    ),
+    "samples-dangling-action-at-aggregate": (
+        "out/samples/spoon.jsonl", _replacing_first('"action": "transfer_material', '"action": "ghost'),
+        SAMPLED, ["aggregate"],
+    ),
+    "world-model-dangling-action-at-extract": (
+        "out/world_models/spoon.json", _editing(lambda doc, w: doc["entries"][0].update(action="ghost")),
+        [*SAMPLED, "aggregate"], ["extract"],
+    ),
+    "world-model-repeated-entry-at-extract": (
+        "out/world_models/spoon.json", _repeating(lambda doc: doc["entries"]), [*SAMPLED, "aggregate"], ["extract"],
+    ),
+    "rules-repeated-causal-rule-at-map": ("out/rules.json", _repeating(lambda doc: doc["causal_rules"]), ALL, ["map"]),
+    "rules-repeated-precondition-at-map": ("out/rules.json", _repeating(lambda doc: doc["preconditions"]), ALL, ["map"]),
+    "truth-repeated-step-at-perturb": ("truth_procedure.json", _repeating(lambda doc: doc["steps"]), [], ["perturb"]),
+    "draft-repeated-step-at-map": ("out/draft.json", _repeating(lambda doc: doc["steps"]), ALL, ["map"]),
+    "unknown-step-at-repair": (
+        "out/constraints.json", _editing(lambda doc, w: doc["raw"][0].update(predecessor="s99")), ALL, ["repair"],
+    ),
+    "repeated-constraint-at-repair": ("out/constraints.json", _repeating(lambda doc: doc["raw"]), ALL, ["repair"]),
+    "repeated-cluster-constraint-at-tune": (
+        "out/constraints.json", _editing(lambda doc, w: doc["cluster"].extend([{"earlier": "weighing", "later": "mixing"}] * 2)),
+        ALL, ["tune"],
+    ),
+    "dangling-cluster-label-at-repair": (
+        "out/constraints.json", _editing(lambda doc, w: doc["cluster"].append({"earlier": "ghost", "later": "weighing"})),
+        ALL, ["repair"],
+    ),
+    "samples-not-an-object-at-aggregate": ("out/samples/spoon.jsonl", _writing("[]\n"), SAMPLED, ["aggregate"]),
 }
+# Every stage input, truncated or of the wrong top-level type, at each stage that reads it:
+# (the file, the stages run before it, the stages that read it).
+READERS = {
+    "inventory": ("inventory.json", [*SAMPLED, "aggregate"], ["template", "extract"]),
+    "oracles": ("oracles.json", ["template"], ["sample"]),
+    "template": (SPOON, SAMPLED, ["sample", "aggregate"]),
+    "world-model": ("out/world_models/spoon.json", [*SAMPLED, "aggregate"], ["extract"]),
+    "rules": ("out/rules.json", ALL, ["map"]),
+    "truth": ("truth_procedure.json", ALL, ["perturb", "evaluate", "tune"]),
+    "draft": ("out/draft.json", ALL, ["map", "repair", "evaluate", "tune"]),
+    "constraints": ("out/constraints.json", ALL, ["repair", "evaluate", "tune"]),
+    "repaired": ("out/repaired.json", ALL, ["evaluate"]),
+}
+for label, (name, earlier, stages) in READERS.items():
+    for corruption, corrupt in (("truncated", _truncate), ("not-an-object", _writing("[]\n"))):
+        for stage in stages:
+            BAD_INPUTS[f"{label}-{corruption}-at-{stage}"] = (name, corrupt, earlier, [stage])
 
 
 @pytest.mark.parametrize("name, corrupt, earlier, argv", BAD_INPUTS.values(), ids=BAD_INPUTS)
@@ -936,6 +1028,20 @@ def test_cli_bad_input_is_validation_error_naming_its_file_once(workdir, capsys,
     err = capsys.readouterr().err
     assert "validation error" in err
     assert err.count(str(path)) == 1
+
+
+@pytest.mark.parametrize(
+    "key, value, other",
+    [("metrics", "truth_procedure.json", "truth_procedure"), ("rules", "out/templates", "templates_dir"),
+     ("templates_dir", "inventory.json", "inventory")],
+)
+def test_paths_naming_one_path_fail_at_load_before_any_stage_writes(workdir, capsys, key, value, other):
+    _setting_path(key, f'"{value}"')(None, workdir)
+    before = {path: path.read_bytes() for path in workdir.iterdir()}
+    assert cli_main(["all", "--config", str(workdir / "config.toml")]) == 1
+    err = capsys.readouterr().err
+    assert f"'paths.{key}'" in err and f"'paths.{other}'" in err
+    assert {path: path.read_bytes() for path in workdir.iterdir()} == before
 
 
 @pytest.mark.parametrize("flags", [["--n", "0"], ["--n", "-3"]])

@@ -7,18 +7,16 @@ from procforge.pipeline import validate_artifact
 from procforge.rules import (
     FORBIDDEN,
     INITIAL_STATE,
-    INVALID,
     REQUIRED,
     STRONG,
-    VALID,
     WEAK,
     ActionPools,
     ExtractionConfig,
+    _index_effects,
+    _producers,
     _value_evidence,
     classify_entries,
-    extract_preconditions,
     extract_rules,
-    find_producers,
     rule_set_from_dict,
     rule_set_to_dict,
 )
@@ -188,7 +186,7 @@ def test_contrast_zero_without_invalid_entries(pipette_template, pipette_oracles
 def reference_support(pools, tpl, action, variable, value, side):
     """Weighted fraction of a side's evidence whose state assigns the
     value; None (never 0/0) when the side pool is empty."""
-    entries = pools[action].valid if side == VALID else pools[action].invalid
+    entries = getattr(pools[action], side)  # valid or invalid
     total = sum(e.total_count for e in entries)
     if total == 0:
         return None
@@ -239,8 +237,8 @@ def test_value_evidence_matches_per_value_walks(
             assert list(got) == list(var.domain)
             for value in var.domain:
                 expected = (
-                    reference_support(pools, tpl, action, var.id, value, VALID),
-                    reference_support(pools, tpl, action, var.id, value, INVALID),
+                    reference_support(pools, tpl, action, var.id, value, "valid"),
+                    reference_support(pools, tpl, action, var.id, value, "invalid"),
                     reference_contrast(pools, tpl, action, var.id, value),
                 )
                 assert repr(got[value]) == repr(expected), (action, var.id, value)
@@ -253,8 +251,8 @@ def expected_draw_required():
     return {(V_CAP, "opened"), (V_MATERIAL, "none"), (V_POWER, "on")}
 
 
-def test_exhaustive_extraction_matches_oracle_exactly(pipette_model, pipette_oracles):
-    pres = extract_preconditions(pipette_model, CFG)
+def test_exhaustive_extraction_matches_oracle_exactly(pipette_model, pipette_oracles, pipette_inventory):
+    pres = extract_rules([pipette_model], pipette_inventory, CFG).preconditions
     oracle = pipette_oracles["electronic_pipette"]
     for action_key, rule in oracle.rules.items():
         required = {(p.variable, p.value) for p in pres if p.action == action_key and p.kind == REQUIRED}
@@ -265,15 +263,15 @@ def test_exhaustive_extraction_matches_oracle_exactly(pipette_model, pipette_ora
                 assert p.strength == STRONG
 
 
-def test_draw_forbidden_values(pipette_model):
-    pres = extract_preconditions(pipette_model, CFG)
+def test_draw_forbidden_values(pipette_model, pipette_inventory):
+    pres = extract_rules([pipette_model], pipette_inventory, CFG).preconditions
     forbidden = {(p.variable, p.value) for p in pres if p.action == DRAW and p.kind == FORBIDDEN}
     assert forbidden == {(V_CAP, "closed"), (V_MATERIAL, "ddH2O"), (V_POWER, "off")}
 
 
-def test_strength_matches_forbidden_alternatives(pipette_template, pipette_oracles):
+def test_strength_matches_forbidden_alternatives(pipette_template, pipette_oracles, pipette_inventory):
     batch = simulate_oracle(pipette_template, pipette_oracles["electronic_pipette"], 250, NoiseSpec(seed=0))
-    pres = extract_preconditions(aggregate(batch), CFG)
+    pres = extract_rules([aggregate(batch)], pipette_inventory, CFG).preconditions
     forbidden = {(p.action, p.variable, p.value) for p in pres if p.kind == FORBIDDEN}
     domains = {v.id: v.domain for v in pipette_template.variables}
     for p in pres:
@@ -285,10 +283,10 @@ def test_strength_matches_forbidden_alternatives(pipette_template, pipette_oracl
 
 
 def test_valid_only_power_actions_yield_weak_required_no_forbidden(
-    pipette_template, pipette_oracles
+    pipette_template, pipette_oracles, pipette_inventory
 ):
     batch = simulate_oracle(pipette_template, pipette_oracles["electronic_pipette"], 250, NoiseSpec(seed=0))
-    pres = extract_preconditions(aggregate(batch), CFG)
+    pres = extract_rules([aggregate(batch)], pipette_inventory, CFG).preconditions
     for action, value in ((POWER_ON, "off"), (POWER_OFF, "on")):
         mine = [p for p in pres if p.action == action]
         required = [p for p in mine if p.kind == REQUIRED]
@@ -297,27 +295,22 @@ def test_valid_only_power_actions_yield_weak_required_no_forbidden(
         assert [p for p in mine if p.kind == FORBIDDEN] == []
 
 
-def test_even_split_yields_no_required_value(pipette_model):
-    pres = extract_preconditions(pipette_model, CFG)
+def test_even_split_yields_no_required_value(pipette_model, pipette_inventory):
+    pres = extract_rules([pipette_model], pipette_inventory, CFG).preconditions
     assert not any(p.variable == V_FLASK and p.action == DRAW for p in pres)
 
 
-def test_insufficient_evidence_gate(pipette_template):
+def test_insufficient_evidence_gate(pipette_template, pipette_inventory):
     action = [b for b in pipette_template.bound_actions() if b.key == DRAW][0]
     state = {V_MATERIAL: "none", V_POWER: "on", V_CAP: "opened", V_FLASK: "none"}
     samples = (TransitionSample(state, action, {**state, V_MATERIAL: "ddH2O"}, 1),)
     wm = aggregate(SampleBatch(pipette_template, samples, "file"))
-    from procforge.rules import ExtractionReport
-
-    report = ExtractionReport()
-    pres = extract_preconditions(wm, CFG, report)
-    assert pres == []
-    assert DRAW in report.insufficient_evidence
-    extract_preconditions(wm, CFG, report)  # a report shared across calls lists it once
-    assert report.insufficient_evidence.count(DRAW) == 1
+    rule_set = extract_rules([wm], pipette_inventory, CFG)
+    assert rule_set.preconditions == ()
+    assert DRAW in rule_set.report.insufficient_evidence
 
 
-def test_no_value_required_and_forbidden(pipette_template, pipette_oracles):
+def test_no_value_required_and_forbidden(pipette_template, pipette_oracles, pipette_inventory):
     for seed in range(5):
         batch = simulate_oracle(
             pipette_template,
@@ -325,7 +318,7 @@ def test_no_value_required_and_forbidden(pipette_template, pipette_oracles):
             250,
             NoiseSpec(reward_flip_rate=0.1, seed=seed),
         )
-        pres = extract_preconditions(aggregate(batch), CFG)
+        pres = extract_rules([aggregate(batch)], pipette_inventory, CFG).preconditions
         seen = {}
         for p in pres:
             key = (p.action, p.variable, p.value)
@@ -333,7 +326,7 @@ def test_no_value_required_and_forbidden(pipette_template, pipette_oracles):
             seen[key] = p.kind
 
 
-def test_duplication_leaves_extraction_unchanged(pipette_template, pipette_oracles):
+def test_duplication_leaves_extraction_unchanged(pipette_template, pipette_oracles, pipette_inventory):
     oracle = full_sampling(pipette_oracles["electronic_pipette"])
     batch = simulate_oracle(pipette_template, oracle, 200, NoiseSpec(reward_flip_rate=0.05, seed=5))
     doubled = SampleBatch(pipette_template, batch.samples + batch.samples, "file")
@@ -341,7 +334,7 @@ def test_duplication_leaves_extraction_unchanged(pipette_template, pipette_oracl
     def summary(b):
         return {
             (p.action, p.variable, p.value, p.kind, p.strength)
-            for p in extract_preconditions(aggregate(b), CFG)
+            for p in extract_rules([aggregate(b)], pipette_inventory, CFG).preconditions
         }
 
     assert summary(batch) == summary(doubled)
@@ -368,20 +361,75 @@ def two_models(pipette_template, bottle_template, pipette_oracles):
     return [p, b]
 
 
+def producers(models, inv, variable, value):
+    """``_producers`` of variable=value over the effects of every model's valid pools."""
+    effects = {}
+    for wm in models:
+        _index_effects(classify_entries(wm, CFG), wm.template.variable_ids, effects)
+    return _producers(effects, inv, variable, value)
+
+
 def test_material_none_producers_include_initial_state_and_pour(two_models, pipette_inventory):
-    producers = find_producers((V_MATERIAL, "none"), two_models, pipette_inventory, CFG)
-    assert producers == [INITIAL_STATE, POUR]
+    assert producers(two_models, pipette_inventory, V_MATERIAL, "none") == [INITIAL_STATE, POUR]
 
 
 def test_power_on_producer(two_models, pipette_inventory):
-    producers = find_producers((V_POWER, "on"), two_models, pipette_inventory, CFG)
-    assert producers == [POWER_ON]
+    assert producers(two_models, pipette_inventory, V_POWER, "on") == [POWER_ON]
 
 
 def test_unproducible_condition_has_no_producers(two_models, pipette_inventory):
     # flask is initially empty but nothing ever empties it
-    assert find_producers((V_FLASK, "ddH2O"), two_models, pipette_inventory, CFG) == [POUR]
-    assert INITIAL_STATE in find_producers((V_FLASK, "none"), two_models, pipette_inventory, CFG)
+    assert producers(two_models, pipette_inventory, V_FLASK, "ddH2O") == [POUR]
+    assert INITIAL_STATE in producers(two_models, pipette_inventory, V_FLASK, "none")
+
+
+def reference_producers(condition, models, inv, cfg):
+    """Actions with a valid entry (plausibility >= theta_hi) one of whose
+    outcomes moves the variable from another value to the target value,
+    after the ``initial_state`` marker when the inventory declares it:
+    one scan of every model per condition, the walk the effect index
+    replaced."""
+    variable, value = condition
+    found: set[str] = set()
+    for wm in models:
+        if variable not in wm.template.variable_ids:
+            continue
+        idx = wm.template.variable_ids.index(variable)
+        for entry in wm.entries.values():
+            if entry.plausibility < cfg.theta_hi:
+                continue
+            if entry.state[idx] == value:
+                continue
+            if any(o.next_state[idx] == value for o in entry.outcomes):
+                found.add(entry.action.key)
+    out = sorted(found)
+    if inv.initial_value(variable) == value:
+        out.insert(0, INITIAL_STATE)
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=300),
+    flip=st.floats(min_value=0.0, max_value=0.5),
+    corrupt=st.floats(min_value=0.0, max_value=0.5),
+    seed=st.integers(min_value=0, max_value=10_000),
+)
+def test_effect_index_producers_match_per_condition_scan(
+    pipette_template, bottle_template, pipette_oracles, pipette_inventory, n, flip, corrupt, seed
+):
+    models = [
+        aggregate(simulate_oracle(tpl, pipette_oracles[tpl.focal_object], n, NoiseSpec(flip, corrupt, seed + offset)))
+        for tpl, offset in ((pipette_template, 0), (bottle_template, 1000))
+    ]
+    for variable, domain in {**pipette_template.domains, **bottle_template.domains}.items():
+        for value in domain:
+            expected = reference_producers((variable, value), models, pipette_inventory, CFG)
+            assert producers(models, pipette_inventory, variable, value) == expected, (variable, value)
+    rule_set = extract_rules(models, pipette_inventory, CFG)
+    for rule in rule_set.causal_rules:
+        expected = reference_producers((rule.variable, rule.value), models, pipette_inventory, CFG)
+        assert list(rule.producers) == [p for p in expected if p != rule.action]
 
 
 def test_full_rule_set_counts(two_models, pipette_inventory):
