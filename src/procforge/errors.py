@@ -34,6 +34,16 @@ class DuplicateIdError(ValidationError):
     """Two entities share an identifier that must be unique."""
 
 
+def distinct(values, what: str) -> tuple:
+    """``values`` as a tuple; a repeated value raises :class:`DuplicateIdError` naming it."""
+    values, seen = tuple(values), set()
+    for value in values:
+        if value in seen:
+            raise DuplicateIdError(f"duplicate {what}: {value}")
+        seen.add(value)
+    return values
+
+
 class DanglingReferenceError(ValidationError):
     """A reference names an object or component that does not exist."""
 

@@ -11,17 +11,16 @@ All types are immutable; every function here is pure.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 
 from .errors import (
     DanglingReferenceError,
     DomainResolutionError,
-    DuplicateIdError,
     InventorySchemaError,
     InventorySyntaxError,
+    distinct,
 )
-from .schemas import first_violation
+from .schemas import first_violation, load_json
 
 #: Sentinel domain marker for interaction-dependent state variables.
 DYNAMIC = "dynamic"
@@ -156,23 +155,15 @@ class DomainInventory:
 
 
 def _parse_domain(raw: list[str] | str, path: str) -> tuple[str, ...] | str:
-    if raw == DYNAMIC:
-        return DYNAMIC
-    if len(set(raw)) != len(raw):
-        raise DuplicateIdError(f"{path}: duplicate domain values in {raw}")
-    return tuple(raw)
+    return DYNAMIC if raw == DYNAMIC else distinct(raw, f"domain values in {path}")
 
 
 def _parse_states(raw: list[dict], prefix: str, path: str) -> tuple[StateVariable, ...]:
     states = tuple(
-        StateVariable(
-            id=f"{prefix}.{item['id']}",
-            domain=_parse_domain(item["domain"], f"{path}[{i}].domain"),
-        )
+        StateVariable(id=f"{prefix}.{item['id']}", domain=_parse_domain(item["domain"], f"{path}[{i}].domain"))
         for i, item in enumerate(raw)
     )
-    if len({s.name for s in states}) != len(states):
-        raise DuplicateIdError(f"{path}: duplicate variable names in {prefix!r}")
+    distinct((s.name for s in states), f"variable names in {path}")
     return states
 
 
@@ -187,11 +178,9 @@ def _parse_actions(raw: list[dict], prefix: str, path: str) -> tuple[ActionDef, 
         )
         for i, item in enumerate(raw)
     )
-    if len({a.id for a in actions}) != len(actions):
-        raise DuplicateIdError(f"{path}: duplicate action ids in {prefix!r}")
+    distinct((a.id for a in actions), f"action ids in {path}")
     for i, action in enumerate(actions):
-        if len(dict(action.params)) != len(action.params):
-            raise DuplicateIdError(f"{path}[{i}].params: duplicate parameter names in {action.id!r}")
+        distinct((name for name, _ in action.params), f"parameter names in {path}[{i}].params")
     return actions
 
 
@@ -203,8 +192,7 @@ def _parse_object(item: dict, path: str) -> LabObject:
         states = _parse_states(citem.get("states", []), prefix, f"{path}.components[{i}].states")
         actions = _parse_actions(citem.get("actions", []), prefix, f"{path}.components[{i}].actions")
         components.append(Component(id=citem["id"], kind=citem["kind"], states=states, actions=actions))
-    if len({c.id for c in components}) != len(components):
-        raise DuplicateIdError(f"{path}: duplicate component ids in object {obj_id!r}")
+    distinct((c.id for c in components), f"component ids in {path}.components")
     return LabObject(
         id=obj_id,
         category=item["category"],
@@ -281,28 +269,22 @@ def parse_inventory(text: str) -> DomainInventory:
     :func:`resolve_dynamic_domains` afterwards.
     """
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InventorySyntaxError(exc.msg, exc.lineno, exc.colno) from exc
-    except RecursionError as exc:  # nesting deeper than the decoder's recursion limit
-        raise InventorySyntaxError("JSON nested too deeply") from exc
+        doc = load_json(text)
+    except ValueError as exc:  # only a syntax error has a line and column
+        raise InventorySyntaxError(getattr(exc, "msg", str(exc)), getattr(exc, "lineno", None),
+                                   getattr(exc, "colno", None)) from exc
     violation = first_violation("inventory", doc)
     if violation is not None:
         path, message = violation
         raise InventorySchemaError(message, path)
     objects = [_parse_object(item, f"$.objects[{i}]") for i, item in enumerate(doc["objects"])]
-    if len({o.id for o in objects}) != len(objects):
-        raise DuplicateIdError("duplicate object ids in inventory")
+    distinct((o.id for o in objects), "object ids in $.objects")
     by_id = {o.id: o for o in objects}
     interactions = tuple(
         _normalize_interaction(by_id, item, f"$.interactions[{i}]")
         for i, item in enumerate(doc.get("interactions", []))
     )
-    seen: set[str] = set()
-    for i, inter in enumerate(interactions):
-        if (action_id := inter.canonical_action_id()) in seen:
-            raise DuplicateIdError(f"$.interactions[{i}]: repeats interaction {action_id}")
-        seen.add(action_id)
+    distinct((inter.canonical_action_id() for inter in interactions), "interactions in $.interactions")
     for i, obj in enumerate(objects):
         _validate_initial_state(obj, f"$.objects[{i}]")
     return DomainInventory(objects=tuple(objects), interactions=interactions)

@@ -40,7 +40,7 @@ from .repair import (
 from .rules import ExtractionConfig, extract_rules, rule_set_from_dict, rule_set_to_dict
 from .sampling import NoiseSpec, OracleSpec, build_prompt, fetch_samples, ingest_samples, simulate_oracle
 from .sampling import EndpointConfig, SOURCE_FILE, SOURCE_ORACLE, SOURCES
-from .schemas import first_violation
+from .schemas import first_violation, load_json
 from .templates import DEFAULT_STATE_LIMIT, build_template, template_from_dict, template_to_dict
 from .world_model import aggregate, serialize_world_model, world_model_from_dict
 
@@ -112,8 +112,8 @@ def _parse_config(text: str, suffix: str) -> dict:
         except (tomllib.TOMLDecodeError, RecursionError) as exc:  # nesting deeper than the recursion limit
             raise ConfigError(f"invalid TOML: {exc}") from exc
     try:
-        return json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+        return load_json(text)
+    except ValueError as exc:
         raise ConfigError(f"invalid JSON: {exc}") from exc
 
 
@@ -377,8 +377,8 @@ def _read_json(path: Path, schema: str | None = None, parse=None):
     """The JSON document at ``path``, checked against ``schema`` and then
     turned into an object by ``parse`` where these are given."""
     try:
-        doc = json.loads(_read_text(path))
-    except (json.JSONDecodeError, RecursionError) as exc:  # nesting deeper than the recursion limit
+        doc = load_json(_read_text(path))
+    except ValueError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     if schema:
         validate_artifact(schema, doc, str(path))
@@ -395,6 +395,14 @@ def _read_procedure(cfg: PipelineConfig, key: str, truth: Procedure | None = Non
     if truth is not None and set(proc.step_ids) != set(truth.step_ids):  # step ids are distinct
         raise SequenceMismatchError(f"{path}: steps differ from those of {cfg.path('truth_procedure')}")
     return proc
+
+
+def _read_truth(cfg: PipelineConfig) -> Procedure:
+    """The truth procedure that ``evaluate`` and ``tune`` score against: a trigram needs 3 steps."""
+    truth = _read_procedure(cfg, "truth_procedure")
+    if len(truth.steps) < 3:
+        raise ValidationError(f"{cfg.path('truth_procedure')}: the metrics need 3 steps, got {len(truth.steps)}")
+    return truth
 
 
 def _read_constraints(cfg: PipelineConfig):
@@ -554,7 +562,7 @@ def stage_repair(cfg: PipelineConfig) -> list[Path]:
 
 
 def stage_evaluate(cfg: PipelineConfig) -> list[Path]:
-    truth = _read_procedure(cfg, "truth_procedure")
+    truth = _read_truth(cfg)
     draft = _read_procedure(cfg, "draft_procedure", truth)
     repaired = _read_procedure(cfg, "repaired_procedure", truth)
     constraints, _ = _read_constraints(cfg)
@@ -586,7 +594,7 @@ def stage_perturb(cfg: PipelineConfig) -> list[Path]:
 def stage_tune(cfg: PipelineConfig) -> list[Path]:
     if not cfg.tune_grid:
         raise ConfigError("config has no [tune.grid] section")
-    truth = _read_procedure(cfg, "truth_procedure")
+    truth = _read_truth(cfg)
     draft = _read_procedure(cfg, "draft_procedure", truth)
     constraints, clusters = _read_constraints(cfg)
     pairs = [(c.predecessor, c.successor) for c in constraints]

@@ -14,7 +14,7 @@ import math
 import random
 from dataclasses import asdict, dataclass, field, fields
 
-from .errors import DanglingReferenceError, DuplicateIdError, PermutationError, ProcforgeError, ValidationError
+from .errors import DanglingReferenceError, PermutationError, ProcforgeError, ValidationError, distinct
 from .metrics import RAW_BINARY, RAW_GAP
 from .rules import INITIAL_STATE, CausalRule
 from .templates import BoundAction, bound_action_from_parts
@@ -37,9 +37,7 @@ class Procedure:
     steps: tuple[Step, ...]
 
     def __post_init__(self):
-        ids = [s.id for s in self.steps]
-        if len(set(ids)) != len(ids):
-            raise DuplicateIdError("duplicate step ids in procedure")
+        distinct((s.id for s in self.steps), "step ids in procedure")
 
     @property
     def step_ids(self) -> list[str]:
@@ -705,10 +703,7 @@ def constraints_to_dict(constraints: list[PrecedenceConstraint], clusters: list[
     return {"raw": [asdict(c) for c in constraints], "cluster": [asdict(c) for c in clusters]}
 
 
-def constraints_from_dict(doc: dict) -> tuple[list[PrecedenceConstraint], list[ClusterConstraint]]:
+def constraints_from_dict(doc: dict) -> tuple[tuple[PrecedenceConstraint, ...], tuple[ClusterConstraint, ...]]:
     raw = [PrecedenceConstraint(**item) for item in doc.get("raw", [])]
     clusters = [ClusterConstraint(**item) for item in doc.get("cluster", [])]
-    for name, items in (("raw", raw), ("cluster", clusters)):
-        if len(set(items)) != len(items):
-            raise DuplicateIdError(f"{name} constraints repeat a constraint")
-    return raw, clusters
+    return distinct(raw, "raw constraints"), distinct(clusters, "cluster constraints")

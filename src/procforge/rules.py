@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
 from operator import attrgetter
 
-from .errors import DuplicateIdError, ValidationError
+from .errors import ValidationError, distinct
 from .inventory import DomainInventory
 from .world_model import WorldModel, WorldModelEntry
 
@@ -362,8 +362,6 @@ def rule_set_from_dict(doc: dict) -> RuleSet:
     preconditions = tuple(Precondition(**p) for p in doc["preconditions"])
     rules = tuple(CausalRule(**{**r, "producers": tuple(r["producers"])}) for r in doc["causal_rules"])
     for name, items in (("preconditions", preconditions), ("causal_rules", rules)):
-        keys = [(item.action, item.variable, item.value) for item in items]
-        if len(set(keys)) != len(keys):
-            raise DuplicateIdError(f"{name} repeat an (action, variable, value)")
+        distinct(((i.action, i.variable, i.value) for i in items), f"(action, variable, value) in {name}")
     report = ExtractionReport(**doc["extraction_report"])
     return RuleSet(preconditions=preconditions, causal_rules=rules, report=report, config=cfg)

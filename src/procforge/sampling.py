@@ -22,6 +22,7 @@ from .errors import (
     OracleCoverageError,
     SampleValidationError,
 )
+from .schemas import load_json
 from .templates import BoundAction, MdpTemplate, bound_action_from_parts, enumerate_states
 
 PROMPT_VERSION = "1"
@@ -230,11 +231,9 @@ class IngestReport:
 def parse_sample_line(tpl: MdpTemplate, line: str) -> TransitionSample:
     """Parse and validate one JSONL sample record."""
     try:
-        doc = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise SampleValidationError(f"invalid JSON: {exc.msg}") from exc
-    except RecursionError as exc:  # nesting deeper than the decoder's recursion limit
-        raise SampleValidationError("invalid JSON: nested too deeply") from exc
+        doc = load_json(line)
+    except ValueError as exc:  # a syntax error's message without its position
+        raise SampleValidationError(f"invalid JSON: {getattr(exc, 'msg', exc)}") from exc
     if not isinstance(doc, dict):
         raise SampleValidationError("record must be a JSON object")
     for key in ("state", "action", "next_state", "reward"):
@@ -415,8 +414,8 @@ def _request_once(endpoint: EndpointConfig, prompt: str, transport) -> str:
                 raise EndpointAuthError(f"endpoint rejected credentials (HTTP {status})")
             if status == 200:
                 try:
-                    return _extract_text(json.loads(text), endpoint.response_path)
-                except (json.JSONDecodeError, KeyError, TypeError) as exc:
+                    return _extract_text(load_json(text), endpoint.response_path)
+                except (ValueError, KeyError, TypeError) as exc:
                     err = EndpointError(f"unparseable endpoint response: {exc}")
                     err.raw_text = text  # preserved for audit
                     raise err from exc

@@ -247,8 +247,25 @@ def compile_schema(schema: dict) -> Callable[[object], tuple[str, str] | None]:
     return first
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    doc = dict(pairs)
+    if len(doc) != len(pairs):
+        seen: set[str] = set()
+        raise ValueError(f"repeated key {next(key for key, _ in pairs if key in seen or seen.add(key))!r}")
+    return doc
+
+
+def load_json(text: str) -> object:
+    """The JSON document in ``text``.  It fails with ``ValueError`` on a syntax error (a ``JSONDecodeError``),
+    on an object that repeats a key and on nesting deeper than the recursion limit."""
+    try:
+        return json.loads(text, object_pairs_hook=_unique_keys)
+    except RecursionError as exc:
+        raise ValueError("nested too deeply") from exc
+
+
 def load_schema(name: str) -> dict:
-    return json.loads((SCHEMA_DIR / f"{name}.schema.json").read_text("utf-8"))
+    return load_json((SCHEMA_DIR / f"{name}.schema.json").read_text("utf-8"))
 
 
 @functools.cache

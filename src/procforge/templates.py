@@ -14,10 +14,10 @@ from functools import cached_property
 
 from .errors import (
     DomainResolutionError,
-    DuplicateIdError,
     SampleValidationError,
     StateSpaceLimitError,
     UnknownObjectError,
+    distinct,
 )
 from .inventory import DomainInventory, Interaction, LabObject, StateVariable
 
@@ -254,37 +254,25 @@ def template_to_dict(tpl: MdpTemplate) -> dict:
     }
 
 
-def _distinct(values, what: str) -> tuple:
-    """``values`` as a tuple; a repeated value raises :class:`DuplicateIdError`."""
-    values = tuple(values)
-    if len(set(values)) != len(values):
-        raise DuplicateIdError(f"duplicate {what} in template: {list(values)}")
-    return values
-
-
 def template_from_dict(doc: dict) -> MdpTemplate:
     """The template of a document that fits its schema; a repeated variable
     id, action id, parameter name or domain value raises
     :class:`DuplicateIdError`."""
-    variables = tuple(
-        TemplateVariable(
-            id=v["id"], domain=_distinct(v["domain"], f"domain values of {v['id']}"), origin=v["origin"]
-        )
-        for v in doc["variables"]
-    )
-    _distinct((v.id for v in variables), "variable ids")
+    variables = tuple(TemplateVariable(**{**v, "domain": distinct(v["domain"], f"domain values of {v['id']}")})
+                      for v in doc["variables"])
+    distinct((v.id for v in variables), "variable ids in template")
     actions = tuple(
         TemplateAction(
             id=a["id"],
             params=tuple(
-                (p["name"], _distinct(p["domain"], f"domain values of {a['id']}({p['name']})"))
+                (p["name"], distinct(p["domain"], f"domain values of {a['id']}({p['name']})"))
                 for p in a.get("params", [])
             ),
             kind=a["kind"],
         )
         for a in doc["actions"]
     )
-    _distinct((a.id for a in actions), "action ids")
+    distinct((a.id for a in actions), "action ids in template")
     for a in actions:
-        _distinct((name for name, _ in a.params), f"parameter names of {a.id}")
+        distinct((name for name, _ in a.params), f"parameter names of {a.id}")
     return MdpTemplate(focal_object=doc["focal_object"], variables=variables, actions=actions)

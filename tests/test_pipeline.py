@@ -854,6 +854,27 @@ def _replacing_first(old, new):
     return lambda path, workdir: path.write_text(path.read_text().replace(old, new, 1))
 
 
+def _shortening_every_procedure(n):
+    """A corruption that cuts the truth to its first ``n`` steps, writes that order as the draft and
+    repaired, and empties the constraints, so that only the truth's length is wrong."""
+
+    def corrupt(path, workdir):
+        doc = read_json(path)
+        doc["steps"] = doc["steps"][:n]
+        for p in (path, workdir / "out/draft.json", workdir / "out/repaired.json"):
+            p.write_text(json.dumps(doc))
+        (workdir / "out/constraints.json").write_text(json.dumps({"raw": [], "cluster": []}))
+
+    return corrupt
+
+
+def _repeat_first_key(path, workdir):
+    """A corruption that writes the document's first key again, with the value null, at the front of the file."""
+    text = path.read_text()
+    key = next(iter(json.loads(text)))
+    path.write_text(f"{{{json.dumps(key)}: null, {text.lstrip()[1:]}")
+
+
 def _copy_of(name):
     """A corruption that writes a copy of the file ``name`` to the path."""
     return lambda path, workdir: shutil.copy(workdir / name, path)
@@ -870,6 +891,7 @@ BAD_INPUTS = {
     "config-missing": ("config.toml", lambda path, workdir: path.unlink(), [], ["template"]),
     "config-invalid-toml": ("config.toml", _writing("seed = "), [], ["template"]),
     "config-invalid-json": ("c.json", _writing('{"seed": '), [], ["template"]),
+    "config-repeated-key": ("c.json", _writing('{"seed": null, "seed": 20240}'), [], ["template"]),
     "config-unknown-key": ("config.toml", _replacing("n = 250", "nn = 250"), [], ["template"]),
     "config-bad-value": ("config.toml", _replacing("restarts = 8", "restarts = 0"), [], ["template"]),
     "config-missing-key": ("config.toml", _replacing("n_misorderings = 6\n", ""), [], ["template"]),
@@ -885,6 +907,10 @@ BAD_INPUTS = {
     "one-step-truth-at-perturb": (
         "truth_procedure.json", _editing(lambda doc, w: doc.update(steps=doc["steps"][:1])), [], ["perturb"],
     ),
+    **{
+        f"{label}-step-truth-at-{stage}": ("truth_procedure.json", _shortening_every_procedure(n), ALL, [stage])
+        for label, n in (("one", 1), ("two", 2)) for stage in ("evaluate", "tune")
+    },
     "strict-inapplicable-kind-at-perturb": (
         "truth_procedure.json", _editing(lambda doc, w: doc.update(steps=doc["steps"][:2])), [], ["perturb", "--strict"],
     ),
@@ -997,7 +1023,7 @@ BAD_INPUTS = {
     ),
     "samples-not-an-object-at-aggregate": ("out/samples/spoon.jsonl", _writing("[]\n"), SAMPLED, ["aggregate"]),
 }
-# Every stage input, truncated or of the wrong top-level type, at each stage that reads it:
+# Every stage input, truncated, of the wrong top-level type or repeating a key, at each stage that reads it:
 # (the file, the stages run before it, the stages that read it).
 READERS = {
     "inventory": ("inventory.json", [*SAMPLED, "aggregate"], ["template", "extract"]),
@@ -1011,7 +1037,9 @@ READERS = {
     "repaired": ("out/repaired.json", ALL, ["evaluate"]),
 }
 for label, (name, earlier, stages) in READERS.items():
-    for corruption, corrupt in (("truncated", _truncate), ("not-an-object", _writing("[]\n"))):
+    for corruption, corrupt in (
+        ("truncated", _truncate), ("not-an-object", _writing("[]\n")), ("repeated-key", _repeat_first_key),
+    ):
         for stage in stages:
             BAD_INPUTS[f"{label}-{corruption}-at-{stage}"] = (name, corrupt, earlier, [stage])
 

@@ -328,6 +328,16 @@ def test_ingest_rejects_a_line_nested_past_the_decoder_limit(pipette_template, i
     assert ingest_samples(lines, pipette_template).rejections[0] == (2, "invalid JSON: nested too deeply")
 
 
+def test_ingest_rejects_a_line_that_repeats_a_key(pipette_template, ingest_lines):
+    first = ingest_lines[0]  # a valid record; the copy gives the other reward first
+    repeated = '{"reward": %d, %s' % (1 - json.loads(first)["reward"], first.lstrip()[1:])
+    lines = [first, repeated]
+    assert_each_line_parses_or_is_rejected(lines, pipette_template)
+    assert ingest_samples(lines, pipette_template).rejections == ((2, "invalid JSON: repeated key 'reward'"),)
+    with pytest.raises(SampleValidationError, match=r"^line 2: invalid JSON: repeated key 'reward'$"):
+        ingest_samples(lines, pipette_template, strict=True)
+
+
 @pytest.fixture(scope="session")
 def pipette_template_fuzz(pipette_template):
     return pipette_template

@@ -1,5 +1,7 @@
-"""The in-tree schema validator against ``jsonschema``'s draft 2020-12 validator."""
+"""The in-tree schema validator against ``jsonschema``'s draft 2020-12 validator,
+the one JSON decoder against ``json.loads``, and the one repeated-id check."""
 
+import copy
 import json
 import os
 import shutil
@@ -10,8 +12,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 from jsonschema import Draft202012Validator
 
+from procforge import parse_inventory
+from procforge.errors import DuplicateIdError
 from procforge.pipeline import load_config, run_all
-from procforge.schemas import SCHEMA_DIR, compile_schema, first_violation, load_schema
+from procforge.repair import PrecedenceConstraint, constraints_from_dict, procedure_from_dict
+from procforge.rules import rule_set_from_dict
+from procforge.schemas import SCHEMA_DIR, compile_schema, first_violation, load_json, load_schema
+from procforge.templates import template_from_dict
 
 from conftest import REPO
 
@@ -166,3 +173,123 @@ def test_importing_procforge_leaves_jsonschema_unloaded():
     code = "import sys, procforge, procforge.cli, procforge.pipeline; print('jsonschema' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert proc.stdout.strip() == "False"
+
+
+# ── the decoder ───────────────────────────────────────────────────────────
+
+
+@st.composite
+def json_texts(draw):
+    """The JSON text of a generated value, in which some objects give one of their keys twice."""
+
+    def render(value):
+        if isinstance(value, list):
+            return "[" + ", ".join(map(render, value)) + "]"
+        if not isinstance(value, dict):
+            return json.dumps(value)
+        pairs = [f"{json.dumps(key)}: {render(item)}" for key, item in value.items()]
+        if value and draw(st.booleans()):
+            key = draw(st.sampled_from(sorted(value)))
+            pairs.insert(draw(st.integers(0, len(pairs))), f"{json.dumps(key)}: {render(draw(JSON_VALUES))}")
+        return "{" + ", ".join(pairs) + "}"
+
+    return render(draw(JSON_VALUES))
+
+
+def repeats_a_key(node) -> bool:
+    """Whether a document read with ``object_pairs_hook=list`` holds an object that repeats a key;
+    an object reads as a list of (key, value) tuples, an array as a list of values."""
+    if not isinstance(node, list):
+        return False
+    if node and isinstance(node[0], tuple):
+        keys = [key for key, _ in node]
+        return len(set(keys)) != len(keys) or any(repeats_a_key(item) for _, item in node)
+    return any(map(repeats_a_key, node))
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=JSON_VALUES, ascii_only=st.booleans())
+def test_load_json_reads_what_json_loads_reads(value, ascii_only):
+    text = json.dumps(value, ensure_ascii=ascii_only)
+    assert json.dumps(load_json(text)) == json.dumps(json.loads(text))  # NaN reads back unequal to itself
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=json_texts())
+def test_load_json_rejects_exactly_the_texts_that_repeat_a_key(text):
+    if repeats_a_key(json.loads(text, object_pairs_hook=list)):
+        with pytest.raises(ValueError, match="^repeated key "):
+            load_json(text)
+    else:
+        assert json.dumps(load_json(text)) == json.dumps(json.loads(text))
+
+
+@pytest.mark.parametrize("text", ["[" * 100_000, '{"a": ' * 100_000, "[" * 100_000 + "]" * 100_000])
+def test_load_json_turns_nesting_past_the_recursion_limit_into_value_error(text):
+    with pytest.raises(ValueError, match="^nested too deeply$"):
+        load_json(text)
+
+
+# ── repeated ids ──────────────────────────────────────────────────────────
+
+READ = {
+    "inventory": lambda doc: parse_inventory(json.dumps(doc)),
+    "template": template_from_dict,
+    "procedure": procedure_from_dict,
+    "constraints": constraints_from_dict,
+    "rules": rule_set_from_dict,
+}
+
+
+def _scale(doc):
+    """The inventory's first object, the electronic scale."""
+    return doc["objects"][0]
+
+
+def _key(item):
+    return str((item["action"], item["variable"], item["value"]))
+
+
+# (artifact, the list whose first item is repeated, the name its error gives)
+ID_LISTS = {
+    "inventory-object-ids": ("inventory", lambda doc: doc["objects"], lambda item: item["id"]),
+    "inventory-component-ids": ("inventory", lambda doc: _scale(doc)["components"], lambda item: item["id"]),
+    "inventory-variable-names": (
+        "inventory", lambda doc: _scale(doc)["components"][0]["states"], lambda item: item["id"],
+    ),
+    "inventory-action-ids": (
+        "inventory", lambda doc: _scale(doc)["components"][0]["actions"],
+        lambda item: f"electronic_scale.power_button.{item['id']}",
+    ),
+    "inventory-parameter-names": (
+        "inventory", lambda doc: _scale(doc)["components"][0]["actions"][0]["params"], lambda item: item["name"],
+    ),
+    "inventory-domain-values": ("inventory", lambda doc: _scale(doc)["components"][0]["states"][0]["domain"], str),
+    "inventory-interactions": (
+        "inventory", lambda doc: doc["interactions"], lambda item: f"{item['kind']}:{item['source']}->{item['target']}",
+    ),
+    "template-variable-ids": ("template", lambda doc: doc["variables"], lambda item: item["id"]),
+    "template-action-ids": ("template", lambda doc: doc["actions"], lambda item: item["id"]),
+    "template-parameter-names": ("template", lambda doc: doc["actions"][0]["params"], lambda item: item["name"]),
+    "template-domain-values": ("template", lambda doc: doc["variables"][0]["domain"], str),
+    "template-parameter-domain-values": ("template", lambda doc: doc["actions"][0]["params"][0]["domain"], str),
+    "procedure-step-ids": ("procedure", lambda doc: doc["steps"], lambda item: item["id"]),
+    "raw-constraints": ("constraints", lambda doc: doc["raw"], lambda item: str(PrecedenceConstraint(**item))),
+    "cluster-constraints": (
+        "constraints", lambda doc: doc.update(cluster=[{"earlier": "weighing", "later": "mixing"}]) or doc["cluster"],
+        lambda item: "ClusterConstraint(earlier='weighing', later='mixing')",
+    ),
+    "rules-preconditions": ("rules", lambda doc: doc["preconditions"], _key),
+    "rules-causal-rules": ("rules", lambda doc: doc["causal_rules"], _key),
+}
+
+
+@pytest.mark.parametrize("name, select, repeated", ID_LISTS.values(), ids=ID_LISTS)
+def test_each_id_list_reader_names_the_repeated_value(artifacts, name, select, repeated):
+    docs = artifacts[name]  # of the templates, the electronic scale's
+    doc = copy.deepcopy(next((d for d in docs if d.get("focal_object") == "electronic_scale"), docs[0]))
+    items = select(doc)
+    items.append(items[0])
+    with pytest.raises(DuplicateIdError, match="^duplicate ") as err:
+        READ[name](doc)
+    assert str(err.value).endswith(f": {repeated(items[0])}")
