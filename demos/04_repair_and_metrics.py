@@ -1,20 +1,22 @@
 """Constraint-guided repair of a deliberately scrambled procedure.
 
-The 30-step ground-truth procedure is perturbed with six seeded local
-misorderings, the extracted rules are mapped onto the scrambled draft as
-precedence constraints, and the permutation search (warm-started at the
-draft) reorders steps to satisfy them.  Both orderings are then scored
-against the ground truth.
+The 30-step ground-truth procedure is perturbed with the benchmark
+config's seeded local misorderings, the extracted rules are mapped onto
+the scrambled draft as precedence constraints, and the permutation search
+(warm-started at the draft) reorders steps to satisfy them under the
+config's weights, search and seed.  Both orderings are then scored
+against the ground truth, as ``procforge all`` writes them to
+``out/metrics.txt``.
 """
 
 import json
 from dataclasses import asdict
 from pathlib import Path
 
-from procforge import PerturbationSpec, map_rules_to_constraints, perturb, repair
+from procforge import map_rules_to_constraints, perturb, repair
 from procforge.metrics import evaluate, format_table
 from procforge.pipeline import load_config, run_stage
-from procforge.repair import RepairWeights, SearchParams, procedure_from_dict
+from procforge.repair import derive_seed, procedure_from_dict
 from procforge.rules import rule_set_from_dict
 
 BENCHMARK = Path(__file__).resolve().parent.parent / "benchmark"
@@ -27,8 +29,7 @@ def main():
     rules = rule_set_from_dict(json.loads(cfg.path("rules").read_text()))
     truth = procedure_from_dict(json.loads((BENCHMARK / "truth_procedure.json").read_text()))
 
-    spec = PerturbationSpec(n_misorderings=6, kinds=cfg.perturbation.kinds, seed=cfg.perturbation.seed)
-    draft, log = perturb(truth, spec)
+    draft, log = perturb(truth, cfg.perturbation)
     print("seeded misorderings introduced into the ground truth:")
     for move in log.moves:
         print(f"  {move['kind']}: step {move['step_id']} moved {move['from']} -> {move['to']}")
@@ -42,10 +43,10 @@ def main():
     result = repair(
         draft,
         list(mapping.constraints),
-        weights=RepairWeights(0.5, 1.0, 0.0, 2.0),
-        search=SearchParams(restarts=8),
-        seed=7,
-        raw_mode="gap",
+        weights=cfg.weights,
+        search=cfg.search,
+        seed=derive_seed(cfg.seed, "repair"),
+        raw_mode=cfg.raw_penalty,
     )
     repaired = draft.reordered(list(result.order))
     print(f"\nrepair cost breakdown: {asdict(result.cost)}")

@@ -12,7 +12,6 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import itertools
-import json
 import os
 import tempfile
 from collections.abc import Iterable, Iterator
@@ -40,7 +39,7 @@ from .repair import (
 from .rules import ExtractionConfig, extract_rules, rule_set_from_dict, rule_set_to_dict
 from .sampling import NoiseSpec, OracleSpec, build_prompt, fetch_samples, ingest_samples, simulate_oracle
 from .sampling import EndpointConfig, SOURCE_FILE, SOURCE_ORACLE, SOURCES
-from .schemas import first_violation, load_json
+from .schemas import dump_json, first_violation, load_json
 from .templates import DEFAULT_STATE_LIMIT, build_template, template_from_dict, template_to_dict
 from .world_model import aggregate, serialize_world_model, world_model_from_dict
 
@@ -297,8 +296,15 @@ def write_artifact(
 
     ``text`` is the artifact as one string or as string chunks (see
     :func:`write_atomic`).  ``lines``, when given, records the accepted
-    and rejected input line counts of an ingested samples file.
+    and rejected input line counts of an ingested samples file.  The
+    manifest keys each input by its file name, so two inputs with one
+    name fail before anything is written.
     """
+    named: dict[str, Path] = {}
+    for p in sorted(p for p in inputs if p.exists()):
+        if (first := named.setdefault(p.name, p)) != p:
+            raise ConfigError(f"{first} and {p}: inputs of {path.name} share the file name {p.name!r}, "
+                              "which keys its manifest")
     write_atomic(path, text)
     manifest = {
         "artifact": path.name,
@@ -306,11 +312,11 @@ def write_artifact(
         "tool_version": __version__,
         "seed": cfg.seed,
         "config_sha256": cfg.config_hash,
-        "inputs": {p.name: _sha256_file(p) for p in sorted(inputs) if p.exists()},
+        "inputs": {name: _sha256_file(p) for name, p in named.items()},
     }
     if lines is not None:
         manifest["lines"] = lines
-    write_atomic(path.with_name(path.name + ".manifest.json"), _encode(manifest))
+    write_atomic(path.with_name(path.name + ".manifest.json"), dump_json(manifest))
 
 
 def _sha256_file(path: Path) -> str:
@@ -322,14 +328,9 @@ def _sha256_file(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _encode(doc: object) -> str:
-    """The one canonical encoding of a JSON artifact."""
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
 def _write_json(path: Path, doc: object, cfg: PipelineConfig, stage: str, inputs: list[Path]) -> Path:
     """Write ``doc`` as a JSON artifact; a stage that reads it checks it against its schema."""
-    write_artifact(path, _encode(doc), cfg, stage, inputs)
+    write_artifact(path, dump_json(doc), cfg, stage, inputs)
     return path
 
 

@@ -1,24 +1,25 @@
-"""The shipped JSON schemas, each read and compiled once per process.
+"""The one JSON boundary: decoding text, encoding artifacts, and checking
+documents against the shipped JSON schemas, each read and compiled once
+per process.
 
 Documents are checked by the small validator below, not by a general
 JSON Schema library.  It follows JSON Schema draft 2020-12 for exactly
-the keywords the shipped schemas use, with the message text of the
-``jsonschema`` package (the tests' reference):
+the keywords the shipped schemas use (:data:`KEYWORDS`), with the
+message text of the ``jsonschema`` package (the tests' reference):
 
 - ``type``: ``number`` and ``integer`` exclude ``bool``, and an
   integral float is an ``integer``;
 - ``properties``, ``required``, and ``additionalProperties`` as
-  ``false``, ``true`` or a schema;
+  ``false`` or a schema;
 - ``items`` (schema form), and ``$ref`` to ``#/$defs/<name>``;
-- ``enum`` and ``const``, compared with JSON equality (``True`` is not
-  ``1``);
+- ``enum`` of strings and null;
 - ``minItems``, ``minLength``, ``pattern`` (``re.search``),
-  ``minimum``, ``maximum`` and ``oneOf``;
+  ``minimum``, ``maximum`` and ``anyOf``;
 - the annotations ``$schema``, ``$id``, ``title``, ``description``,
   ``$comment`` and ``$defs``.
 
-Any other keyword raises ``ValueError`` when the schema is compiled, so
-a schema is never checked with part of it ignored.
+Any other keyword or form raises ``ValueError`` when the schema is
+compiled, so a schema is never checked with part of it ignored.
 """
 
 from __future__ import annotations
@@ -37,6 +38,12 @@ _Check = Callable[[object, tuple, list], None]
 
 _ANNOTATIONS = frozenset({"$schema", "$id", "title", "description", "$comment", "$defs"})
 
+#: Every keyword the validator supports, the annotations included.
+KEYWORDS = _ANNOTATIONS | {
+    "type", "properties", "required", "additionalProperties", "items", "$ref", "enum",
+    "minItems", "minLength", "pattern", "minimum", "maximum", "anyOf",
+}
+
 _TYPES: dict[str, Callable[[object], bool]] = {
     "object": lambda x: isinstance(x, dict),
     "array": lambda x: isinstance(x, list),
@@ -48,21 +55,6 @@ _TYPES: dict[str, Callable[[object], bool]] = {
     or (isinstance(x, float) and x.is_integer()),
 }
 _is_number = _TYPES["number"]
-
-
-def _equal(a: object, b: object) -> bool:
-    """JSON equality: ``bool`` never equals a number, containers compare by item."""
-    if a is b:
-        return True
-    if isinstance(a, str) or isinstance(b, str):
-        return a == b
-    if isinstance(a, (list, tuple)) and isinstance(b, (list, tuple)):
-        return len(a) == len(b) and all(map(_equal, a, b))
-    if isinstance(a, dict) and isinstance(b, dict):
-        return len(a) == len(b) and all(k in b and _equal(v, b[k]) for k, v in a.items())
-    if isinstance(a, bool) or isinstance(b, bool):
-        return False
-    return a == b
 
 
 def _non_empty_or_short(limit: int) -> str:
@@ -95,6 +87,8 @@ def compile_schema(schema: dict) -> Callable[[object], tuple[str, str] | None]:
         return check
 
     def compile_keyword(key: str, value, node: dict, at: str) -> _Check | None:
+        if key not in KEYWORDS:
+            raise ValueError(f"{at}: unsupported schema keyword {key!r}")
         if key in _ANNOTATIONS:
             return None
         if key == "type":
@@ -128,8 +122,6 @@ def compile_schema(schema: dict) -> Callable[[object], tuple[str, str] | None]:
 
         elif key == "additionalProperties":
             declared = node.get("properties", {})
-            if value is True:
-                return None
             if value is False:
 
                 def check(x, path, errors):
@@ -142,7 +134,7 @@ def compile_schema(schema: dict) -> Callable[[object], tuple[str, str] | None]:
                                 (path, f"Additional properties are not allowed ({listed} {verb} unexpected)")
                             )
 
-            else:
+            else:  # a schema; ``true`` fails here, since leaving the keyword out means the same
                 extra = compile_node(value, at)
 
                 def check(x, path, errors):
@@ -168,16 +160,12 @@ def compile_schema(schema: dict) -> Callable[[object], tuple[str, str] | None]:
                 defs[name](x, path, errors)
 
         elif key == "enum":
+            if not isinstance(value, list) or not all(v is None or isinstance(v, str) for v in value):
+                raise ValueError(f"{at}: enum must list strings or null, not {value!r}")
 
-            def check(x, path, errors):
-                if not any(_equal(v, x) for v in value):
+            def check(x, path, errors):  # ``in`` is JSON equality for strings and null
+                if x not in value:
                     errors.append((path, f"{x!r} is not one of {value!r}"))
-
-        elif key == "const":
-
-            def check(x, path, errors):
-                if not _equal(x, value):
-                    errors.append((path, f"{value!r} was expected"))
 
         elif key == "minItems":
 
@@ -210,8 +198,8 @@ def compile_schema(schema: dict) -> Callable[[object], tuple[str, str] | None]:
                 if _is_number(x) and x > value:
                     errors.append((path, f"{x!r} is greater than the maximum of {value!r}"))
 
-        elif key == "oneOf":
-            options = [(sub, compile_node(sub, f"{at}/{i}")) for i, sub in enumerate(value)]
+        else:  # anyOf
+            options = [compile_node(sub, f"{at}/{i}") for i, sub in enumerate(value)]
 
             def passes(c, x):
                 found: list = []
@@ -219,17 +207,9 @@ def compile_schema(schema: dict) -> Callable[[object], tuple[str, str] | None]:
                 return not found
 
             def check(x, path, errors):
-                for i, (sub, c) in enumerate(options):
-                    if passes(c, x):
-                        also = [s for s, c2 in options[i + 1 :] if passes(c2, x)]
-                        if also:
-                            listed = ", ".join(repr(s) for s in [*also, sub])
-                            errors.append((path, f"{x!r} is valid under each of {listed}"))
-                        return
-                errors.append((path, f"{x!r} is not valid under any of the given schemas"))
+                if not any(passes(c, x) for c in options):
+                    errors.append((path, f"{x!r} is not valid under any of the given schemas"))
 
-        else:
-            raise ValueError(f"{at}: unsupported schema keyword {key!r}")
         return check
 
     for name, sub in def_schemas.items():
@@ -255,13 +235,23 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return doc
 
 
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
 def load_json(text: str) -> object:
-    """The JSON document in ``text``.  It fails with ``ValueError`` on a syntax error (a ``JSONDecodeError``),
-    on an object that repeats a key and on nesting deeper than the recursion limit."""
+    """The JSON document in ``text``.  It fails with ``ValueError`` on a syntax error or a leading BOM
+    (a ``JSONDecodeError``), on an object that repeats a key and on nesting deeper than the recursion limit."""
+    if text.startswith("\ufeff"):  # as ``json.loads`` rejects it; ``decode`` would not say why
+        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
     try:
-        return json.loads(text, object_pairs_hook=_unique_keys)
+        return _DECODER.decode(text)
     except RecursionError as exc:
         raise ValueError("nested too deeply") from exc
+
+
+def dump_json(doc: object) -> str:
+    """The one canonical text of a JSON artifact."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def load_schema(name: str) -> dict:

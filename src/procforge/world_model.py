@@ -8,12 +8,12 @@ rule extraction.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass
 
 from .errors import SampleValidationError
 from .sampling import SampleBatch
+from .schemas import dump_json
 from .templates import BoundAction, MdpTemplate, bound_action_from_parts, template_from_dict, template_to_dict
 
 StateTuple = tuple[str, ...]
@@ -204,4 +204,4 @@ def world_model_from_dict(doc: dict) -> WorldModel:
 
 
 def serialize_world_model(wm: WorldModel) -> str:
-    return json.dumps(world_model_to_dict(wm), indent=2, sort_keys=True) + "\n"
+    return dump_json(world_model_to_dict(wm))

@@ -833,6 +833,19 @@ def _setting_path(key, value):
     return corrupt
 
 
+def _moving(**moves):
+    """A corruption that copies the file of each ``[paths]`` key to a new path and sets the key to it."""
+
+    def corrupt(path, workdir):
+        cfg = load_config(workdir / "config.toml")
+        for key, new in moves.items():
+            (workdir / new).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy(cfg.path(key), workdir / new)
+            _setting_path(key, f'"{new}"')(path, workdir)
+
+    return corrupt
+
+
 def _widening(doc, workdir):
     """Three 50-value variables: 36 * 50**3 states, over the oracle's limit."""
     doc["variables"] += [{"id": f"spoon.wide{i}", "domain": [f"v{j}" for j in range(50)], "origin": "own"}
@@ -886,6 +899,7 @@ SPOON = "out/templates/spoon.json"
 REPEAT_VARIABLE = _repeating(lambda doc: doc["variables"])
 REPEAT_DOMAIN_VALUE = _repeating(lambda doc: doc["variables"][0]["domain"])
 REPEAT_ACTION = _repeating(lambda doc: doc["actions"])
+SHARED_NAME_AT_MAP = _moving(rules="out/r/x.json", draft_procedure="out/d/x.json")
 BAD_INPUTS = {
     # (file, corruption, stages run before it, the stage's argv)
     "config-missing": ("config.toml", lambda path, workdir: path.unlink(), [], ["template"]),
@@ -1022,6 +1036,11 @@ BAD_INPUTS = {
         ALL, ["repair"],
     ),
     "samples-not-an-object-at-aggregate": ("out/samples/spoon.jsonl", _writing("[]\n"), SAMPLED, ["aggregate"]),
+    # A manifest keys its inputs by file name, so two inputs with one name cannot both be listed.
+    "inputs-sharing-a-name-at-map": ("out/r/x.json", SHARED_NAME_AT_MAP, ALL, ["map"]),
+    "inventory-sharing-a-template-name-at-sample": (
+        "spoon.json", _moving(inventory="spoon.json"), ["template"], ["sample"],
+    ),
 }
 # Every stage input, truncated, of the wrong top-level type or repeating a key, at each stage that reads it:
 # (the file, the stages run before it, the stages that read it).
@@ -1056,6 +1075,19 @@ def test_cli_bad_input_is_validation_error_naming_its_file_once(workdir, capsys,
     err = capsys.readouterr().err
     assert "validation error" in err
     assert err.count(str(path)) == 1
+
+
+def test_inputs_sharing_a_name_fail_before_the_artifact_is_written(workdir, capsys):
+    config = str(workdir / "config.toml")
+    assert cli_main(["all", "--config", config]) == 0
+    constraints = workdir / "out/constraints.json"
+    constraints.unlink()
+    SHARED_NAME_AT_MAP(workdir / "config.toml", workdir)
+    capsys.readouterr()
+    assert cli_main(["map", "--config", config]) == 1
+    err = capsys.readouterr().err
+    assert f"{workdir / 'out/d/x.json'} and {workdir / 'out/r/x.json'}: " in err
+    assert not constraints.exists()
 
 
 @pytest.mark.parametrize(

@@ -17,7 +17,7 @@ from procforge.errors import DuplicateIdError
 from procforge.pipeline import load_config, run_all
 from procforge.repair import PrecedenceConstraint, constraints_from_dict, procedure_from_dict
 from procforge.rules import rule_set_from_dict
-from procforge.schemas import SCHEMA_DIR, compile_schema, first_violation, load_json, load_schema
+from procforge.schemas import _ANNOTATIONS, KEYWORDS, SCHEMA_DIR, compile_schema, first_violation, load_json, load_schema
 from procforge.templates import template_from_dict
 
 from conftest import REPO
@@ -118,20 +118,17 @@ def test_first_violation_matches_reference_on_any_json(name, doc):
 @pytest.mark.parametrize(
     "schema, doc",
     [
-        ({"enum": [0, 1]}, True),
-        ({"enum": [0, 1]}, 1.0),
-        ({"const": [1, {"a": False}]}, [True, {"a": 0}]),
-        ({"const": [1, {"a": False}]}, [1.0, {"a": False}]),
+        ({"enum": ["0", None]}, 0),
         ({"type": "integer"}, 2.0),
         ({"type": "integer"}, True),
         ({"type": "number"}, False),
         ({"type": ["string", "null"]}, 0),
-        ({"oneOf": [{"type": "integer"}, {"minimum": 0}, {"type": "number"}]}, 3),
-        ({"oneOf": [{"type": "string"}, {"minimum": 0}]}, -1),
+        ({"anyOf": [{"type": "integer"}, {"minimum": 0}, {"type": "number"}]}, 3),
+        ({"anyOf": [{"type": "string"}, {"minimum": 0}]}, -1),
         ({"minItems": 2, "items": {"minLength": 1}}, [""]),
         ({"minimum": 0, "maximum": 1}, 1.5),
         ({"pattern": "^a", "minLength": 3}, "ba"),
-        ({"required": ["b", "a"], "additionalProperties": True}, {"c": 1}),
+        ({"required": ["b", "a"]}, {"c": 1}),
         ({"properties": {"a": {}}, "additionalProperties": {"type": "string"}}, {"c": 1, "a": 1, "b": "x", "0": 2}),
         ({"properties": {"a": {}}, "additionalProperties": False}, {"c": 1, "a": 1, "b": "x"}),
     ],
@@ -161,11 +158,39 @@ def test_every_shipped_schema_compiles():
         ({"$ref": "#/definitions/value", "definitions": {"value": {}}}, "#/definitions/value"),
         ({"$ref": "#/$defs/missing", "$defs": {}}, "#/\\$defs/missing"),
         ({"type": "decimal"}, "decimal"),
+        ({"enum": "abc"}, "enum must list strings or null"),
+        # Forms no shipped schema uses:
+        ({"enum": [0, 1]}, "enum must list strings or null"),
+        ({"enum": ["a", {"a": False}]}, "enum must list strings or null"),
+        ({"const": [1, {"a": False}]}, "unsupported schema keyword 'const'"),
+        ({"items": {"const": "dynamic"}}, "#/items/const"),
+        ({"oneOf": [{"type": "integer"}, {"minimum": 0}, {"type": "number"}]}, "unsupported schema keyword 'oneOf'"),
+        ({"anyOf": [{"type": "string"}, {"oneOf": [{"minimum": 0}]}]}, "#/anyOf/1/oneOf"),
+        ({"required": ["b", "a"], "additionalProperties": True}, "a schema must be an object, not True"),
     ],
 )
 def test_unsupported_schema_raises_when_compiled(schema, complaint):
     with pytest.raises(ValueError, match=complaint):
         compile_schema(schema)
+
+
+def test_validator_supports_exactly_the_keywords_the_shipped_schemas_use():
+    def keywords(node):
+        """The keywords of a schema node and of every schema below it."""
+        below = [*node.get("properties", {}).values(), *node.get("$defs", {}).values(), *node.get("anyOf", [])]
+        below += [node[k] for k in ("items", "additionalProperties") if isinstance(node.get(k), dict)]
+        return set(node).union(*map(keywords, below))
+
+    used = set().union(*(keywords(load_schema(name)) for name in SCHEMAS))
+    assert used | _ANNOTATIONS == KEYWORDS
+
+
+@pytest.mark.parametrize("domain", [5, [], ["a", ""], "dyn", "dynamic\n"])
+def test_inventory_domain_is_dynamic_or_a_non_empty_list_of_values(domain):
+    doc = {"schema_version": "1", "objects": [{"id": "o", "category": "tool", "states": [{"id": "s", "domain": domain}]}]}
+    assert first_violation("inventory", doc) == (
+        "$.objects[0].states[0].domain", f"{domain!r} is not valid under any of the given schemas",
+    )
 
 
 def test_importing_procforge_leaves_jsonschema_unloaded():
@@ -222,6 +247,11 @@ def test_load_json_rejects_exactly_the_texts_that_repeat_a_key(text):
             load_json(text)
     else:
         assert json.dumps(load_json(text)) == json.dumps(json.loads(text))
+
+
+def test_load_json_rejects_a_leading_bom_as_json_loads_does():
+    with pytest.raises(ValueError, match=r"^Unexpected UTF-8 BOM \(decode using utf-8-sig\): line 1 column 1 \(char 0\)$"):
+        load_json('\ufeff{"a": 1}')
 
 
 @pytest.mark.parametrize("text", ["[" * 100_000, '{"a": ' * 100_000, "[" * 100_000 + "]" * 100_000])
