@@ -6,10 +6,13 @@ the scrambled draft as precedence constraints, and the permutation search
 (warm-started at the draft) reorders steps to satisfy them under the
 config's weights, search and seed.  Both orderings are then scored
 against the ground truth, as ``procforge all`` writes them to
-``out/metrics.txt``.
+``out/metrics.txt``.  The stages run on a temporary copy of the
+benchmark's inputs, so the checkout is left as it was.
 """
 
 import json
+import shutil
+import tempfile
 from dataclasses import asdict
 from pathlib import Path
 
@@ -20,13 +23,17 @@ from procforge.repair import derive_seed, procedure_from_dict
 from procforge.rules import rule_set_from_dict
 
 BENCHMARK = Path(__file__).resolve().parent.parent / "benchmark"
+INPUTS = ("config.toml", "inventory.json", "oracles.json", "truth_procedure.json")
 
 
 def main():
-    cfg = load_config(BENCHMARK / "config.toml")
-    for stage in ("template", "sample", "aggregate", "extract"):
-        run_stage(stage, cfg)
-    rules = rule_set_from_dict(json.loads(cfg.path("rules").read_text()))
+    with tempfile.TemporaryDirectory() as work:
+        for name in INPUTS:
+            shutil.copy(BENCHMARK / name, work)
+        cfg = load_config(Path(work) / "config.toml")
+        for stage in ("template", "sample", "aggregate", "extract"):
+            run_stage(stage, cfg)
+        rules = rule_set_from_dict(json.loads(cfg.path("rules").read_text()))
     truth = procedure_from_dict(json.loads((BENCHMARK / "truth_procedure.json").read_text()))
 
     draft, log = perturb(truth, cfg.perturbation)

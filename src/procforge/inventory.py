@@ -13,13 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .errors import (
-    DanglingReferenceError,
-    DomainResolutionError,
-    InventorySchemaError,
-    InventorySyntaxError,
-    distinct,
-)
+from .errors import ValidationError, distinct
 from .schemas import first_violation, load_json
 
 #: Sentinel domain marker for interaction-dependent state variables.
@@ -207,13 +201,13 @@ def _resolve_ref(inv_objects: dict[str, LabObject], ref: str, path: str) -> tupl
     obj_id, _, comp_id = ref.partition(".")
     obj = inv_objects.get(obj_id)
     if obj is None:
-        raise DanglingReferenceError(f"{path}: unknown object {obj_id!r} in reference {ref!r}")
+        raise ValidationError(f"{path}: unknown object {obj_id!r} in reference {ref!r}")
     if not comp_id:
         return obj, None
     for comp in obj.components:
         if comp.id == comp_id:
             return obj, comp
-    raise DanglingReferenceError(f"{path}: unknown component {comp_id!r} in reference {ref!r}")
+    raise ValidationError(f"{path}: unknown component {comp_id!r} in reference {ref!r}")
 
 
 def _normalize_interaction(inv_objects: dict[str, LabObject], item: dict, path: str) -> Interaction:
@@ -223,25 +217,23 @@ def _normalize_interaction(inv_objects: dict[str, LabObject], item: dict, path: 
     tgt_obj, tgt_comp = _resolve_ref(inv_objects, target, f"{path}.target")
     if kind == "transfer_material":
         if material is None:
-            raise InventorySchemaError("transfer_material requires a material", f"{path}.material")
+            raise ValidationError(f"{path}.material: transfer_material requires a material")
     else:
         if material is not None:
-            raise InventorySchemaError("move_to_receptor takes no material", f"{path}.material")
+            raise ValidationError(f"{path}.material: move_to_receptor takes no material")
         # Whole-object targets are normalized to the unique receptor component.
         if tgt_comp is None:
             receptors = [c for c in tgt_obj.components if c.kind == "receptor"]
             if len(receptors) != 1:
-                raise InventorySchemaError(
-                    f"target {target!r} has {len(receptors)} receptor components; "
-                    "move_to_receptor needs exactly one",
-                    f"{path}.target",
+                raise ValidationError(
+                    f"{path}.target: target {target!r} has {len(receptors)} receptor components; "
+                    "move_to_receptor needs exactly one"
                 )
             tgt_comp = receptors[0]
             target = f"{tgt_obj.id}.{tgt_comp.id}"
         elif tgt_comp.kind != "receptor":
-            raise InventorySchemaError(
-                f"move_to_receptor target {target!r} is a {tgt_comp.kind}, not a receptor",
-                f"{path}.target",
+            raise ValidationError(
+                f"{path}.target: move_to_receptor target {target!r} is a {tgt_comp.kind}, not a receptor"
             )
     return Interaction(kind=kind, source=source, target=target, material=material)
 
@@ -251,14 +243,10 @@ def _validate_initial_state(obj: LabObject, path: str) -> None:
     for local, value in obj.initial_state.items():
         var = declared.get(local)
         if var is None:
-            raise InventorySchemaError(
-                f"initial_state assigns undeclared variable {local!r}", f"{path}.initial_state"
-            )
+            raise ValidationError(f"{path}.initial_state: initial_state assigns undeclared variable {local!r}")
         # A dynamic variable's value is checked after resolution.
         if not var.is_dynamic and value not in var.domain:
-            raise InventorySchemaError(
-                f"initial value {value!r} not in domain of {var.id}", f"{path}.initial_state.{local}"
-            )
+            raise ValidationError(f"{path}.initial_state.{local}: initial value {value!r} not in domain of {var.id}")
 
 
 def parse_inventory(text: str) -> DomainInventory:
@@ -270,13 +258,15 @@ def parse_inventory(text: str) -> DomainInventory:
     """
     try:
         doc = load_json(text)
-    except ValueError as exc:  # only a syntax error has a line and column
-        raise InventorySyntaxError(getattr(exc, "msg", str(exc)), getattr(exc, "lineno", None),
-                                   getattr(exc, "colno", None)) from exc
+    except ValueError as exc:  # only a syntax error (a JSONDecodeError) has a line and column
+        message = getattr(exc, "msg", str(exc))
+        if hasattr(exc, "lineno"):
+            message += f" (line {exc.lineno}, column {exc.colno})"
+        raise ValidationError(message) from exc
     violation = first_violation("inventory", doc)
     if violation is not None:
         path, message = violation
-        raise InventorySchemaError(message, path)
+        raise ValidationError(f"{path}: {message}")
     objects = [_parse_object(item, f"$.objects[{i}]") for i, item in enumerate(doc["objects"])]
     distinct((o.id for o in objects), "object ids in $.objects")
     by_id = {o.id: o for o in objects}
@@ -306,7 +296,7 @@ def _resolved_domain(inv: DomainInventory, var: StateVariable, holder: str) -> S
             transferred.add(inter.material)
     values = placed | transferred
     if not values:
-        raise DomainResolutionError(
+        raise ValidationError(
             f"dynamic domain of {var.id} cannot be resolved: no interaction targets {holder!r}"
         )
     kind = "move_to_receptor" if placed else "transfer_material"

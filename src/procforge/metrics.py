@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import SequenceMismatchError
+from .errors import ValidationError
 
 RAW_BINARY = "binary"
 RAW_GAP = "gap"
@@ -15,7 +15,7 @@ RAW_GAP = "gap"
 
 def _check_permutation(cand: list, truth: list) -> None:
     if len(cand) != len(truth) or set(cand) != set(truth) or len(set(cand)) != len(cand):
-        raise SequenceMismatchError("sequences must be permutations of the same distinct ids")
+        raise ValidationError("sequences must be permutations of the same distinct ids")
 
 
 def ngram_overlap(cand: list, truth: list, k: int) -> float:
@@ -103,7 +103,7 @@ def raw_slack(cand: list, constraints, mode: str = RAW_BINARY) -> float:
     total = 0.0
     for pred, succ in constraints:
         if pred not in pos or succ not in pos:
-            raise SequenceMismatchError(f"constraint references unknown step id {pred!r} or {succ!r}")
+            raise ValidationError(f"constraint references unknown step id {pred!r} or {succ!r}")
         deficit = pos[pred] - pos[succ]
         if deficit >= 0:
             total += 1.0 if mode == RAW_BINARY else float(deficit)

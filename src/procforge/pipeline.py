@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import TextIO
 
 from . import __version__
-from .errors import ConfigError, DanglingReferenceError, SequenceMismatchError, ValidationError
+from .errors import ValidationError
 from .inventory import DomainInventory, parse_inventory, resolve_dynamic_domains
 from .metrics import RAW_BINARY, RAW_GAP, evaluate, format_table, sequence_report
 from .perturb import PerturbationSpec, perturb
@@ -49,7 +49,7 @@ def validate_artifact(name: str, doc: object, source: str = "<memory>") -> None:
     violation = first_violation(name, doc)
     if violation is not None:
         path, message = violation
-        raise ConfigError(f"{source}: schema {name} violation at {path}: {message}")
+        raise ValidationError(f"{source}: schema {name} violation at {path}: {message}")
     if name == "world_model" and isinstance(doc, dict) and "template" in doc:
         validate_artifact("template", doc["template"], source)
 
@@ -105,15 +105,15 @@ def _parse_config(text: str, suffix: str) -> dict:
             try:
                 import tomli as tomllib
             except ModuleNotFoundError as exc:
-                raise ConfigError("TOML config needs Python 3.11+ or the tomli package") from exc
+                raise ValidationError("TOML config needs Python 3.11+ or the tomli package") from exc
         try:
             return tomllib.loads(text)
         except (tomllib.TOMLDecodeError, RecursionError) as exc:  # nesting deeper than the recursion limit
-            raise ConfigError(f"invalid TOML: {exc}") from exc
+            raise ValidationError(f"invalid TOML: {exc}") from exc
     try:
         return load_json(text)
     except ValueError as exc:
-        raise ConfigError(f"invalid JSON: {exc}") from exc
+        raise ValidationError(f"invalid JSON: {exc}") from exc
 
 
 def _config_table(table: object, where: str, allowed) -> dict:
@@ -123,11 +123,11 @@ def _config_table(table: object, where: str, allowed) -> dict:
     defaults in force.
     """
     if not isinstance(table, dict):
-        raise ConfigError(f"config [{where}] must be a table" if where else "config must be a table")
+        raise ValidationError(f"config [{where}] must be a table" if where else "config must be a table")
     unknown = sorted(set(table) - set(allowed))
     if unknown:
         names = ", ".join(repr(f"{where}.{key}" if where else key) for key in unknown)
-        raise ConfigError(f"unknown config key {names}")
+        raise ValidationError(f"unknown config key {names}")
     return table
 
 
@@ -141,11 +141,11 @@ def _table(cls, table: object, where: str, **fixed):
     _config_table(table, where, [f.name for f in own])
     for f in own:
         if f.name not in table and f.default is MISSING and f.default_factory is MISSING:
-            raise ConfigError(f"missing config key '{where}.{f.name}'")
+            raise ValidationError(f"missing config key '{where}.{f.name}'")
     try:
         return cls(**table, **fixed)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid config value: {exc}") from exc
+        raise ValidationError(f"invalid config value: {exc}") from exc
 
 
 def _is_int(value: object) -> bool:
@@ -168,30 +168,30 @@ def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConf
         overrides = {key: value for key, value in (overrides or {}).items() if value is not None}
         seed = overrides.get("seed", doc.get("seed"))
         if seed is None:
-            raise ConfigError("config must set a master seed")
+            raise ValidationError("config must set a master seed")
         if not _is_int(seed):
-            raise ConfigError(f"config seed must be an integer, got {seed!r}")
+            raise ValidationError(f"config seed must be an integer, got {seed!r}")
         paths = dict(DEFAULT_PATHS)
         paths.update(_config_table(doc.get("paths", {}), "paths", DEFAULT_PATHS))
         for key, value in paths.items():
             if not isinstance(value, str) or "\0" in value:
-                raise ConfigError(f"config key 'paths.{key}' must be a string without NUL, got {value!r}")
+                raise ValidationError(f"config key 'paths.{key}' must be a string without NUL, got {value!r}")
         paths = {key: path.parent / value for key, value in paths.items()}
 
         sample = _config_table(doc.get("sample", {}), "sample", ("n", "source", "objects", "noise"))
         sample_n = overrides.get("n", sample.get("n", 250))
         if not _is_int(sample_n) or sample_n < 1:
-            raise ConfigError(f"config key 'sample.n' must be an integer >= 1, got {sample_n!r}")
+            raise ValidationError(f"config key 'sample.n' must be an integer >= 1, got {sample_n!r}")
         sample_source = overrides.get("source", sample.get("source", SOURCE_ORACLE))
         if sample_source not in SOURCES:
-            raise ConfigError(f"unknown sample source {sample_source!r}")
+            raise ValidationError(f"unknown sample source {sample_source!r}")
         sample_objects = sample.get("objects", [])
         if not isinstance(sample_objects, list) or not all(isinstance(name, str) for name in sample_objects):
-            raise ConfigError(f"config key 'sample.objects' must be a list of strings, got {sample_objects!r}")
+            raise ValidationError(f"config key 'sample.objects' must be a list of strings, got {sample_objects!r}")
         repair_doc = _config_table(doc.get("repair", {}), "repair", ("weights", "search", "raw_penalty"))
         raw_penalty = repair_doc.get("raw_penalty", RAW_BINARY)
         if raw_penalty not in (RAW_BINARY, RAW_GAP):
-            raise ConfigError(f"repair.raw_penalty must be 'binary' or 'gap', got {raw_penalty!r}")
+            raise ValidationError(f"repair.raw_penalty must be 'binary' or 'gap', got {raw_penalty!r}")
         tune_doc = _config_table(doc.get("tune", {}), "tune", ("grid",))
         perturb_doc, endpoint_doc = doc.get("perturb"), doc.get("endpoint")
         cfg = PipelineConfig(
@@ -229,17 +229,17 @@ def _check_paths(config: Path, paths: dict[str, Path]) -> None:
     owner: dict[Path, str] = {}
     for key, p in paths.items():
         if (resolved := p.resolve()) in owner:
-            raise ConfigError(f"{config}: config keys 'paths.{owner[resolved]}' and 'paths.{key}' name the same path")
+            raise ValidationError(f"{config}: config keys 'paths.{owner[resolved]}' and 'paths.{key}' name the same path")
         owner[resolved] = key
     for key, p in paths.items():
         kind = "directory" if key.endswith("_dir") else "regular file"
         if p.exists() and not (p.is_dir() if kind == "directory" else p.is_file()):
-            raise ConfigError(f"{p}: config key 'paths.{key}' names an existing path that is not a {kind}")
+            raise ValidationError(f"{p}: config key 'paths.{key}' names an existing path that is not a {kind}")
     for p, inner in owner.items():
         for parent in p.parents:
             outer = owner.get(parent)
             if outer and not (outer.endswith("_dir") and inner.endswith("_dir")):
-                raise ConfigError(f"{config}: config key 'paths.{inner}' lies inside the path of 'paths.{outer}'")
+                raise ValidationError(f"{config}: config key 'paths.{inner}' lies inside the path of 'paths.{outer}'")
 
 
 def _weight_grid(cfg: PipelineConfig) -> dict[str, list[float]]:
@@ -251,16 +251,16 @@ def _check_tune_grid(cfg: PipelineConfig) -> None:
     """Fail at load time on a grid that ``tune`` would reject or run empty."""
     for name, values in cfg.tune_grid.items():
         if not isinstance(values, list) or not values:
-            raise ConfigError(f"config key 'tune.grid.{name}' must be a non-empty list")
+            raise ValidationError(f"config key 'tune.grid.{name}' must be a non-empty list")
         for value in values:
             try:
                 RepairWeights(**{name: value})
             except (TypeError, ValueError) as exc:
-                raise ConfigError(f"invalid config value 'tune.grid.{name}' {value!r}: {exc}") from exc
+                raise ValidationError(f"invalid config value 'tune.grid.{name}' {value!r}: {exc}") from exc
     try:  # every row has a positive weight if the row of smallest values has one
         RepairWeights(**{name: min(values) for name, values in _weight_grid(cfg).items()})
     except ValueError as exc:
-        raise ConfigError(f"invalid config value 'tune.grid': {exc}") from exc
+        raise ValidationError(f"invalid config value 'tune.grid': {exc}") from exc
 
 
 # ── artifact io ───────────────────────────────────────────────────────────
@@ -303,7 +303,7 @@ def write_artifact(
     named: dict[str, Path] = {}
     for p in sorted(p for p in inputs if p.exists()):
         if (first := named.setdefault(p.name, p)) != p:
-            raise ConfigError(f"{first} and {p}: inputs of {path.name} share the file name {p.name!r}, "
+            raise ValidationError(f"{first} and {p}: inputs of {path.name} share the file name {p.name!r}, "
                               "which keys its manifest")
     write_atomic(path, text)
     manifest = {
@@ -345,18 +345,18 @@ def _open_text(path: Path, missing: str = "missing input artifact") -> Iterator[
     directory, fails naming it.  Bytes that are not UTF-8 fail naming the
     file when the chunk that holds them is read, so an invalid line before
     them, at which strict ingestion stops, raises its own
-    :class:`SampleValidationError` first.  Every one of these is a
+    :class:`ValidationError` first.  Every one of these is a
     validation error (exit 1).
     """
     if not path.exists():
-        raise ConfigError(f"{missing}: {path}")
+        raise ValidationError(f"{missing}: {path}")
     if not path.is_file():
-        raise ConfigError(f"{path}: not a regular file")
+        raise ValidationError(f"{path}: not a regular file")
     try:
         with path.open(encoding="utf-8", newline="\n") as handle:
             yield handle
     except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
+        raise ValidationError(f"{path}: not UTF-8 text: {exc}") from exc
 
 
 def _read_text(path: Path, missing: str = "missing input artifact") -> str:
@@ -371,7 +371,7 @@ def _naming(path: Path) -> Iterator[None]:
     try:
         yield
     except ValidationError as exc:
-        raise type(exc)(f"{path}: {exc}") from exc
+        raise ValidationError(f"{path}: {exc}") from exc
 
 
 def _read_json(path: Path, schema: str | None = None, parse=None):
@@ -380,7 +380,7 @@ def _read_json(path: Path, schema: str | None = None, parse=None):
     try:
         doc = load_json(_read_text(path))
     except ValueError as exc:
-        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+        raise ValidationError(f"{path}: invalid JSON: {exc}") from exc
     if schema:
         validate_artifact(schema, doc, str(path))
     if parse is None:
@@ -394,7 +394,7 @@ def _read_procedure(cfg: PipelineConfig, key: str, truth: Procedure | None = Non
     path = cfg.path(key)
     proc = _read_json(path, "procedure", procedure_from_dict)
     if truth is not None and set(proc.step_ids) != set(truth.step_ids):  # step ids are distinct
-        raise SequenceMismatchError(f"{path}: steps differ from those of {cfg.path('truth_procedure')}")
+        raise ValidationError(f"{path}: steps differ from those of {cfg.path('truth_procedure')}")
     return proc
 
 
@@ -413,10 +413,10 @@ def _read_constraints(cfg: PipelineConfig):
 def _artifact_files(directory: Path, what: str, stage: str, pattern: str = "*.json") -> list[Path]:
     """The artifacts under ``directory`` in name order, without their manifests."""
     if not directory.exists():
-        raise ConfigError(f"missing {what} directory: {directory} (run the {stage} stage first)")
+        raise ValidationError(f"missing {what} directory: {directory} (run the {stage} stage first)")
     paths = [p for p in sorted(directory.glob(pattern)) if not p.name.endswith(".manifest.json")]
     if not paths:
-        raise ConfigError(f"no {what} found under {directory}")
+        raise ValidationError(f"no {what} found under {directory}")
     return paths
 
 
@@ -435,7 +435,7 @@ def _load_template_files(cfg: PipelineConfig):
     for path in _artifact_files(cfg.path("templates_dir"), "templates", "template"):
         tpl = _read_json(path, "template", template_from_dict)
         if path.name != f"{tpl.focal_object}.json":
-            raise ConfigError(f"{path}: a template for {tpl.focal_object!r} must be named {tpl.focal_object}.json")
+            raise ValidationError(f"{path}: a template for {tpl.focal_object!r} must be named {tpl.focal_object}.json")
         templates.append((path, tpl))
     return templates
 
@@ -458,20 +458,20 @@ def stage_sample(cfg: PipelineConfig) -> list[Path]:
     if cfg.sample_objects:
         unknown = sorted(set(cfg.sample_objects) - objects)
         if unknown:
-            raise ConfigError(f"[sample] objects with no template: {', '.join(map(repr, unknown))}")
+            raise ValidationError(f"[sample] objects with no template: {', '.join(map(repr, unknown))}")
         templates = [(path, tpl) for path, tpl in templates if tpl.focal_object in cfg.sample_objects]
     else:  # unset: every template with an action to sample
         templates = [(path, tpl) for path, tpl in templates if tpl.actions]
     if cfg.sample_source == SOURCE_ORACLE:
         for tpl_path, tpl in templates:
             if not tpl.actions:  # a template may have none, but the oracle would have nothing to draw
-                raise ConfigError(f"{tpl_path}: template has no actions to sample")
+                raise ValidationError(f"{tpl_path}: template has no actions to sample")
             if (size := tpl.state_space_size()) > DEFAULT_STATE_LIMIT:  # the oracle enumerates every state
-                raise ConfigError(f"{tpl_path}: template has {size} states, "
+                raise ValidationError(f"{tpl_path}: template has {size} states, "
                                   f"over the oracle's limit of {DEFAULT_STATE_LIMIT}")
         oracles_doc = _read_json(cfg.path("oracles"), "oracles")
         if unknown := sorted(set(oracles_doc) - objects):
-            raise ConfigError(f"{cfg.path('oracles')}: oracle specs for objects with no template: {unknown}")
+            raise ValidationError(f"{cfg.path('oracles')}: oracle specs for objects with no template: {unknown}")
     outputs = []
     for tpl_path, tpl in templates:
         out = cfg.path("samples_dir") / f"{tpl.focal_object}.jsonl"
@@ -480,7 +480,7 @@ def stage_sample(cfg: PipelineConfig) -> list[Path]:
             noise = replace(cfg.noise, seed=derive_seed(cfg.seed, f"sample:{tpl.focal_object}"))
             with _naming(cfg.path("oracles")):
                 if tpl.focal_object not in oracles_doc:
-                    raise ConfigError(f"no oracle spec for object {tpl.focal_object!r}")
+                    raise ValidationError(f"no oracle spec for object {tpl.focal_object!r}")
                 oracle = OracleSpec.from_dict(oracles_doc[tpl.focal_object])
                 batch = simulate_oracle(tpl, oracle, cfg.sample_n, noise)
             inputs.append(cfg.path("oracles"))
@@ -492,7 +492,7 @@ def stage_sample(cfg: PipelineConfig) -> list[Path]:
                 rejection_inputs = [*inputs, out]  # hashed before the accepted lines replace it
             else:
                 if cfg.endpoint is None:
-                    raise ConfigError("sample source 'endpoint' needs an [endpoint] config section")
+                    raise ValidationError("sample source 'endpoint' needs an [endpoint] config section")
                 prompt = build_prompt(tpl, cfg.sample_n)
                 report = fetch_samples(cfg.endpoint, prompt, tpl, strict=cfg.strict)
                 rejection_inputs = inputs
@@ -512,7 +512,7 @@ def stage_aggregate(cfg: PipelineConfig) -> list[Path]:
     for sample_path in _artifact_files(cfg.path("samples_dir"), "samples", "sample", "*.jsonl"):
         obj = sample_path.stem
         if obj not in by_object:
-            raise ConfigError(f"samples file {sample_path} has no matching template")
+            raise ValidationError(f"samples file {sample_path} has no matching template")
         tpl_path, tpl = by_object[obj]
         with _open_text(sample_path) as handle, _naming(sample_path):
             report = ingest_samples(handle, tpl, strict=True)
@@ -547,7 +547,7 @@ def _repair(cfg: PipelineConfig, draft: Procedure, constraints, clusters, weight
     """``repair`` under the configured search; a bad constraint fails naming its file."""
     with _naming(cfg.path("constraints")):
         if unknown := sorted({c for cc in clusters for c in (cc.earlier, cc.later)} - {s.cluster for s in draft.steps}):
-            raise DanglingReferenceError(f"cluster constraints name labels no draft step carries: {unknown}")
+            raise ValidationError(f"cluster constraints name labels no draft step carries: {unknown}")
         return repair(draft, constraints, clusters, weights=weights, search=cfg.search, seed=seed,
                       raw_mode=cfg.raw_penalty)
 
@@ -581,7 +581,7 @@ def stage_evaluate(cfg: PipelineConfig) -> list[Path]:
 
 def stage_perturb(cfg: PipelineConfig) -> list[Path]:
     if cfg.perturbation is None:
-        raise ConfigError("config has no [perturb] section")
+        raise ValidationError("config has no [perturb] section")
     truth = _read_procedure(cfg, "truth_procedure")
     with _naming(cfg.path("truth_procedure")):
         draft, log = perturb(truth, cfg.perturbation, strict=cfg.strict)
@@ -594,7 +594,7 @@ def stage_perturb(cfg: PipelineConfig) -> list[Path]:
 
 def stage_tune(cfg: PipelineConfig) -> list[Path]:
     if not cfg.tune_grid:
-        raise ConfigError("config has no [tune.grid] section")
+        raise ValidationError("config has no [tune.grid] section")
     truth = _read_truth(cfg)
     draft = _read_procedure(cfg, "draft_procedure", truth)
     constraints, clusters = _read_constraints(cfg)
@@ -632,7 +632,7 @@ STAGES = {
 def run_stage(stage: str, cfg: PipelineConfig) -> list[Path]:
     """Run one pipeline stage; returns the artifact paths it wrote."""
     if stage not in STAGES:
-        raise ConfigError(f"unknown stage {stage!r}; expected one of {', '.join(STAGES)}")
+        raise ValidationError(f"unknown stage {stage!r}; expected one of {', '.join(STAGES)}")
     return STAGES[stage](cfg)
 
 

@@ -14,7 +14,7 @@ import math
 import random
 from dataclasses import asdict, dataclass, field, fields
 
-from .errors import DanglingReferenceError, PermutationError, ProcforgeError, ValidationError, distinct
+from .errors import ProcforgeError, ValidationError, distinct
 from .metrics import RAW_BINARY, RAW_GAP
 from .rules import INITIAL_STATE, CausalRule
 from .templates import BoundAction, bound_action_from_parts
@@ -214,7 +214,7 @@ class _Instance:
             c for c in constraints if c.predecessor not in self.index or c.successor not in self.index
         ]
         if missing:
-            raise DanglingReferenceError(f"constraint references unknown step ids: {missing[0]}")
+            raise ValidationError(f"constraint references unknown step ids: {missing[0]}")
         self.constraints = [(self.index[c.predecessor], self.index[c.successor]) for c in constraints]
         self.succs: list[list[int]] = [[] for _ in range(self.n)]
         self.preds: list[list[int]] = [[] for _ in range(self.n)]
@@ -240,7 +240,7 @@ class _Instance:
 
     def order_to_indices(self, order: list[str]) -> list[int]:
         if sorted(order) != sorted(self.ids):
-            raise PermutationError("order is not a permutation of the draft's step ids")
+            raise ValidationError("order is not a permutation of the draft's step ids")
         return [self.index[sid] for sid in order]
 
     def cost(self, perm: list[int]) -> CostBreakdown:

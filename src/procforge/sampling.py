@@ -16,14 +16,9 @@ import time
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
-from .errors import (
-    EndpointAuthError,
-    EndpointError,
-    OracleCoverageError,
-    SampleValidationError,
-)
+from .errors import EndpointAuthError, EndpointError, ValidationError
 from .schemas import load_json
-from .templates import BoundAction, MdpTemplate, bound_action_from_parts, enumerate_states
+from .templates import BoundAction, MdpTemplate, enumerate_states
 
 PROMPT_VERSION = "1"
 
@@ -102,17 +97,17 @@ class OracleSpec:
         over its variables and their domains."""
         missing = [key for key in tpl.bound_actions_by_key if key not in self.rules]
         if missing:
-            raise OracleCoverageError(f"oracle does not cover template actions: {missing}")
+            raise ValidationError(f"oracle does not cover template actions: {missing}")
         extra = sorted(self.rules.keys() - tpl.bound_actions_by_key.keys())
         if extra:
-            raise OracleCoverageError(f"oracle rules for actions not in the template: {extra}")
+            raise ValidationError(f"oracle rules for actions not in the template: {extra}")
         for key, rule in self.rules.items():
             for mapping, label in ((rule.preconditions, "precondition"), (rule.effects, "effect")):
                 for var, value in mapping.items():
                     if var not in tpl.domains:
-                        raise OracleCoverageError(f"{key}: {label} variable {var!r} not in template")
+                        raise ValidationError(f"{key}: {label} variable {var!r} not in template")
                     if value not in tpl.domains[var]:
-                        raise OracleCoverageError(
+                        raise ValidationError(
                             f"{key}: {label} value {value!r} not in domain of {var}"
                         )
 
@@ -162,7 +157,7 @@ def simulate_oracle(
         wanted = set(actions)
         unknown = wanted - {b.key for b in bound}
         if unknown:
-            raise OracleCoverageError(f"unknown action keys: {sorted(unknown)}")
+            raise ValidationError(f"unknown action keys: {sorted(unknown)}")
         bound = [b for b in bound if b.key in wanted]
         if not bound:
             raise ValueError("action filter excludes every template action")
@@ -179,7 +174,7 @@ def simulate_oracle(
         if rule.valid_only:
             pool = [s for s in states if all(s[i] == val for i, val in pre)]
             if not pool:
-                raise OracleCoverageError(f"{b.key}: no state satisfies the preconditions")
+                raise ValidationError(f"{b.key}: no state satisfies the preconditions")
         plans.append((b, pool, pre, effects))
 
     rng = random.Random(noise.seed)
@@ -233,24 +228,18 @@ def parse_sample_line(tpl: MdpTemplate, line: str) -> TransitionSample:
     try:
         doc = load_json(line)
     except ValueError as exc:  # a syntax error's message without its position
-        raise SampleValidationError(f"invalid JSON: {getattr(exc, 'msg', exc)}") from exc
+        raise ValidationError(f"invalid JSON: {getattr(exc, 'msg', exc)}") from exc
     if not isinstance(doc, dict):
-        raise SampleValidationError("record must be a JSON object")
+        raise ValidationError("record must be a JSON object")
     for key in ("state", "action", "next_state", "reward"):
         if key not in doc:
-            raise SampleValidationError(f"missing key {key!r}")
-    action_id = doc["action"]
-    params = doc.get("params", {})
-    if not isinstance(action_id, str) or not isinstance(params, dict):
-        raise SampleValidationError("action must be a string and params an object")
-    action = bound_action_from_parts(action_id, {str(k): str(v) for k, v in params.items()})
-    if tpl.bound_actions_by_key.get(action.key) != action:
-        raise SampleValidationError(f"action {action.key!r} not in template")
+            raise ValidationError(f"missing key {key!r}")
+    action = tpl.bound_action(doc["action"], doc.get("params", {}))
     state = tpl.validate_assignment(doc["state"], "state")
     next_state = tpl.validate_assignment(doc["next_state"], "next_state")
     reward = doc["reward"]
     if reward not in (0, 1):
-        raise SampleValidationError(f"reward must be 0 or 1, got {reward!r}")
+        raise ValidationError(f"reward must be 0 or 1, got {reward!r}")
     return TransitionSample(state=state, action=action, next_state=next_state, reward=int(reward))
 
 
@@ -281,9 +270,9 @@ def ingest_samples(
         if sample is None:
             try:
                 sample = parsed[line] = parse_sample_line(tpl, line)
-            except SampleValidationError as exc:
+            except ValidationError as exc:
                 if strict:
-                    raise SampleValidationError(f"line {lineno}: {exc}") from exc
+                    raise ValidationError(f"line {lineno}: {exc}") from exc
                 rejections.append((lineno, str(exc)))
                 continue
         accepted.append(sample)

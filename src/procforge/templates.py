@@ -12,14 +12,8 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import (
-    DomainResolutionError,
-    SampleValidationError,
-    StateSpaceLimitError,
-    UnknownObjectError,
-    distinct,
-)
-from .inventory import DomainInventory, Interaction, LabObject, StateVariable
+from .errors import StateSpaceLimitError, UnknownObjectError, ValidationError, distinct
+from .inventory import DomainInventory, Interaction, StateVariable
 
 ORIGIN_OWN = "own"
 ORIGIN_CONTEXTUAL = "contextual"
@@ -106,15 +100,15 @@ class MdpTemplate:
     def validate_assignment(self, raw: object, label: str) -> dict[str, str]:
         """``raw`` if it assigns every variable, and no other, a value in its domain."""
         if not isinstance(raw, dict):
-            raise SampleValidationError(f"{label} must be an object")
+            raise ValidationError(f"{label} must be an object")
         domains = self.domains
         if raw.keys() != domains.keys():
             gaps = (("missing", domains.keys() - raw.keys()), ("unexpected", raw.keys() - domains.keys()))
             detail = ", ".join(f"{word} {sorted(ids)}" for word, ids in gaps if ids)
-            raise SampleValidationError(f"{label} variables do not match template: {detail}")
+            raise ValidationError(f"{label} variables do not match template: {detail}")
         for var_id, value in raw.items():
             if value not in domains[var_id]:
-                raise SampleValidationError(f"{label}: value {value!r} not in domain of {var_id}")
+                raise ValidationError(f"{label}: value {value!r} not in domain of {var_id}")
         return dict(raw)
 
     def state_dict(self, values: tuple[str, ...]) -> dict[str, str]:
@@ -138,13 +132,22 @@ class MdpTemplate:
         whether a parsed action is the template's own."""
         return {b.key: b for b in self.bound_actions()}
 
-
-def _require_resolved(obj: LabObject) -> None:
-    for var in obj.all_variables():
-        if var.is_dynamic:
-            raise DomainResolutionError(
-                f"inventory is not resolved: {var.id} still has a dynamic domain"
-            )
+    def bound_action(self, action_id: object, params: object, where: str = "") -> BoundAction:
+        """The template's own bound action that a parsed ``action_id`` with
+        ``params`` names.  The id must be a string, ``params`` an object of
+        string values, and the pair must bind one of the template's actions;
+        otherwise :class:`ValidationError`, whose message starts with
+        ``where``, the path of the record read, when one is given."""
+        head, at = (f"{where}: ", f"{where}.action: ") if where else ("", "action ")
+        if not (isinstance(action_id, str) and isinstance(params, dict)) or not all(
+            isinstance(value, str) for value in params.values()
+        ):
+            raise ValidationError(f"{head}action must be a string and params an object of strings")
+        action = bound_action_from_parts(action_id, params)
+        own = self.bound_actions_by_key.get(action.key)
+        if own != action:
+            raise ValidationError(f"{at}{action.key!r} not in template")
+        return own
 
 
 def _contextual_variables(inv: DomainInventory, focal: str, inter: Interaction) -> list[StateVariable]:
@@ -183,7 +186,6 @@ def build_template(inv: DomainInventory, object_id: str) -> MdpTemplate:
     obj = inv.get_object(object_id)
     if obj is None:
         raise UnknownObjectError(f"unknown object id {object_id!r}")
-    _require_resolved(obj)
 
     own_vars = {var.id: var for var in obj.all_variables()}
     ctx_vars: dict[str, StateVariable] = {}
@@ -198,12 +200,11 @@ def build_template(inv: DomainInventory, object_id: str) -> MdpTemplate:
             action_id, TemplateAction(id=action_id, params=(), kind=KIND_INTERACTION)
         )
         for var in _contextual_variables(inv, object_id, inter):
-            if var.is_dynamic:
-                raise DomainResolutionError(
-                    f"inventory is not resolved: {var.id} still has a dynamic domain"
-                )
             if var.id not in own_vars:
                 ctx_vars.setdefault(var.id, var)
+    for var in (*own_vars.values(), *ctx_vars.values()):
+        if var.is_dynamic:
+            raise ValidationError(f"inventory is not resolved: {var.id} still has a dynamic domain")
 
     variables = [
         TemplateVariable(id=v.id, domain=tuple(v.domain), origin=ORIGIN_OWN)
@@ -257,7 +258,7 @@ def template_to_dict(tpl: MdpTemplate) -> dict:
 def template_from_dict(doc: dict) -> MdpTemplate:
     """The template of a document that fits its schema; a repeated variable
     id, action id, parameter name or domain value raises
-    :class:`DuplicateIdError`."""
+    :class:`ValidationError`."""
     variables = tuple(TemplateVariable(**{**v, "domain": distinct(v["domain"], f"domain values of {v['id']}")})
                       for v in doc["variables"])
     distinct((v.id for v in variables), "variable ids in template")

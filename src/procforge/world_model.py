@@ -11,10 +11,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import SampleValidationError
+from .errors import ValidationError
 from .sampling import SampleBatch
 from .schemas import dump_json
-from .templates import BoundAction, MdpTemplate, bound_action_from_parts, template_from_dict, template_to_dict
+from .templates import BoundAction, MdpTemplate, template_from_dict, template_to_dict
 
 StateTuple = tuple[str, ...]
 EntryKey = tuple[str, StateTuple]  # (bound action key, canonical state tuple)
@@ -139,7 +139,7 @@ def world_model_to_dict(wm: WorldModel) -> dict:
 
 def _require_keys(raw: object, keys: tuple[str, ...], where: str) -> None:
     if not isinstance(raw, dict) or sorted(raw) != sorted(keys):
-        raise SampleValidationError(f"{where} must be an object with exactly the keys {sorted(keys)}")
+        raise ValidationError(f"{where} must be an object with exactly the keys {sorted(keys)}")
 
 
 def _require_same(stored: dict, expected: dict, keys: tuple[str, ...], where: str) -> None:
@@ -149,34 +149,27 @@ def _require_same(stored: dict, expected: dict, keys: tuple[str, ...], where: st
     and 0.0."""
     for key in keys:
         if repr(stored[key]) != repr(expected[key]):
-            raise SampleValidationError(f"{where}.{key}: stored {stored[key]!r}, recomputed {expected[key]!r}")
+            raise ValidationError(f"{where}.{key}: stored {stored[key]!r}, recomputed {expected[key]!r}")
 
 
 def _entry_from_dict(tpl: MdpTemplate, item: object, where: str) -> WorldModelEntry:
     _require_keys(item, ("state", "action", "params", "total_count", "plausibility", "outcomes"), where)
-    action_id, params = item["action"], item["params"]
-    if not (isinstance(action_id, str) and isinstance(params, dict)) or not all(
-        isinstance(value, str) for value in params.values()
-    ):
-        raise SampleValidationError(f"{where}: action must be a string and params an object of strings")
-    action = bound_action_from_parts(action_id, params)
-    if tpl.bound_actions_by_key.get(action.key) != action:
-        raise SampleValidationError(f"{where}.action: {action.key!r} not in template")
+    action = tpl.bound_action(item["action"], item["params"], where)
     state = tpl.state_tuple(tpl.validate_assignment(item["state"], f"{where}.state"))
     if not isinstance(item["outcomes"], list) or not item["outcomes"]:
-        raise SampleValidationError(f"{where}.outcomes must be a non-empty array")
+        raise ValidationError(f"{where}.outcomes must be a non-empty array")
     outcomes = []
     for j, raw in enumerate(item["outcomes"]):
         at = f"{where}.outcomes[{j}]"
         _require_keys(raw, ("next_state", "count", "probability", "avg_reward", "reward_sum"), at)
         count, reward_sum = raw["count"], raw["reward_sum"]
         if type(count) is not int or count < 1:
-            raise SampleValidationError(f"{at}.count: {count!r} is not an integer >= 1")
+            raise ValidationError(f"{at}.count: {count!r} is not an integer >= 1")
         if type(reward_sum) is not int or not 0 <= reward_sum <= count:
-            raise SampleValidationError(f"{at}.reward_sum: {reward_sum!r} is not an integer in [0, count]")
+            raise ValidationError(f"{at}.reward_sum: {reward_sum!r} is not an integer in [0, count]")
         next_state = tpl.state_tuple(tpl.validate_assignment(raw["next_state"], f"{at}.next_state"))
         if any(o.next_state == next_state for o in outcomes):
-            raise SampleValidationError(f"{at}.next_state repeats an earlier outcome's")
+            raise ValidationError(f"{at}.next_state repeats an earlier outcome's")
         outcomes.append(OutcomeRecord(next_state=next_state, count=count, reward_sum=reward_sum))
     entry = WorldModelEntry(action=action, state=state, outcomes=tuple(outcomes))
     expected = _entry_to_dict(tpl, entry)
@@ -191,14 +184,14 @@ def world_model_from_dict(doc: dict) -> WorldModel:
     entry against the embedded template: states as sample states are, a
     bound action of the template, counts in range, no repeated key, and
     each derived field as the writer renders it.  A violation raises
-    :class:`SampleValidationError` naming its ``$.entries[i]`` path."""
+    :class:`ValidationError` naming its ``$.entries[i]`` path."""
     tpl = template_from_dict(doc["template"])
     entries: dict[EntryKey, WorldModelEntry] = {}
     for i, item in enumerate(doc["entries"]):
         entry = _entry_from_dict(tpl, item, f"$.entries[{i}]")
         key = (entry.action.key, entry.state)
         if key in entries:
-            raise SampleValidationError(f"$.entries[{i}]: repeats the (action, state) key of an earlier entry")
+            raise ValidationError(f"$.entries[{i}]: repeats the (action, state) key of an earlier entry")
         entries[key] = entry
     return WorldModel(template=tpl, entries=entries)
 

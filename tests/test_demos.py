@@ -1,4 +1,5 @@
-"""Each demo script runs to completion against the current package."""
+"""Each demo script runs to completion against the current package, and
+leaves the benchmark directory of the checkout as it found it."""
 
 import os
 import subprocess
@@ -6,9 +7,14 @@ import sys
 
 import pytest
 
-from conftest import REPO
+from conftest import BENCHMARK, REPO
 
 DEMOS = sorted((REPO / "demos").glob("0*.py"))
+
+
+def _snapshot(root):
+    """Each path under ``root`` with its modification time and size."""
+    return sorted((str(p.relative_to(root)), p.stat().st_mtime_ns, p.stat().st_size) for p in root.rglob("*"))
 
 
 def test_demos_are_found():
@@ -18,6 +24,7 @@ def test_demos_are_found():
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
 def test_demo_runs(demo, tmp_path):
     path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    before = _snapshot(BENCHMARK)
     proc = subprocess.run(
         [sys.executable, str(demo)],
         cwd=tmp_path,
@@ -27,3 +34,4 @@ def test_demo_runs(demo, tmp_path):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+    assert _snapshot(BENCHMARK) == before

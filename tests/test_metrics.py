@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from procforge.errors import SequenceMismatchError
+from procforge.errors import ValidationError
 from procforge.metrics import (
     RAW_GAP,
     breakpoints,
@@ -62,7 +62,7 @@ def test_overlap_is_order_sensitive():
 
 
 def test_overlap_rejects_non_permutation():
-    with pytest.raises(SequenceMismatchError):
+    with pytest.raises(ValidationError, match="^sequences must be permutations of the same distinct ids$"):
         ngram_overlap(["a", "b"], ["a", "c"], 2)
 
 
@@ -188,7 +188,7 @@ def test_raw_slack_binary_and_gap():
 
 
 def test_raw_slack_unknown_id():
-    with pytest.raises(SequenceMismatchError):
+    with pytest.raises(ValidationError, match="^constraint references unknown step id 'a' or 'z'$"):
         raw_slack(["a"], [("a", "z")])
 
 
@@ -235,7 +235,7 @@ def test_evaluate_draft_equals_repaired():
 
 
 def test_evaluate_rejects_id_mismatch():
-    with pytest.raises(SequenceMismatchError):
+    with pytest.raises(ValidationError, match="^sequences must be permutations of the same distinct ids$"):
         evaluate(["a", "b"], ["a", "b"], ["a", "c"])
 
 

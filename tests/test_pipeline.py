@@ -11,22 +11,13 @@ import pytest
 
 from procforge.cli import main as cli_main
 from procforge.errors import (
-    ConfigError,
-    DanglingReferenceError,
-    DomainResolutionError,
-    DuplicateIdError,
     EndpointAuthError,
     EndpointError,
-    InventorySchemaError,
-    InventorySyntaxError,
-    OracleCoverageError,
-    PermutationError,
-    SampleValidationError,
-    SequenceMismatchError,
     StateSpaceLimitError,
     UnknownObjectError,
+    ValidationError,
 )
-from procforge import pipeline, sampling
+from procforge import errors, pipeline, sampling
 from procforge.metrics import kendall_tau
 from procforge.pipeline import _open_text, load_config, run_all, run_stage, validate_artifact, write_atomic
 from procforge.sampling import EndpointConfig, NoiseSpec, ingest_samples, simulate_oracle
@@ -53,21 +44,21 @@ def read_json(path):
 
 def test_config_requires_seed(tmp_path):
     (tmp_path / "c.json").write_text(json.dumps({"paths": {}}))
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValidationError, match=": config must set a master seed$"):
         load_config(tmp_path / "c.json")
 
 
 @pytest.mark.parametrize("seed", [20240.5, True, "20240"])
 def test_config_seed_must_be_an_integer(tmp_path, seed):
     (tmp_path / "c.json").write_text(json.dumps({"seed": seed}))
-    with pytest.raises(ConfigError, match="config seed must be an integer"):
+    with pytest.raises(ValidationError, match="config seed must be an integer"):
         load_config(tmp_path / "c.json")
 
 
 @pytest.mark.parametrize("objects", ["spoon", ["spoon", 1], {"spoon": "tool"}])
 def test_config_sample_objects_must_be_a_list_of_strings(tmp_path, objects):
     (tmp_path / "c.json").write_text(json.dumps({"seed": 1, "sample": {"objects": objects}}))
-    with pytest.raises(ConfigError, match="config key 'sample.objects' must be a list of strings"):
+    with pytest.raises(ValidationError, match="config key 'sample.objects' must be a list of strings"):
         load_config(tmp_path / "c.json")
 
 
@@ -90,7 +81,7 @@ def test_config_sample_objects_must_be_a_list_of_strings(tmp_path, objects):
 def test_config_rejects_a_bad_endpoint_value(tmp_path, key, value):
     endpoint = {"base_url": "http://localhost:9/v1/chat", "model": "m", key: value}
     (tmp_path / "c.json").write_text(json.dumps({"seed": 1, "endpoint": endpoint}))
-    with pytest.raises(ConfigError, match=f"invalid config value: endpoint needs .*{key}"):
+    with pytest.raises(ValidationError, match=f"invalid config value: endpoint needs .*{key}"):
         load_config(tmp_path / "c.json")
 
 
@@ -109,13 +100,13 @@ def test_config_json_and_toml_equivalent(workdir):
 
 def test_validate_artifact_path_format_matches_parse_inventory():
     doc = {"schema_version": "1", "objects": [{"id": "x", "category": "widget"}]}
-    with pytest.raises(ConfigError) as err:
+    with pytest.raises(ValidationError) as err:
         validate_artifact("inventory", doc, "inventory.json")
     assert "inventory.json: schema inventory violation at $.objects[0].category: " in str(err.value)
 
 
 def test_missing_input_artifact_names_file(cfg):
-    with pytest.raises(ConfigError) as err:
+    with pytest.raises(ValidationError, match="^missing templates directory: ") as err:
         run_stage("aggregate", cfg)
     assert "templates" in str(err.value)
 
@@ -183,7 +174,7 @@ def test_sample_stage_rejects_objects_without_a_template(workdir):
     config.write_text(config.read_text().replace('"electronic_scale",', '"electronic_scal",\n    "spon",'))
     cfg = load_config(config)
     run_stage("template", cfg)
-    with pytest.raises(ConfigError, match="\\[sample\\] objects with no template: 'electronic_scal', 'spon'"):
+    with pytest.raises(ValidationError, match="\\[sample\\] objects with no template: 'electronic_scal', 'spon'"):
         run_stage("sample", cfg)
     assert not cfg.path("samples_dir").exists()
 
@@ -294,7 +285,7 @@ def _ingest_outcome(stream, tpl, strict):
     """The samples and rejections ingested from ``stream``, or the message of the error that stops it."""
     try:
         report = ingest_samples(stream, tpl, strict=strict)
-    except SampleValidationError as exc:
+    except ValidationError as exc:
         return str(exc)
     return report.batch.samples, report.rejections
 
@@ -1130,7 +1121,7 @@ def test_cli_runtime_error_exit_code(workdir, capsys, monkeypatch):
 
 @pytest.mark.parametrize(
     "exc, code",
-    [(ConfigError("bad input"), 1), (EndpointError("request failed"), 2), (RuntimeError("disk on fire"), None)],
+    [(ValidationError("bad input"), 1), (EndpointError("request failed"), 2), (RuntimeError("disk on fire"), None)],
 )
 def test_cli_debug_reraises_only_unexpected_errors(workdir, monkeypatch, exc, code):
     import procforge.pipeline as pipeline_mod
@@ -1150,18 +1141,7 @@ def test_cli_debug_reraises_only_unexpected_errors(workdir, monkeypatch, exc, co
 @pytest.mark.parametrize(
     "exc, code",
     [
-        *((cls("bad input"), 1) for cls in (
-            ConfigError,
-            DanglingReferenceError,
-            DomainResolutionError,
-            DuplicateIdError,
-            InventorySchemaError,
-            InventorySyntaxError,
-            OracleCoverageError,
-            PermutationError,
-            SampleValidationError,
-            SequenceMismatchError,
-        )),
+        (ValidationError("bad input"), 1),
         (UnknownObjectError("no such object"), 2),
         (StateSpaceLimitError(10, 5), 2),
         (EndpointError("request failed"), 2),
@@ -1177,6 +1157,15 @@ def test_cli_exit_code_follows_error_taxonomy(workdir, monkeypatch, exc, code):
 
     monkeypatch.setitem(pipeline_mod.STAGES, "template", fail)
     assert cli_main(["template", "--config", str(workdir / "config.toml")]) == code
+
+
+def test_bad_input_has_one_error_class():
+    defined = {name for name, value in vars(errors).items() if isinstance(value, type) and issubclass(value, Exception)}
+    assert defined == {
+        "ProcforgeError", "ValidationError", "UnknownObjectError", "StateSpaceLimitError", "EndpointError",
+        "EndpointAuthError",
+    }
+    assert ValidationError.__subclasses__() == []
 
 
 def test_cli_entry_point_installed(workdir):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from procforge import metrics
-from procforge.errors import PermutationError, ProcforgeError
+from procforge.errors import ProcforgeError, ValidationError
 from procforge.metrics import RAW_BINARY, RAW_GAP
 from procforge.repair import (
     ClusterConstraint,
@@ -122,7 +122,7 @@ def test_cluster_term_counts_cross_pair_inversions():
 
 def test_non_bijective_permutation_rejected():
     draft = proc("a", "b", "c")
-    with pytest.raises(PermutationError):
+    with pytest.raises(ValidationError, match="^order is not a permutation of the draft's step ids$"):
         objective_cost(["a", "a", "b"], draft, (), (), RepairWeights())
 
 

@@ -4,7 +4,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from procforge.errors import EndpointAuthError, EndpointError, OracleCoverageError, SampleValidationError
+from procforge.errors import EndpointAuthError, EndpointError, ValidationError
 from procforge.sampling import (
     EndpointConfig,
     NoiseSpec,
@@ -18,6 +18,7 @@ from procforge.sampling import (
 )
 from procforge import build_template, parse_inventory, resolve_dynamic_domains
 from procforge.repair import derive_seed
+from procforge.templates import MdpTemplate, TemplateAction, TemplateVariable, bound_action_from_parts
 
 from conftest import BENCHMARK, DRAW, POUR, POWER_ON, V_CAP, V_FLASK, V_MATERIAL, V_POWER
 
@@ -140,7 +141,7 @@ def test_oracle_jsonl_matches_recorded_digest(obj):
 
 def test_oracle_must_cover_every_action(pipette_template, pipette_oracle):
     incomplete = OracleSpec(rules={DRAW: pipette_oracle.rules[DRAW]})
-    with pytest.raises(OracleCoverageError):
+    with pytest.raises(ValidationError, match="^oracle does not cover template actions: "):
         simulate_oracle(pipette_template, incomplete, 10, NoiseSpec(seed=0))
 
 
@@ -180,8 +181,28 @@ def test_ingest_rejects_a_forged_bound_action(pipette_template, pipette_oracle):
     report = ingest_samples([valid, forged], pipette_template)
     assert len(report.batch.samples) == 1
     assert report.rejections == ((2, f"action {POWER_ON!r} not in template"),)
-    with pytest.raises(SampleValidationError, match=r"^line 2: action .* not in template$"):
+    with pytest.raises(ValidationError, match=r"^line 2: action .* not in template$"):
         ingest_samples([valid, forged], pipette_template, strict=True)
+
+
+def test_non_string_param_is_rejected_as_the_world_model_reader_rejects_it():
+    tpl = MdpTemplate(
+        focal_object="pump",
+        variables=(TemplateVariable(id="pump.state", domain=("idle", "busy"), origin="own"),),
+        actions=(
+            TemplateAction(id="pump.dose", params=(("vol", ("5", "10")),), kind="control"),
+            TemplateAction(id="pump.prime", params=(), kind="control"),
+        ),
+    )
+    record = {"state": {"pump.state": "idle"}, "action": "pump.dose", "params": {"vol": "5"},
+              "next_state": {"pump.state": "busy"}, "reward": 1}
+    assert parse_sample_line(tpl, json.dumps(record)).action == bound_action_from_parts("pump.dose", {"vol": "5"})
+    unparameterised = {**record, "action": "pump.prime"}
+    del unparameterised["params"]  # a missing params is no params
+    assert parse_sample_line(tpl, json.dumps(unparameterised)).action == bound_action_from_parts("pump.prime", {})
+    record["params"]["vol"] = 5
+    report = ingest_samples([json.dumps(record)], tpl)
+    assert report.rejections == ((1, "action must be a string and params an object of strings"),)
 
 
 def test_ingest_empty_stream(pipette_template):
@@ -191,7 +212,7 @@ def test_ingest_empty_stream(pipette_template):
 
 
 def test_ingest_strict_raises(pipette_template):
-    with pytest.raises(SampleValidationError):
+    with pytest.raises(ValidationError, match="^line 1: invalid JSON: "):
         ingest_samples(["not json"], pipette_template, strict=True)
 
 
@@ -235,7 +256,7 @@ def per_line_ingest(lines, tpl):
             continue
         try:
             accepted.append(parse_sample_line(tpl, line.strip()))
-        except SampleValidationError as exc:
+        except ValidationError as exc:
             rejections.append((lineno, str(exc)))
     return accepted, rejections
 
@@ -254,7 +275,7 @@ def test_memoised_ingest_matches_per_line_parsing(pipette_template_fuzz, ingest_
     assert len({id(s) for s in report.batch.samples}) == len(accepted_text)
     if rejections:
         lineno, reason = rejections[0]
-        with pytest.raises(SampleValidationError) as err:
+        with pytest.raises(ValidationError) as err:
             ingest_samples(lines, tpl, strict=True)
         assert str(err.value) == f"line {lineno}: {reason}"
     else:
@@ -305,7 +326,7 @@ def assert_each_line_parses_or_is_rejected(lines, tpl):
     assert rejected == sorted(set(rejected))
     assert len(report.batch.samples) + len(rejected) == len(nonblank)
     if rejected:
-        with pytest.raises(SampleValidationError, match=rf"^line {rejected[0]}: "):
+        with pytest.raises(ValidationError, match=rf"^line {rejected[0]}: "):
             ingest_samples(lines, tpl, strict=True)
     else:
         assert ingest_samples(lines, tpl, strict=True).batch.samples == report.batch.samples
@@ -334,7 +355,7 @@ def test_ingest_rejects_a_line_that_repeats_a_key(pipette_template, ingest_lines
     lines = [first, repeated]
     assert_each_line_parses_or_is_rejected(lines, pipette_template)
     assert ingest_samples(lines, pipette_template).rejections == ((2, "invalid JSON: repeated key 'reward'"),)
-    with pytest.raises(SampleValidationError, match=r"^line 2: invalid JSON: repeated key 'reward'$"):
+    with pytest.raises(ValidationError, match=r"^line 2: invalid JSON: repeated key 'reward'$"):
         ingest_samples(lines, pipette_template, strict=True)
 
 

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from jsonschema import Draft202012Validator
 
 from procforge import parse_inventory
-from procforge.errors import DuplicateIdError
+from procforge.errors import ValidationError
 from procforge.pipeline import load_config, run_all
 from procforge.repair import PrecedenceConstraint, constraints_from_dict, procedure_from_dict
 from procforge.rules import rule_set_from_dict
@@ -320,6 +320,6 @@ def test_each_id_list_reader_names_the_repeated_value(artifacts, name, select, r
     doc = copy.deepcopy(next((d for d in docs if d.get("focal_object") == "electronic_scale"), docs[0]))
     items = select(doc)
     items.append(items[0])
-    with pytest.raises(DuplicateIdError, match="^duplicate ") as err:
+    with pytest.raises(ValidationError, match="^duplicate ") as err:
         READ[name](doc)
     assert str(err.value).endswith(f": {repeated(items[0])}")

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from jsonschema import Draft202012Validator
 
-from procforge.errors import SampleValidationError, ValidationError
+from procforge.errors import ValidationError
 from procforge.pipeline import _read_json
 from procforge.sampling import NoiseSpec, SampleBatch, TransitionSample, simulate_oracle
 from procforge.templates import MdpTemplate, TemplateAction, TemplateVariable, bound_action_from_parts
@@ -326,7 +326,7 @@ def test_hand_edit_is_rejected_with_its_entry_path(written_model, scratch_file, 
     doc = copy.deepcopy(written_model)
     edit(doc)
     assert reference_accepts(doc) == passed_full_schema
-    with pytest.raises(SampleValidationError) as err:
+    with pytest.raises(ValidationError) as err:
         read_world_model(scratch_file, doc)
     assert str(err.value).startswith(message)
 
@@ -341,5 +341,5 @@ def test_non_string_param_is_rejected_where_it_would_format_to_a_valid_key():
     doc = json.loads(serialize_world_model(aggregate(SampleBatch(tpl, (sample,), "file"))))
     assert world_model_from_dict(doc).total_samples() == 1
     doc["entries"][0]["params"]["vol"] = 5
-    with pytest.raises(SampleValidationError, match=r"^\$\.entries\[0\]: action must be a string and params an object of strings"):
+    with pytest.raises(ValidationError, match=r"^\$\.entries\[0\]: action must be a string and params an object of strings"):
         world_model_from_dict(doc)
