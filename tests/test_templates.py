@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from procforge.errors import StateSpaceLimitError, UnknownObjectError
+from procforge.errors import StateSpaceLimitError, UnknownObjectError, ValidationError
 from procforge.inventory import parse_inventory, resolve_dynamic_domains
 from procforge.templates import (
     build_template,
@@ -68,6 +68,35 @@ def test_object_without_interactions_has_no_contextual_entries():
 def test_unknown_object_rejected(pipette_inventory):
     with pytest.raises(UnknownObjectError):
         build_template(pipette_inventory, "centrifuge")
+
+
+@pytest.mark.parametrize(
+    "focal, dish_domain, named",
+    [
+        pytest.param("bottle", ["none", "salt"], "bottle.cap.state", id="own"),
+        pytest.param("dish", ["none", "salt"], "bottle.cap.state", id="contextual"),
+        pytest.param("dish", "dynamic", "dish.material", id="own-before-contextual"),
+    ],
+)
+def test_unresolved_variable_is_named_own_first(focal, dish_domain, named):
+    # The bottle's cap state is the dish's contextual variable: a transfer
+    # into the dish reads whether the cap is open.
+    doc = {
+        "schema_version": "1",
+        "objects": [
+            {
+                "id": "bottle",
+                "category": "container",
+                "components": [
+                    {"id": "cap", "kind": "cap", "states": [{"id": "state", "domain": "dynamic"}], "actions": []}
+                ],
+            },
+            {"id": "dish", "category": "container", "states": [{"id": "material", "domain": dish_domain}]},
+        ],
+        "interactions": [{"kind": "transfer_material", "source": "bottle", "target": "dish", "material": "salt"}],
+    }
+    with pytest.raises(ValidationError, match=f"^inventory is not resolved: {named} still has a dynamic domain$"):
+        build_template(parse_inventory(json.dumps(doc)), focal)
 
 
 def test_build_template_is_deterministic(pipette_inventory):

@@ -7,7 +7,7 @@ from jsonschema import Draft202012Validator
 
 from procforge.errors import ValidationError
 from procforge.pipeline import _read_json
-from procforge.sampling import NoiseSpec, SampleBatch, TransitionSample, simulate_oracle
+from procforge.sampling import NoiseSpec, SampleBatch, TransitionSample, ingest_samples, simulate_oracle
 from procforge.templates import MdpTemplate, TemplateAction, TemplateVariable, bound_action_from_parts
 from procforge.world_model import (
     aggregate,
@@ -343,3 +343,38 @@ def test_non_string_param_is_rejected_where_it_would_format_to_a_valid_key():
     doc["entries"][0]["params"]["vol"] = 5
     with pytest.raises(ValidationError, match=r"^\$\.entries\[0\]: action must be a string and params an object of strings"):
         world_model_from_dict(doc)
+
+
+SHAPE = "action must be a string and params an object of strings"
+
+
+@pytest.mark.parametrize(
+    "action, params, message",
+    [
+        pytest.param(5, {"vol": "5"}, SHAPE, id="numeric-id"),
+        pytest.param("pump.dose", ["5"], SHAPE, id="params-list"),
+        pytest.param("pump.dose", None, SHAPE, id="params-null"),
+        pytest.param("pump.dose", {"vol": 5}, SHAPE, id="numeric-value"),
+        pytest.param("pump.dose", {"vol": True}, SHAPE, id="boolean-value"),
+        pytest.param("pump.dose", {"vol": "7"}, "'pump.dose(vol=7)' not in template", id="value-off-domain"),
+        pytest.param("pump.dose", {}, "'pump.dose' not in template", id="missing-param"),
+        pytest.param("pump.dose", {"vol": "5", "rate": "1"}, "'pump.dose(rate=1,vol=5)' not in template", id="extra-param"),
+        pytest.param("pump.drain", {}, "'pump.drain' not in template", id="unknown-id"),
+    ],
+)
+def test_sample_and_world_model_readers_reject_an_action_alike(action, params, message):
+    tpl = MdpTemplate(
+        focal_object="pump",
+        variables=(TemplateVariable(id="pump.state", domain=("idle", "busy"), origin="own"),),
+        actions=(TemplateAction(id="pump.dose", params=(("vol", ("5", "10")),), kind="control"),),
+    )
+    sample = TransitionSample({"pump.state": "idle"}, bound_action_from_parts("pump.dose", {"vol": "5"}), {"pump.state": "busy"}, 1)
+    doc = json.loads(serialize_world_model(aggregate(SampleBatch(tpl, (sample,), "file"))))
+    doc["entries"][0].update(action=action, params=params)
+    line = {"state": {"pump.state": "idle"}, "action": action, "params": params, "next_state": {"pump.state": "busy"}, "reward": 1}
+    sample_message = message if message == SHAPE else f"action {message}"
+    assert ingest_samples([json.dumps(line)], tpl).rejections == ((1, sample_message),)
+    model_message = f"$.entries[0]: {message}" if message == SHAPE else f"$.entries[0].action: {message}"
+    with pytest.raises(ValidationError) as err:
+        world_model_from_dict(doc)
+    assert str(err.value) == model_message
