@@ -1,10 +1,11 @@
 """File-based pipeline stages over a single config.
 
-Each stage reads validated artifacts, writes its outputs atomically, and
-leaves a run manifest (input hashes, config hash, seed, tool version)
-beside every artifact, so any stage can be re-run or substituted with
-hand-edited files.  Two runs with the same config and master seed
-produce byte-identical artifacts.
+Each stage reads and checks its input artifacts and returns its own;
+:func:`run_stage` writes them atomically, each with a run manifest
+(input hashes, config hash, seed, tool version) beside it, so any stage
+can be re-run or substituted with hand-edited files.  A stage that fails
+writes nothing.  Two runs with the same config and master seed produce
+byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -289,22 +290,17 @@ def write_atomic(path: Path, text: str | Iterable[str]) -> None:
 
 
 def write_artifact(
-    path: Path, text: str | Iterable[str], cfg: PipelineConfig, stage: str, inputs: list[Path],
+    path: Path, text: str | Iterable[str], cfg: PipelineConfig, stage: str, named: dict[str, Path],
     lines: dict | None = None,
 ) -> None:
-    """Write an artifact atomically plus its run manifest.
+    """Write an artifact atomically, then its run manifest, which hashes
+    each ``named`` input under its file name.
 
-    ``text`` is the artifact as one string or as string chunks (see
-    :func:`write_atomic`).  ``lines``, when given, records the accepted
-    and rejected input line counts of an ingested samples file.  The
-    manifest keys each input by its file name, so two inputs with one
-    name fail before anything is written.
+    Only :func:`run_stage` calls this: a stage returns its artifacts, and
+    one that fails writes nothing.  ``text`` is one string or string
+    chunks (see :func:`write_atomic`); ``lines`` records the accepted and
+    rejected line counts of an ingested samples file.
     """
-    named: dict[str, Path] = {}
-    for p in sorted(p for p in inputs if p.exists()):
-        if (first := named.setdefault(p.name, p)) != p:
-            raise ValidationError(f"{first} and {p}: inputs of {path.name} share the file name {p.name!r}, "
-                              "which keys its manifest")
     write_atomic(path, text)
     manifest = {
         "artifact": path.name,
@@ -326,12 +322,6 @@ def _sha256_file(path: Path) -> str:
         for chunk in iter(lambda: handle.read(1 << 16), b""):
             digest.update(chunk)
     return digest.hexdigest()
-
-
-def _write_json(path: Path, doc: object, cfg: PipelineConfig, stage: str, inputs: list[Path]) -> Path:
-    """Write ``doc`` as a JSON artifact; a stage that reads it checks it against its schema."""
-    write_artifact(path, dump_json(doc), cfg, stage, inputs)
-    return path
 
 
 @contextlib.contextmanager
@@ -443,16 +433,16 @@ def _load_template_files(cfg: PipelineConfig):
 # ── stages ────────────────────────────────────────────────────────────────
 
 
-def stage_template(cfg: PipelineConfig) -> list[Path]:
+def stage_template(cfg: PipelineConfig) -> list[tuple]:
     inv = _load_inventory(cfg)
     return [
-        _write_json(cfg.path("templates_dir") / f"{obj.id}.json", template_to_dict(build_template(inv, obj.id)),
-                    cfg, "template", [cfg.path("inventory")])
+        (cfg.path("templates_dir") / f"{obj.id}.json", dump_json(template_to_dict(build_template(inv, obj.id))),
+         [cfg.path("inventory")])
         for obj in inv.objects
     ]
 
 
-def stage_sample(cfg: PipelineConfig) -> list[Path]:
+def stage_sample(cfg: PipelineConfig) -> list[tuple]:
     templates = _load_template_files(cfg)
     objects = {tpl.focal_object for _, tpl in templates}
     if cfg.sample_objects:
@@ -463,52 +453,49 @@ def stage_sample(cfg: PipelineConfig) -> list[Path]:
     else:  # unset: every template with an action to sample
         templates = [(path, tpl) for path, tpl in templates if tpl.actions]
     if cfg.sample_source == SOURCE_ORACLE:
-        for tpl_path, tpl in templates:
+        oracles_doc = _read_json(cfg.path("oracles"), "oracles")
+        if unknown := sorted(set(oracles_doc) - objects):
+            raise ValidationError(f"{cfg.path('oracles')}: oracle specs for objects with no template: {unknown}")
+    artifacts = []
+    for tpl_path, tpl in templates:
+        out = cfg.path("samples_dir") / f"{tpl.focal_object}.jsonl"
+        inputs = [cfg.path("inventory"), tpl_path]
+        if cfg.sample_source == SOURCE_ORACLE:
             if not tpl.actions:  # a template may have none, but the oracle would have nothing to draw
                 raise ValidationError(f"{tpl_path}: template has no actions to sample")
             if (size := tpl.state_space_size()) > DEFAULT_STATE_LIMIT:  # the oracle enumerates every state
                 raise ValidationError(f"{tpl_path}: template has {size} states, "
                                   f"over the oracle's limit of {DEFAULT_STATE_LIMIT}")
-        oracles_doc = _read_json(cfg.path("oracles"), "oracles")
-        if unknown := sorted(set(oracles_doc) - objects):
-            raise ValidationError(f"{cfg.path('oracles')}: oracle specs for objects with no template: {unknown}")
-    outputs = []
-    for tpl_path, tpl in templates:
-        out = cfg.path("samples_dir") / f"{tpl.focal_object}.jsonl"
-        inputs = [cfg.path("inventory"), tpl_path]
-        if cfg.sample_source == SOURCE_ORACLE:
             noise = replace(cfg.noise, seed=derive_seed(cfg.seed, f"sample:{tpl.focal_object}"))
             with _naming(cfg.path("oracles")):
                 if tpl.focal_object not in oracles_doc:
                     raise ValidationError(f"no oracle spec for object {tpl.focal_object!r}")
                 oracle = OracleSpec.from_dict(oracles_doc[tpl.focal_object])
                 batch = simulate_oracle(tpl, oracle, cfg.sample_n, noise)
-            inputs.append(cfg.path("oracles"))
-            lines = None
+            artifacts.append((out, batch.jsonl_lines(), [*inputs, cfg.path("oracles")]))
+            continue
+        if cfg.sample_source == SOURCE_FILE:
+            with _open_text(out, "sample source 'file' expects an existing file") as handle, _naming(out):
+                report = ingest_samples(handle, tpl, strict=cfg.strict)
+            rejection_inputs = [*inputs, out]  # hashed before the accepted lines replace it, so written first
         else:
-            if cfg.sample_source == SOURCE_FILE:
-                with _open_text(out, "sample source 'file' expects an existing file") as handle, _naming(out):
-                    report = ingest_samples(handle, tpl, strict=cfg.strict)
-                rejection_inputs = [*inputs, out]  # hashed before the accepted lines replace it
-            else:
-                if cfg.endpoint is None:
-                    raise ValidationError("sample source 'endpoint' needs an [endpoint] config section")
-                prompt = build_prompt(tpl, cfg.sample_n)
-                report = fetch_samples(cfg.endpoint, prompt, tpl, strict=cfg.strict)
-                rejection_inputs = inputs
-            batch = report.batch
-            # [line, reason] pairs; the rewritten samples file keeps only accepted lines.
-            rejected = out.with_name(f"{tpl.focal_object}.rejections.json")
-            outputs.append(_write_json(rejected, report.rejections, cfg, "sample", rejection_inputs))
-            lines = {"accepted": len(batch.samples), "rejected": len(report.rejections)}
-        write_artifact(out, batch.jsonl_lines(), cfg, "sample", inputs, lines)
-        outputs.append(out)
-    return outputs
+            if cfg.endpoint is None:
+                raise ValidationError("sample source 'endpoint' needs an [endpoint] config section")
+            prompt = build_prompt(tpl, cfg.sample_n)
+            report = fetch_samples(cfg.endpoint, prompt, tpl, strict=cfg.strict)
+            rejection_inputs = inputs
+        lines = {"accepted": len(report.batch.samples), "rejected": len(report.rejections)}
+        # [line, reason] pairs; the rewritten samples file keeps only accepted lines.
+        artifacts += [
+            (out.with_name(f"{tpl.focal_object}.rejections.json"), dump_json(report.rejections), rejection_inputs),
+            (out, report.batch.jsonl_lines(), inputs, lines),
+        ]
+    return artifacts
 
 
-def stage_aggregate(cfg: PipelineConfig) -> list[Path]:
+def stage_aggregate(cfg: PipelineConfig) -> list[tuple]:
     by_object = {tpl.focal_object: (path, tpl) for path, tpl in _load_template_files(cfg)}
-    outputs = []
+    artifacts = []
     for sample_path in _artifact_files(cfg.path("samples_dir"), "samples", "sample", "*.jsonl"):
         obj = sample_path.stem
         if obj not in by_object:
@@ -517,30 +504,27 @@ def stage_aggregate(cfg: PipelineConfig) -> list[Path]:
         with _open_text(sample_path) as handle, _naming(sample_path):
             report = ingest_samples(handle, tpl, strict=True)
         wm = aggregate(report.batch)
-        out = cfg.path("world_models_dir") / f"{obj}.json"
-        write_artifact(out, serialize_world_model(wm), cfg, "aggregate", [sample_path, tpl_path])
-        outputs.append(out)
-    return outputs
+        artifacts.append((cfg.path("world_models_dir") / f"{obj}.json", serialize_world_model(wm),
+                          [sample_path, tpl_path]))
+    return artifacts
 
 
-def stage_extract(cfg: PipelineConfig) -> list[Path]:
+def stage_extract(cfg: PipelineConfig) -> list[tuple]:
     inv = _load_inventory(cfg)
     paths = _artifact_files(cfg.path("world_models_dir"), "world models", "aggregate")
     models = [_read_json(path, "world_model", world_model_from_dict) for path in paths]
     rule_set = extract_rules(models, inv, cfg.extraction)
-    inputs = [cfg.path("inventory"), *paths]
-    return [_write_json(cfg.path("rules"), rule_set_to_dict(rule_set), cfg, "extract", inputs)]
+    return [(cfg.path("rules"), dump_json(rule_set_to_dict(rule_set)), [cfg.path("inventory"), *paths])]
 
 
-def stage_map(cfg: PipelineConfig) -> list[Path]:
+def stage_map(cfg: PipelineConfig) -> list[tuple]:
     rule_set = _read_json(cfg.path("rules"), "rules", rule_set_from_dict)
     draft = _read_procedure(cfg, "draft_procedure")
     mapping = map_rules_to_constraints(draft, list(rule_set.causal_rules))
     doc = constraints_to_dict(list(mapping.constraints), [])
     doc["unmatched_rules"] = [asdict(r) for r in mapping.unmatched]
-    doc["dropped_contradictions"] = constraints_to_dict(list(mapping.dropped), [])["raw"]
-    inputs = [cfg.path("rules"), cfg.path("draft_procedure")]
-    return [_write_json(cfg.path("constraints"), doc, cfg, "map", inputs)]
+    doc["dropped_contradictions"] = [asdict(c) for c in mapping.dropped]
+    return [(cfg.path("constraints"), dump_json(doc), [cfg.path("rules"), cfg.path("draft_procedure")])]
 
 
 def _repair(cfg: PipelineConfig, draft: Procedure, constraints, clusters, weights: RepairWeights, seed: int):
@@ -552,17 +536,16 @@ def _repair(cfg: PipelineConfig, draft: Procedure, constraints, clusters, weight
                       raw_mode=cfg.raw_penalty)
 
 
-def stage_repair(cfg: PipelineConfig) -> list[Path]:
+def stage_repair(cfg: PipelineConfig) -> list[tuple]:
     draft = _read_procedure(cfg, "draft_procedure")
     constraints, clusters = _read_constraints(cfg)
     result = _repair(cfg, draft, constraints, clusters, cfg.weights, derive_seed(cfg.seed, "repair"))
     doc = procedure_to_dict(draft.reordered(list(result.order)))
     doc["repair"] = asdict(result)
-    inputs = [cfg.path("draft_procedure"), cfg.path("constraints")]
-    return [_write_json(cfg.path("repaired_procedure"), doc, cfg, "repair", inputs)]
+    return [(cfg.path("repaired_procedure"), dump_json(doc), [cfg.path("draft_procedure"), cfg.path("constraints")])]
 
 
-def stage_evaluate(cfg: PipelineConfig) -> list[Path]:
+def stage_evaluate(cfg: PipelineConfig) -> list[tuple]:
     truth = _read_truth(cfg)
     draft = _read_procedure(cfg, "draft_procedure", truth)
     repaired = _read_procedure(cfg, "repaired_procedure", truth)
@@ -573,13 +556,10 @@ def stage_evaluate(cfg: PipelineConfig) -> list[Path]:
     rows = {"draft": draft_report, "repaired": repaired_report}
     inputs = [cfg.path(key) for key in ("truth_procedure", "draft_procedure", "repaired_procedure", "constraints")]
     doc = {label: asdict(report) for label, report in rows.items()}
-    out = _write_json(cfg.path("metrics"), doc, cfg, "evaluate", inputs)
-    table = cfg.path("metrics_table")
-    write_artifact(table, format_table(rows), cfg, "evaluate", inputs)
-    return [out, table]
+    return [(cfg.path("metrics"), dump_json(doc), inputs), (cfg.path("metrics_table"), format_table(rows), inputs)]
 
 
-def stage_perturb(cfg: PipelineConfig) -> list[Path]:
+def stage_perturb(cfg: PipelineConfig) -> list[tuple]:
     if cfg.perturbation is None:
         raise ValidationError("config has no [perturb] section")
     truth = _read_procedure(cfg, "truth_procedure")
@@ -587,12 +567,12 @@ def stage_perturb(cfg: PipelineConfig) -> list[Path]:
         draft, log = perturb(truth, cfg.perturbation, strict=cfg.strict)
     inputs = [cfg.path("truth_procedure")]
     return [
-        _write_json(cfg.path("draft_procedure"), procedure_to_dict(draft), cfg, "perturb", inputs),
-        _write_json(cfg.path("perturbation_log"), asdict(log), cfg, "perturb", inputs),
+        (cfg.path("draft_procedure"), dump_json(procedure_to_dict(draft)), inputs),
+        (cfg.path("perturbation_log"), dump_json(asdict(log)), inputs),
     ]
 
 
-def stage_tune(cfg: PipelineConfig) -> list[Path]:
+def stage_tune(cfg: PipelineConfig) -> list[tuple]:
     if not cfg.tune_grid:
         raise ValidationError("config has no [tune.grid] section")
     truth = _read_truth(cfg)
@@ -612,7 +592,7 @@ def stage_tune(cfg: PipelineConfig) -> list[Path]:
     for rank, row in enumerate(rows, start=1):
         row["rank"] = rank
     inputs = [cfg.path(key) for key in ("truth_procedure", "draft_procedure", "constraints")]
-    return [_write_json(cfg.path("tuning"), {"ranking": rows}, cfg, "tune", inputs)]
+    return [(cfg.path("tuning"), dump_json({"ranking": rows}), inputs)]
 
 
 #: Every stage in standard order; ``run_all`` runs all but the last, ``tune``.
@@ -630,10 +610,29 @@ STAGES = {
 
 
 def run_stage(stage: str, cfg: PipelineConfig) -> list[Path]:
-    """Run one pipeline stage; returns the artifact paths it wrote."""
+    """Run one pipeline stage and write its artifacts; returns their paths.
+
+    A stage reads and checks its inputs, writes nothing, and returns each
+    artifact as a ``(path, text, inputs)`` tuple, or ``(path, text,
+    inputs, lines)`` for an ingested samples file (see
+    :func:`write_artifact`); ``inputs`` are the paths its manifest
+    hashes.  Every artifact's inputs are checked before the first is
+    written, and then each is written in the order returned, so a stage
+    that fails writes nothing.
+    """
     if stage not in STAGES:
         raise ValidationError(f"unknown stage {stage!r}; expected one of {', '.join(STAGES)}")
-    return STAGES[stage](cfg)
+    artifacts = STAGES[stage](cfg)
+    named = []  # each artifact's existing inputs by file name, which keys them in its manifest
+    for path, _, inputs, *_ in artifacts:
+        named.append({})
+        for p in sorted(p for p in inputs if p.exists()):
+            if (first := named[-1].setdefault(p.name, p)) != p:
+                raise ValidationError(f"{first} and {p}: inputs of {path.name} share the file name {p.name!r}, "
+                                  "which keys its manifest")
+    for (path, text, _, *lines), inputs in zip(artifacts, named):
+        write_artifact(path, text, cfg, stage, inputs, *lines)
+    return [path for path, *_ in artifacts]
 
 
 def run_all(cfg: PipelineConfig) -> dict[str, list[Path]]:

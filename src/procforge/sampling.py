@@ -38,10 +38,10 @@ class TransitionSample:
     def to_json_line(self) -> str:
         return json.dumps(
             {
-                "state": dict(sorted(self.state.items())),
+                "state": self.state,
                 "action": self.action.id,
                 "params": dict(self.action.params),
-                "next_state": dict(sorted(self.next_state.items())),
+                "next_state": self.next_state,
                 "reward": self.reward,
             },
             sort_keys=True,

@@ -1054,6 +1054,11 @@ for label, (name, earlier, stages) in READERS.items():
             BAD_INPUTS[f"{label}-{corruption}-at-{stage}"] = (name, corrupt, earlier, [stage])
 
 
+def _snapshot(root):
+    """Every file under ``root``: its path mapped to its bytes."""
+    return {p: p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
 @pytest.mark.parametrize("name, corrupt, earlier, argv", BAD_INPUTS.values(), ids=BAD_INPUTS)
 def test_cli_bad_input_is_validation_error_naming_its_file_once(workdir, capsys, name, corrupt, earlier, argv):
     config = str(workdir / ("c.json" if name == "c.json" else "config.toml"))
@@ -1061,11 +1066,13 @@ def test_cli_bad_input_is_validation_error_naming_its_file_once(workdir, capsys,
         assert cli_main([stage, "--config", config]) == 0
     path = workdir / name
     corrupt(path, workdir)
+    before = _snapshot(workdir)
     capsys.readouterr()
     assert cli_main([*argv, "--config", config]) == 1
     err = capsys.readouterr().err
     assert "validation error" in err
     assert err.count(str(path)) == 1
+    assert _snapshot(workdir) == before  # a stage that fails writes nothing
 
 
 def test_inputs_sharing_a_name_fail_before_the_artifact_is_written(workdir, capsys):
