@@ -1,9 +1,11 @@
 """Seeded perturbation harness: introduce plausible local misorderings
 into a ground-truth procedure to produce benchmark drafts.
 
-Every kind reorders steps only; nothing is inserted or deleted.  Kind
-applicability is detected from the step action identifiers (open/close
-cap actions, power-button settings, knob resets, transfer interactions).
+Every kind reorders steps only; nothing is inserted or deleted.  Each
+named kind lists its candidate moves, found from the step action
+identifiers (open/close cap actions, power-button settings, knob resets,
+transfer interactions), as (step index, lowest landing, highest landing)
+triples; one seeded rule picks a triple and a landing in its range.
 """
 
 from __future__ import annotations
@@ -122,72 +124,57 @@ def _after_last_anchor(seq: list[Step], is_target, target_object, is_anchor):
 
 
 def _candidates_early_transfer(seq: list[Step]) -> list[tuple[int, int, int]]:
-    """(transfer index, open index, lowest landing index) triples."""
+    """A transfer after its source's last open lands up to 4 steps before it."""
     pairs = _after_last_anchor(seq, _is_transfer, _transfer_source_object, _is_open)
-    return [(ti, oi, max(0, oi - 4)) for ti, oi in pairs]
+    return [(ti, max(0, oi - 4), oi) for ti, oi in pairs]
 
 
-def _candidates_early_close(seq: list[Step]) -> list[tuple[int, int]]:
-    """(close index, open index) pairs at least 3 steps apart."""
-    return [(ci, oi) for ci, oi in _after_last_anchor(seq, _is_close, _object, _is_open) if ci - oi >= 3]
+def _candidates_early_close(seq: list[Step]) -> list[tuple[int, int, int]]:
+    """A close at least 3 steps after its object's last open lands between."""
+    pairs = _after_last_anchor(seq, _is_close, _object, _is_open)
+    return [(ci, oi + 1, ci - 1) for ci, oi in pairs if ci - oi >= 3]
 
 
-def _candidates_early_power_off(seq: list[Step]) -> list[tuple[int, int]]:
-    """(power-off index, zero-reset index) pairs."""
-    return list(_after_last_anchor(seq, _is_power_off, _object, _is_reset))
+def _candidates_late_power_on(seq: list[Step]) -> list[tuple[int, int, int]]:
+    """A power-on with 3 steps after it lands 3 to 8 steps later."""
+    return [(i, i + 3, min(len(seq) - 1, i + 8)) for i in range(len(seq) - 3) if _power_value(seq[i]) == "on"]
+
+
+def _candidates_early_power_off(seq: list[Step]) -> list[tuple[int, int, int]]:
+    """A power-off after its object's last zero reset lands up to 3 steps before it."""
+    pairs = _after_last_anchor(seq, _is_power_off, _object, _is_reset)
+    return [(fi, max(0, zi - 3), zi) for fi, zi in pairs]
+
+
+_CANDIDATES = {
+    KIND_EARLY_TRANSFER: _candidates_early_transfer,
+    KIND_EARLY_CLOSE: _candidates_early_close,
+    KIND_LATE_POWER_ON: _candidates_late_power_on,
+    KIND_EARLY_POWER_OFF: _candidates_early_power_off,
+}
 
 
 def _apply_kind(kind: str, seq: list[Step], rng: random.Random) -> dict | None:
     n = len(seq)
-    if kind == KIND_EARLY_TRANSFER:
-        cand = _pick(rng, _candidates_early_transfer(seq))
+    if kind in _CANDIDATES:
+        cand = _pick(rng, _CANDIDATES[kind](seq))
         if cand is None:
             return None
-        ti, oi, lo = cand
-        j = rng.randint(lo, oi)
-        _move(seq, ti, j)
-        return {"from": ti, "to": j}
-    if kind == KIND_EARLY_CLOSE:
-        cand = _pick(rng, _candidates_early_close(seq))
-        if cand is None:
-            return None
-        ci, oi = cand
-        j = rng.randint(oi + 1, ci - 1)
-        _move(seq, ci, j)
-        return {"from": ci, "to": j}
-    if kind == KIND_LATE_POWER_ON:
-        ons = [i for i, s in enumerate(seq) if _power_value(s) == "on" and i + 3 <= n - 1]
-        i = _pick(rng, ons)
-        if i is None:
-            return None
-        j = rng.randint(i + 3, min(n - 1, i + 8))
-        _move(seq, i, j)
-        return {"from": i, "to": j}
-    if kind == KIND_EARLY_POWER_OFF:
-        cand = _pick(rng, _candidates_early_power_off(seq))
-        if cand is None:
-            return None
-        fi, zi = cand
-        j = rng.randint(max(0, zi - 3), zi)
-        _move(seq, fi, j)
-        return {"from": fi, "to": j}
-    if kind == KIND_ADJACENT_SWAP:
-        if n < 2:
-            return None
-        i = rng.randrange(n - 1)
-        _move(seq, i + 1, i)
-        return {"from": i + 1, "to": i}
-    if kind == KIND_REINSERT:
-        if n < 2:
-            return None
+        i, lo, hi = cand
+        j = rng.randint(lo, hi)
+    elif kind == KIND_ADJACENT_SWAP:
+        j = rng.randrange(n - 1)
+        i = j + 1
+    elif kind == KIND_REINSERT:
         i = rng.randrange(n)
         offset = rng.choice([-4, -3, -2, -1, 1, 2, 3, 4])
         j = min(n - 1, max(0, i + offset))
         if j == i:
             j = max(0, i - 1) if i == n - 1 else i + 1
-        _move(seq, i, j)
-        return {"from": i, "to": j}
-    raise ProcforgeError(f"unknown perturbation kind {kind!r}")
+    else:
+        raise ProcforgeError(f"unknown perturbation kind {kind!r}")
+    _move(seq, i, j)
+    return {"from": i, "to": j}
 
 
 def perturb(truth: Procedure, spec: PerturbationSpec, strict: bool = False) -> tuple[Procedure, PerturbationLog]:
@@ -209,7 +196,6 @@ def perturb(truth: Procedure, spec: PerturbationSpec, strict: bool = False) -> t
         for kind in spec.kinds:
             if applied >= spec.n_misorderings:
                 break
-            before = [s.id for s in seq]
             move = _apply_kind(kind, seq, rng)
             if move is None:
                 message = {"kind": kind, "reason": "no applicable steps"}
@@ -217,8 +203,7 @@ def perturb(truth: Procedure, spec: PerturbationSpec, strict: bool = False) -> t
                     raise ValidationError(f"perturbation kind {kind!r} is not applicable")
                 log.skipped.append(message)
                 continue
-            moved_id = before[move["from"]]
-            log.moves.append({"kind": kind, "step_id": moved_id, "from": move["from"], "to": move["to"]})
+            log.moves.append({"kind": kind, "step_id": seq[move["to"]].id, "from": move["from"], "to": move["to"]})
             applied += 1
             progressed = True
         if not progressed:

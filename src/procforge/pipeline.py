@@ -180,7 +180,7 @@ def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConf
         paths = {key: path.parent / value for key, value in paths.items()}
 
         sample = _config_table(doc.get("sample", {}), "sample", ("n", "source", "objects", "noise"))
-        sample_n = overrides.get("n", sample.get("n", 250))
+        sample_n = overrides.get("n", sample.get("n", PipelineConfig.sample_n))
         if not _is_int(sample_n) or sample_n < 1:
             raise ValidationError(f"config key 'sample.n' must be an integer >= 1, got {sample_n!r}")
         sample_source = overrides.get("source", sample.get("source", SOURCE_ORACLE))
@@ -503,9 +503,9 @@ def stage_aggregate(cfg: PipelineConfig) -> list[tuple]:
         tpl_path, tpl = by_object[obj]
         with _open_text(sample_path) as handle, _naming(sample_path):
             report = ingest_samples(handle, tpl, strict=True)
-        wm = aggregate(report.batch)
-        artifacts.append((cfg.path("world_models_dir") / f"{obj}.json", serialize_world_model(wm),
-                          [sample_path, tpl_path]))
+        # Rendered when written, so one model's text is held at a time.
+        text = (serialize_world_model(wm) for wm in [aggregate(report.batch)])
+        artifacts.append((cfg.path("world_models_dir") / f"{obj}.json", text, [sample_path, tpl_path]))
     return artifacts
 
 

@@ -19,6 +19,11 @@ from .metrics import RAW_BINARY, RAW_GAP
 from .rules import INITIAL_STATE, CausalRule
 from .templates import BoundAction, bound_action_from_parts
 
+# Costs closer than this are equal: it absorbs the float rounding of summed
+# penalty terms.  A move, restart or permutation counts as better only when
+# it is cheaper by more than TIE_TOL, and moves within it of the best tie.
+TIE_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class Step:
@@ -496,7 +501,7 @@ def _best_move(inst: _Instance, perm: list[int]):
     when perm has fewer than two steps.
 
     ``delta`` is the smallest change of the total cost, and every move
-    within 1e-12 of it ties.  Ties break toward minimum displacement from
+    within ``TIE_TOL`` of it ties.  Ties break toward minimum displacement from
     the draft, then the lexicographically smallest moved permutation,
     then the smallest (i, j), so the move depends only on the set of
     moves, not on the order in which they are compared.  One call of
@@ -527,7 +532,7 @@ def _best_move(inst: _Instance, perm: list[int]):
         sweep(i, k < n, k >= n, row)
         swept.append((i, row))
         best_delta = min(best_delta, min(row))
-    ties = [(i, j) for i, row in swept for j, d_total in enumerate(row) if d_total <= best_delta + 1e-12]
+    ties = [(i, j) for i, row in swept for j, d_total in enumerate(row) if d_total <= best_delta + TIE_TOL]
 
     def rank(move):
         moved = _reinsert(perm, *move)
@@ -543,7 +548,7 @@ def _descend(
     """Steepest descent over single-step reinsertions (which subsume all
     adjacent swaps), tolerating equal-cost moves for a bounded number of
     stale iterations.  Returns ``(best, iterations)``: best is the
-    permutation reached by the last move whose delta lies below -1e-12,
+    permutation reached by the last move whose delta lies below -``TIE_TOL``,
     or start when none does.  Each move comes from :func:`_best_move`,
     which scans a permutation: :func:`_scan` prepares it and its half-row
     bounds once, then it sweeps, lowest bound first, only the half-rows
@@ -572,14 +577,14 @@ def _descend(
         if move is None:
             break
         best_delta, i, j = move
-        if best_delta < -1e-12:
+        if best_delta < -TIE_TOL:
             stale = 0
-        elif best_delta <= 1e-12 and stale < max_stale:
+        elif best_delta <= TIE_TOL and stale < max_stale:
             stale += 1
         else:
             break
         current = _reinsert(current, i, j)
-        if best_delta < -1e-12:
+        if best_delta < -TIE_TOL:
             best = current
     return best, iterations
 
@@ -620,7 +625,7 @@ def repair(
         perm, iters = _descend(inst, start, search.max_stale_iters, moves)
         total_iterations += iters
         cost = inst.cost(perm).total
-        if best_cost is None or cost < best_cost - 1e-12:
+        if best_cost is None or cost < best_cost - TIE_TOL:
             best_perm, best_cost = perm, cost
     order = tuple(inst.ids[i] for i in best_perm)
     breakdown = inst.cost(best_perm)
@@ -653,7 +658,7 @@ def brute_force_repair(
     best_total = None
     for cand in itertools.permutations(range(inst.n)):
         total = inst.cost(list(cand)).total
-        if best_total is None or total < best_total - 1e-12:
+        if best_total is None or total < best_total - TIE_TOL:
             best_total = total
             best_perm = cand
     order = tuple(inst.ids[i] for i in best_perm)

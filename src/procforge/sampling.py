@@ -238,9 +238,9 @@ def parse_sample_line(tpl: MdpTemplate, line: str) -> TransitionSample:
     state = tpl.validate_assignment(doc["state"], "state")
     next_state = tpl.validate_assignment(doc["next_state"], "next_state")
     reward = doc["reward"]
-    if reward not in (0, 1):
+    if type(reward) is not int or reward not in (0, 1):
         raise ValidationError(f"reward must be 0 or 1, got {reward!r}")
-    return TransitionSample(state=state, action=action, next_state=next_state, reward=int(reward))
+    return TransitionSample(state=state, action=action, next_state=next_state, reward=reward)
 
 
 def ingest_samples(

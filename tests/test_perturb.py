@@ -162,7 +162,7 @@ def ref_early_transfer(seq):
         opens = [oi for oi, s in enumerate(seq[:ti]) if _is_open(s) and _obj(s) == source]
         if opens:
             oi = max(opens)
-            out.append((ti, oi, max(0, oi - 4)))
+            out.append((ti, max(0, oi - 4), oi))
     return out
 
 
@@ -173,7 +173,7 @@ def ref_early_close(seq):
             continue
         opens = [oi for oi, s in enumerate(seq[:ci]) if _is_open(s) and _obj(s) == _obj(step)]
         if opens and ci - max(opens) >= 3:
-            out.append((ci, max(opens)))
+            out.append((ci, max(opens) + 1, ci - 1))
     return out
 
 
@@ -184,7 +184,7 @@ def ref_early_power_off(seq):
             continue
         resets = [zi for zi, s in enumerate(seq[:fi]) if _is_reset(s) and _obj(s) == _obj(step)]
         if resets:
-            out.append((fi, max(resets)))
+            out.append((fi, max(0, max(resets) - 3), max(resets)))
     return out
 
 

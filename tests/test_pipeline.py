@@ -1027,6 +1027,9 @@ BAD_INPUTS = {
         ALL, ["repair"],
     ),
     "samples-not-an-object-at-aggregate": ("out/samples/spoon.jsonl", _writing("[]\n"), SAMPLED, ["aggregate"]),
+    "samples-boolean-reward-at-aggregate": (
+        "out/samples/spoon.jsonl", _replacing_first('"reward": 1', '"reward": true'), SAMPLED, ["aggregate"],
+    ),
     # A manifest keys its inputs by file name, so two inputs with one name cannot both be listed.
     "inputs-sharing-a-name-at-map": ("out/r/x.json", SHARED_NAME_AT_MAP, ALL, ["map"]),
     "inventory-sharing-a-template-name-at-sample": (

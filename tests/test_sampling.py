@@ -205,6 +205,14 @@ def test_non_string_param_is_rejected_as_the_world_model_reader_rejects_it():
     assert report.rejections == ((1, "action must be a string and params an object of strings"),)
 
 
+@pytest.mark.parametrize("reward", [True, False, 1.0, 0.0])
+def test_reward_must_be_the_integer_0_or_1(pipette_template, pipette_oracle, reward):
+    valid = simulate_oracle(pipette_template, pipette_oracle, 1, NoiseSpec(seed=4)).to_jsonl().strip()
+    line = json.dumps({**json.loads(valid), "reward": reward})
+    with pytest.raises(ValidationError, match=rf"^reward must be 0 or 1, got {reward!r}$"):
+        parse_sample_line(pipette_template, line)
+
+
 def test_ingest_empty_stream(pipette_template):
     report = ingest_samples("", pipette_template)
     assert report.batch.samples == ()
