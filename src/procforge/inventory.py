@@ -284,24 +284,17 @@ def parse_inventory(text: str) -> DomainInventory:
 
 
 def _resolved_domain(inv: DomainInventory, var: StateVariable, holder: str) -> StateVariable:
-    placed: set[str] = set()
-    transferred: set[str] = set()
+    # A placement puts its source object into the holder, a transfer its material.
+    values: set[str] = set()
+    kinds: set[str] = set()
     for inter in inv.interactions:
-        if inter.target != holder:
-            continue
-        if inter.kind == "move_to_receptor":
-            placed.add(inter.source.split(".")[0])
-        else:
-            assert inter.material is not None
-            transferred.add(inter.material)
-    values = placed | transferred
+        if inter.target == holder:
+            values.add(inter.source.split(".")[0] if inter.material is None else inter.material)
+            kinds.add(inter.kind)
     if not values:
-        raise ValidationError(
-            f"dynamic domain of {var.id} cannot be resolved: no interaction targets {holder!r}"
-        )
-    kind = "move_to_receptor" if placed else "transfer_material"
-    domain = (NONE_VALUE,) + tuple(sorted(values))
-    return replace(var, domain=domain, resolved_from=kind)
+        raise ValidationError(f"dynamic domain of {var.id} cannot be resolved: no interaction targets {holder!r}")
+    kind = "move_to_receptor" if "move_to_receptor" in kinds else "transfer_material"
+    return replace(var, domain=(NONE_VALUE, *sorted(values)), resolved_from=kind)
 
 
 def resolve_dynamic_domains(inv: DomainInventory) -> DomainInventory:

@@ -348,8 +348,9 @@ class EndpointConfig:
 
 
 def _urllib_transport(url: str, headers: dict[str, str], body: bytes, timeout: float) -> tuple[int, str]:
-    # Imported here, its only use: loading urllib.request pulls in
+    # Imported here, their only use: loading urllib.request pulls in
     # http.client, ssl and email, which no other source needs.
+    import http.client
     import urllib.error
     import urllib.request
 
@@ -363,26 +364,24 @@ def _urllib_transport(url: str, headers: dict[str, str], body: bytes, timeout: f
         raise EndpointError(f"transport failure: {exc.reason}") from exc
     except TimeoutError as exc:
         raise EndpointError("request timed out") from exc
+    except (OSError, http.client.HTTPException) as exc:
+        # urlopen reads the response outside its URLError wrapper, so a
+        # dropped connection or a truncated body arrives here.
+        raise EndpointError(f"transport failure: {type(exc).__name__}: {exc}") from exc
 
 
 def _extract_text(doc: object, path: str) -> str:
     node = doc
     for part in path.split("."):
-        if isinstance(node, list):
-            try:
-                node = node[int(part)]
-            except (ValueError, IndexError) as exc:
-                raise KeyError(part) from exc
-        elif isinstance(node, dict):
-            node = node[part]
-        else:
-            raise KeyError(part)
+        node = node[int(part)] if isinstance(node, list) else node[part]
     if not isinstance(node, str):
         raise KeyError(path)
     return node
 
 
 def _request_once(endpoint: EndpointConfig, prompt: str, transport) -> str:
+    """One response's text.  A transport failure, 429 or 5xx is retried up to
+    ``max_retries`` times after ``backoff_s * 2**k`` s; other statuses fail at once."""
     api_key = os.environ.get(endpoint.api_key_env)
     if not api_key:
         raise EndpointAuthError(f"environment variable {endpoint.api_key_env} is not set")
@@ -390,30 +389,28 @@ def _request_once(endpoint: EndpointConfig, prompt: str, transport) -> str:
         {"model": endpoint.model, "messages": [{"role": "user", "content": prompt}]}
     ).encode("utf-8")
     headers = {"Content-Type": "application/json", "Authorization": f"Bearer {api_key}"}
-    attempt = 0
-    while True:
+    for attempt in range(endpoint.max_retries + 1):
+        if attempt:
+            time.sleep(endpoint.backoff_s * 2 ** (attempt - 1))
         try:
             status, text = transport(endpoint.base_url, headers, body, endpoint.timeout_s)
         except EndpointError:
-            if attempt >= endpoint.max_retries:
+            if attempt == endpoint.max_retries:
                 raise
-            status, text = None, None
-        if status is not None:
-            if status in (401, 403):
-                raise EndpointAuthError(f"endpoint rejected credentials (HTTP {status})")
-            if status == 200:
-                try:
-                    return _extract_text(load_json(text), endpoint.response_path)
-                except (ValueError, KeyError, TypeError) as exc:
-                    err = EndpointError(f"unparseable endpoint response: {exc}")
-                    err.raw_text = text  # preserved for audit
-                    raise err from exc
-            if status not in (429,) and status < 500:
-                raise EndpointError(f"endpoint returned HTTP {status}: {text[:200]}")
-        if attempt >= endpoint.max_retries:
-            raise EndpointError(f"endpoint failed after {attempt + 1} attempts (HTTP {status})")
-        time.sleep(endpoint.backoff_s * (2**attempt))
-        attempt += 1
+            continue
+        if status in (401, 403):
+            raise EndpointAuthError(f"endpoint rejected credentials (HTTP {status})")
+        if status == 200:
+            try:
+                return _extract_text(load_json(text), endpoint.response_path)
+            except (ValueError, KeyError, IndexError, TypeError) as exc:
+                err = EndpointError(f"unparseable endpoint response: {exc}")
+                err.raw_text = text  # preserved for audit
+                raise err from exc
+        if status != 429 and status < 500:
+            raise EndpointError(f"endpoint returned HTTP {status}: {text[:200]}")
+    # Only a retryable status on the last attempt leaves the loop.
+    raise EndpointError(f"endpoint failed after {endpoint.max_retries + 1} attempts (HTTP {status})")
 
 
 def fetch_samples(

@@ -2,6 +2,11 @@
 and actions plus the one-hop contextual variables and interaction actions
 needed to describe what it does.
 
+An interaction with another object adds its action and partner variables
+by two rules.  A source gets the target holder's variables resolved from
+the interaction's kind, which it writes; a transfer's target gets the
+source's cap states, which the transfer reads.
+
 Templates are dictionaries, not transition models: they enumerate
 variables, value domains, and actions, and say nothing about effects.
 """
@@ -13,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import StateSpaceLimitError, UnknownObjectError, ValidationError, distinct
-from .inventory import DomainInventory, Interaction, StateVariable
+from .inventory import DomainInventory, StateVariable
 
 ORIGIN_OWN = "own"
 ORIGIN_CONTEXTUAL = "contextual"
@@ -150,38 +155,12 @@ class MdpTemplate:
         return own
 
 
-def _contextual_variables(inv: DomainInventory, focal: str, inter: Interaction) -> list[StateVariable]:
-    source_obj = inter.source.split(".")[0]
-    target_obj = inter.target.split(".")[0]
-    out: list[StateVariable] = []
-    if inter.kind == "transfer_material":
-        if focal == target_obj and source_obj != focal:
-            # Cap states of the source: the transfer reads whether it is open.
-            src = inv.get_object(source_obj)
-            if src is not None:
-                for comp in src.components:
-                    if comp.kind == "cap":
-                        out.extend(comp.states)
-        if focal == source_obj and target_obj != focal:
-            # Material states of the target: the transfer writes them.
-            for var in inv.holder_variables(inter.target):
-                if var.resolved_from == "transfer_material":
-                    out.append(var)
-    else:  # move_to_receptor
-        if focal == source_obj and target_obj != focal:
-            # The receptor's content variable: the placement writes it.
-            for var in inv.holder_variables(inter.target):
-                if var.resolved_from == "move_to_receptor":
-                    out.append(var)
-    return out
-
-
 def build_template(inv: DomainInventory, object_id: str) -> MdpTemplate:
     """Build the behaviour template for one focal object.
 
     Contextual closure is one interaction hop: for each interaction
-    involving the object, the partner-side variables it reads or writes
-    are pulled in, along with one interaction action.
+    involving the object, its action and the partner variables of the two
+    rules in the module docstring are pulled in.
     """
     obj = inv.get_object(object_id)
     if obj is None:
@@ -199,9 +178,15 @@ def build_template(inv: DomainInventory, object_id: str) -> MdpTemplate:
         interaction_actions.setdefault(
             action_id, TemplateAction(id=action_id, params=(), kind=KIND_INTERACTION)
         )
-        for var in _contextual_variables(inv, object_id, inter):
-            if var.id not in own_vars:
-                ctx_vars.setdefault(var.id, var)
+        if source_obj == object_id != target_obj:
+            # What the interaction writes: the holder's variable of its kind.
+            partner = [v for v in inv.holder_variables(inter.target) if v.resolved_from == inter.kind]
+        elif target_obj == object_id != source_obj and inter.kind == "transfer_material":
+            # What a transfer reads: whether the source's caps are open.
+            partner = [v for c in inv.get_object(source_obj).components if c.kind == "cap" for v in c.states]
+        else:
+            continue
+        ctx_vars.update((v.id, v) for v in partner if v.id not in own_vars)
     for var in (*own_vars.values(), *ctx_vars.values()):
         if var.is_dynamic:
             raise ValidationError(f"inventory is not resolved: {var.id} still has a dynamic domain")

@@ -137,6 +137,47 @@ def test_move_to_receptor_needs_material_free_receptor_target():
         parse_inventory(json.dumps(doc))
 
 
+_SCALE = {
+    "id": "scale",
+    "category": "instrument",
+    "components": [
+        {"id": "platform", "kind": "receptor", "states": [{"id": "content", "domain": "dynamic"}]},
+        {"id": "lid", "kind": "cap", "states": [{"id": "state", "domain": ["closed", "open"]}]},
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "interaction, message",
+    [
+        pytest.param(
+            {"kind": "move_to_receptor", "source": "spoon", "target": "scale.tray"},
+            r"^\$\.interactions\[0\]\.target: unknown component 'tray' in reference 'scale\.tray'$",
+            id="unknown-component",
+        ),
+        pytest.param(
+            {"kind": "transfer_material", "source": "spoon", "target": "bottle"},
+            r"^\$\.interactions\[0\]\.material: transfer_material requires a material$",
+            id="transfer-without-material",
+        ),
+        pytest.param(
+            {"kind": "move_to_receptor", "source": "spoon", "target": "scale", "material": "salt"},
+            r"^\$\.interactions\[0\]\.material: move_to_receptor takes no material$",
+            id="placement-with-material",
+        ),
+        pytest.param(
+            {"kind": "move_to_receptor", "source": "spoon", "target": "scale.lid"},
+            r"^\$\.interactions\[0\]\.target: move_to_receptor target 'scale\.lid' is a cap, not a receptor$",
+            id="placement-onto-non-receptor",
+        ),
+    ],
+)
+def test_interaction_check_raises_with_its_path(interaction, message):
+    doc = _inventory(_SPOON, _BOTTLE, _SCALE, interactions=[interaction])
+    with pytest.raises(ValidationError, match=message):
+        parse_inventory(json.dumps(doc))
+
+
 def test_whole_object_target_normalized_to_unique_receptor():
     doc = {
         "schema_version": "1",

@@ -506,6 +506,35 @@ def test_ambiguous_weight_sums_over_the_models_an_action_lives_in(
     assert report.ambiguous_entries == {action: sum(ws) for action, ws in weights.items()}
 
 
+def test_conflicting_models_drop_the_condition_and_report_it(
+    pipette_template, bottle_template, pipette_oracles, pipette_inventory
+):
+    """DRAW needs the cap opened in the pipette model and closed in a
+    bottle model whose oracle says the opposite: the condition is dropped
+    from the preconditions and the rules, and reported once."""
+    pipette = aggregate(exhaustive_batch(pipette_template, full_sampling(pipette_oracles["electronic_pipette"])))
+    bottle_oracle = full_sampling(pipette_oracles["ddh2o_bottle"])
+    draw = bottle_oracle.rules[DRAW]
+    closed_draw = OracleRule({**draw.preconditions, V_CAP: "closed"}, draw.effects, valid_only=False)
+    flipped = OracleSpec(rules={**bottle_oracle.rules, DRAW: closed_draw})
+    key = (DRAW, V_CAP, "opened")
+
+    def keys(bottle_oracle):
+        bottle = aggregate(exhaustive_batch(bottle_template, bottle_oracle))
+        rule_set = extract_rules([pipette, bottle], pipette_inventory, CFG)
+        pres = [(p.action, p.variable, p.value) for p in rule_set.preconditions]
+        rules = [(r.action, r.variable, r.value) for r in rule_set.causal_rules]
+        conflicts = [(c["action"], c["variable"], c["value"]) for c in rule_set.report.conflicts]
+        return pres, rules, conflicts
+
+    pres, rules, conflicts = keys(bottle_oracle)
+    assert key in pres and key in rules and conflicts == []
+    pres, rules, conflicts = keys(flipped)
+    assert key not in pres
+    assert key not in rules
+    assert conflicts.count(key) == 1
+
+
 def test_rules_sorted_deterministically(two_models, pipette_inventory):
     rs = extract_rules(two_models, pipette_inventory, CFG)
     keys = [(r.action, r.variable, r.value) for r in rs.causal_rules]

@@ -524,3 +524,74 @@ def test_fetch_merges_multiple_requests_in_order(pipette_template, pipette_oracl
     assert [s.to_json_line() for s in report.batch.samples] == [
         s.to_json_line() for s in batch.samples
     ]
+
+
+def statuses(*codes):
+    """A transport that answers with ``codes`` in turn and records each call."""
+    calls = []
+
+    def transport(url, headers, body, timeout):
+        status = codes[min(len(calls), len(codes) - 1)]
+        calls.append(status)
+        return status, wrap_response("") if status == 200 else "busy"
+
+    return transport, calls
+
+
+def test_fetch_retries_429_and_5xx_with_doubling_backoff(pipette_template, monkeypatch):
+    monkeypatch.setenv("PROCFORGE_API_KEY", "k")
+    sleeps = []
+    monkeypatch.setattr("procforge.sampling.time.sleep", sleeps.append)
+    transport, calls = statuses(429, 503, 200)
+    report = fetch_samples(make_endpoint(backoff_s=0.5), "p", pipette_template, transport=transport)
+    assert calls == [429, 503, 200]
+    assert sleeps == [0.5, 1.0]
+    assert report.batch.samples == ()
+
+
+def test_fetch_reports_exhausted_retries(pipette_template, monkeypatch):
+    monkeypatch.setenv("PROCFORGE_API_KEY", "k")
+    monkeypatch.setattr("procforge.sampling.time.sleep", lambda s: None)
+    transport, calls = statuses(503)
+    with pytest.raises(EndpointError, match=r"^endpoint failed after 3 attempts \(HTTP 503\)$"):
+        fetch_samples(make_endpoint(max_retries=2), "p", pipette_template, transport=transport)
+    assert len(calls) == 3
+
+
+def test_fetch_client_error_not_retried(pipette_template, monkeypatch):
+    monkeypatch.setenv("PROCFORGE_API_KEY", "k")
+    transport, calls = statuses(400)
+    with pytest.raises(EndpointError, match="HTTP 400"):
+        fetch_samples(make_endpoint(), "p", pipette_template, transport=transport)
+    assert calls == [400]
+
+
+def test_default_transport_retries_a_dropped_connection(pipette_template, monkeypatch):
+    import http.client
+    import urllib.request
+
+    monkeypatch.setenv("PROCFORGE_API_KEY", "k")
+    attempts = []
+
+    class Response:
+        status = 200
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def read(self):
+            return wrap_response("").encode("utf-8")
+
+    def urlopen(req, timeout):
+        attempts.append(req.full_url)
+        if len(attempts) == 1:
+            raise http.client.RemoteDisconnected("Remote end closed connection without response")
+        return Response()
+
+    monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+    report = fetch_samples(make_endpoint(), "p", pipette_template)
+    assert attempts == ["https://example.test/v1/chat"] * 2
+    assert report.batch.samples == ()

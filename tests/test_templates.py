@@ -47,6 +47,39 @@ def test_scale_contextual_platform_domain(benchmark_dir):
     assert scale.domain_of("electronic_scale.platform.content") == ("none", "aluminium_foil")
 
 
+def test_receptor_both_placed_into_and_filled():
+    """A holder that is both placed into and filled resolves as a receptor,
+    so only the placed object's template writes its content."""
+    doc = {
+        "schema_version": "1",
+        "objects": [
+            {"id": "stirrer", "category": "tool"},
+            {
+                "id": "bottle",
+                "category": "container",
+                "components": [{"id": "cap", "kind": "cap", "states": [{"id": "state", "domain": ["closed", "opened"]}]}],
+            },
+            {
+                "id": "beaker",
+                "category": "container",
+                "components": [{"id": "mouth", "kind": "receptor", "states": [{"id": "content", "domain": "dynamic"}]}],
+            },
+        ],
+        "interactions": [
+            {"kind": "move_to_receptor", "source": "stirrer", "target": "beaker"},
+            {"kind": "transfer_material", "source": "bottle", "target": "beaker.mouth", "material": "water"},
+        ],
+    }
+    inv = resolve_dynamic_domains(parse_inventory(json.dumps(doc)))
+    content = {v.id: v for v in inv.variables()}["beaker.mouth.content"]
+    assert content.domain == ("none", "stirrer", "water")
+    assert content.resolved_from == "move_to_receptor"
+    assert "beaker.mouth.content" in build_template(inv, "stirrer").variable_ids
+    assert "beaker.mouth.content" not in build_template(inv, "bottle").variable_ids
+    beaker = build_template(inv, "beaker")
+    assert {v.id: v.origin for v in beaker.variables} == {"beaker.mouth.content": "own", "bottle.cap.state": "contextual"}
+
+
 def test_object_without_interactions_has_no_contextual_entries():
     doc = {
         "schema_version": "1",
