@@ -11,6 +11,7 @@ from .errors import ValidationError
 
 RAW_BINARY = "binary"
 RAW_GAP = "gap"
+RAW_MODES = (RAW_BINARY, RAW_GAP)
 
 
 def _check_permutation(cand: list, truth: list) -> None:
@@ -99,6 +100,8 @@ def raw_slack(cand: list, constraints, mode: str = RAW_BINARY) -> float:
     violated predecessor sits after its successor.  Zero means every
     constraint is satisfied.
     """
+    if mode not in RAW_MODES:
+        raise ValueError(f"unknown raw penalty mode {mode!r}")
     pos = {v: i for i, v in enumerate(cand)}
     total = 0.0
     for pred, succ in constraints:

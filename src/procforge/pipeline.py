@@ -23,7 +23,7 @@ from typing import TextIO
 from . import __version__
 from .errors import ValidationError
 from .inventory import DomainInventory, parse_inventory, resolve_dynamic_domains
-from .metrics import RAW_BINARY, RAW_GAP, evaluate, format_table, sequence_report
+from .metrics import RAW_BINARY, RAW_MODES, evaluate, format_table, sequence_report
 from .perturb import PerturbationSpec, perturb
 from .repair import (
     Procedure,
@@ -191,7 +191,7 @@ def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConf
             raise ValidationError(f"config key 'sample.objects' must be a list of strings, got {sample_objects!r}")
         repair_doc = _config_table(doc.get("repair", {}), "repair", ("weights", "search", "raw_penalty"))
         raw_penalty = repair_doc.get("raw_penalty", RAW_BINARY)
-        if raw_penalty not in (RAW_BINARY, RAW_GAP):
+        if raw_penalty not in RAW_MODES:
             raise ValidationError(f"repair.raw_penalty must be 'binary' or 'gap', got {raw_penalty!r}")
         tune_doc = _config_table(doc.get("tune", {}), "tune", ("grid",))
         perturb_doc, endpoint_doc = doc.get("perturb"), doc.get("endpoint")

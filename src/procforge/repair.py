@@ -8,6 +8,7 @@ draft adjacencies, cluster-order inversions, and precedence violations.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import math
@@ -15,7 +16,7 @@ import random
 from dataclasses import asdict, dataclass, field, fields
 
 from .errors import ProcforgeError, ValidationError, distinct
-from .metrics import RAW_BINARY, RAW_GAP
+from .metrics import RAW_BINARY, RAW_GAP, RAW_MODES
 from .rules import INITIAL_STATE, CausalRule
 from .templates import BoundAction, bound_action_from_parts
 
@@ -208,10 +209,12 @@ class _Instance:
     """Index-space view of one repair problem, for fast cost evaluation."""
 
     def __init__(self, draft: Procedure, constraints, clusters, weights: RepairWeights, raw_mode: str):
-        if raw_mode not in (RAW_BINARY, RAW_GAP):
+        if raw_mode not in RAW_MODES:
             raise ValueError(f"unknown raw penalty mode {raw_mode!r}")
         self.weights = weights
         self.raw_mode = raw_mode
+        constraints, clusters = tuple(constraints), tuple(clusters)  # each is read more than once
+        self.problem = (draft, constraints, clusters)
         self.ids = [s.id for s in draft.steps]
         self.index = {sid: i for i, sid in enumerate(self.ids)}
         self.n = len(self.ids)
@@ -239,9 +242,24 @@ class _Instance:
         self.cluster_flip = [
             [ab - ba for ab, ba in zip(row, col)] for row, col in zip(self.cluster_counts, zip(*self.cluster_counts))
         ]
-        # flip[a] == 0 on the diagonal, so flip_min[a] <= 0 <= flip_max[a]
+        # flip[a] == 0 on the diagonal, so flip_min[a] <= 0
         self.flip_min = [min(flip) for flip in self.cluster_flip]
-        self.flip_max = [max(flip) for flip in self.cluster_flip]
+
+    @functools.cached_property
+    def mirror(self) -> "_Instance":
+        """The problem read backwards: the draft reversed, so step e is
+        the mirror's step n - 1 - e, and every constraint turned around.
+        perm and ``[n - 1 - e for e in reversed(perm)]`` cost the same,
+        term for term; moving the step at position i to j is the mirror's
+        move from n - 1 - i to n - 1 - j."""
+        draft, constraints, clusters = self.problem
+        return _Instance(
+            Procedure(steps=draft.steps[::-1]),
+            [PrecedenceConstraint(c.successor, c.predecessor) for c in constraints],
+            [ClusterConstraint(c.later, c.earlier) for c in clusters],
+            self.weights,
+            self.raw_mode,
+        )
 
     def order_to_indices(self, order: list[str]) -> list[int]:
         if sorted(order) != sorted(self.ids):
@@ -306,16 +324,12 @@ def _reinsert(perm: list[int], i: int, j: int) -> list[int]:
     return out
 
 
-def _scan(inst: _Instance, perm: list[int]):
-    """Prepare one scan of perm's reinsertions: ``(right, left, sweep)``.
+def _rightward(inst: _Instance, perm: list[int]):
+    """The rightward half of one scan of perm: ``(right, sweep)``.
 
-    ``sweep(i, right, left, d_total)`` sets ``d_total[j]`` to the exact
-    change of the total cost when the element at position i is
-    reinserted at position j, for every j > i if ``right`` and every
-    j < i if ``left``: the two half-rows of row i.  It leaves the other
-    entries as they are.  ``right[i]`` lies at or below every move of row
-    i with j > i, and ``left[i]`` at or below every one with j < i; both
-    are inf where the half-row is empty.
+    ``sweep(i)`` lists the exact cost change of reinserting the element
+    at position i at each j = i + 1, …, n - 1: the right half-row of row
+    i.  ``right[i]`` lies at or below all of them; it is inf for i = n - 1.
 
     A half-row sweeps outward from i.  A step moves the element x over
     one element e, which shifts one place, so every running term changes
@@ -328,22 +342,17 @@ def _scan(inst: _Instance, perm: list[int]):
 
     - every step's displacement, the gap-mode penalties that crossing a
       step books through its net count, and the kept adjacency that the
-      insertion breaks.  Each is a prefix sum over the crossed positions
-      (a suffix sum moving left), so their joint minimum over j splits at
-      j = x, where ``|j - x|`` turns: beyond x it is one entry of a
-      suffix (prefix) minimum built once per scan, and between i and x it
-      is a slice minimum;
+      insertion breaks.  Each is a prefix sum over the crossed positions,
+      so their joint minimum over j splits at j = x, where ``|j - x|``
+      turns: beyond x it is one entry of a suffix minimum built once per
+      scan, and between i and x it is a slice minimum;
     - the rest of x's own constraints: a violated one can improve only
       while x moves toward its other end, and one that holds cannot get
       cheaper;
     - the other adjacencies: the removal seam, and the draft neighbours
-      x - 1 and x + 1 where they stand on the side x moves to;
+      x - 1 and x + 1 where they stand right of x;
     - clusters: the most negative inversion change of one crossed step,
       times the number of steps the half-row can cross.
-
-    The preparation, bounds included, costs O(n + m) plus the slices
-    between i and x, which add the permutation's displacement; sweeping
-    every row costs O(n² + m) for n steps and m constraints.
     """
     n = inst.n
     w = inst.weights
@@ -352,98 +361,71 @@ def _scan(inst: _Instance, perm: list[int]):
     pos = [0] * n
     for p, e in enumerate(perm):
         pos[e] = p
-    ext = perm + [-2]  # ext[n] == ext[-1] == -2: a sentinel no step is adjacent to
-    kept = [ext[p] + 1 == ext[p + 1] for p in range(n)]
-    # seam[i]: change of kept adjacencies at the gap that removing perm[i] closes
-    seam = [
-        (ext[i - 1] + 1 == ext[i + 1]) - (ext[i - 1] + 1 == x) - (x + 1 == ext[i + 1]) for i, x in enumerate(perm)
-    ]
+    ext = perm + [-2]  # ext[n] == -2: a sentinel no step is adjacent to
+    kept = [a + 1 == b for a, b in zip(ext, ext[1:])]
+    # seam[i]: change of kept adjacencies when removing perm[i] closes its
+    # gap: ext[i - 1] and ext[i + 1] may join, and perm[i]'s own two go
+    seam = [(a + 1 == b) - k0 - k1 for a, b, k0, k1 in zip([-2] + perm, ext[1:], [False] + kept, kept)]
     # Gap mode: a violated constraint without x changes by one when one of
     # its endpoints shifts; net[e] counts e's violated constraints as
-    # predecessor minus those as successor.  Crossing e thus changes the
-    # penalties by -net[e] moving right and by +net[e] moving left.  That
-    # books part of the change of x's own constraints too; relief_right[x]
-    # and relief_left[x] bound the rest.  A violated (a, b) has a to the
-    # right of b.  Moving toward each other, a gap-mode penalty falls at
-    # most from its gap to 0, of which the crossed end's net count books 1
-    # (a binary one falls by 1); moving apart, the gap grows by at least 1
-    # (a binary one stays at 1).
+    # predecessor minus those as successor, so crossing e changes the
+    # penalties by -net[e].  That books part of the change of x's own
+    # constraints too; relief[x] bounds the rest.  A violated (a, b) has a
+    # to the right of b.  Moving toward each other, a gap-mode penalty
+    # falls at most from its gap to 0, of which the crossed end's net count
+    # books 1 (a binary one falls by 1); moving apart, the gap grows by at
+    # least 1 (a binary one stays at 1).
     net = [0] * n
-    relief_right = [0] * n
-    relief_left = [0] * n
+    relief = [0] * n
     for a, b in inst.constraints:
         gap = pos[a] - pos[b]
         if gap > 0:
             if gap_mode:
                 net[a] += 1
                 net[b] -= 1
-                relief_right[b] -= gap - 1
-                relief_left[a] -= gap - 1
-                relief_right[a] += 1
-                relief_left[b] += 1
+                relief[b] -= gap - 1
+                relief[a] += 1
             else:
-                relief_right[b] -= 1
-                relief_left[a] -= 1
+                relief[b] -= 1
     # Moving x right from i to j changes the first part by f(j) - f(i) +
     # broken[i], with f(j) = lambda_pos * (|j - x| + S[j]) - lambda_raw *
     # N[j] + broken[j].  S sums the crossed steps' moves away from (+1) or
     # toward (-1) their draft index, N sums their net counts, and broken[j]
-    # is what breaking the kept adjacency after position j costs
-    # (broken[-1] == 0).  f(j) is up_right[j] - lambda_pos * x for j >= x
-    # and down_right[j] + lambda_pos * x for j <= x.  Moving left mirrors
-    # this with suffix sums.
+    # is what breaking the kept adjacency after position j costs.  f(j) is
+    # up[j] - lambda_pos * x for j >= x and down[j] + lambda_pos * x for
+    # j <= x.
     broken = [lambda_edge * k for k in kept]
-    up_right, down_right, up_left, down_left = [0.0] * n, [0.0] * n, [0.0] * n, [0.0] * n
+    up, down = [0.0] * n, [0.0] * n
     run_pos = run_net = 0
     for k, e in enumerate(perm):
         run_pos += 1 if e >= k else -1
         run_net += net[e]
         f = lambda_pos * run_pos - lambda_raw * run_net + broken[k]
-        up_right[k] = f + lambda_pos * k
-        down_right[k] = f - lambda_pos * k
-    run_pos = run_net = 0
-    for k in range(n - 1, -1, -1):
-        e = perm[k]
-        run_pos += 1 if e <= k else -1
-        run_net += net[e]
-        f = lambda_pos * run_pos + lambda_raw * run_net + broken[k - 1]
-        up_left[k] = f + lambda_pos * k
-        down_left[k] = f - lambda_pos * k
-    up_right_min = list(itertools.accumulate(reversed(up_right), min))[::-1]  # [k] == min(up_right[k:])
-    down_left_min = list(itertools.accumulate(down_left, min))  # [k] == min(down_left[: k + 1])
-    label, flip_min, flip_max = inst.cluster_of, inst.flip_min, inst.flip_max
-    inf = float("inf")
-    right, left = [inf] * n, [inf] * n
-    for i, x in enumerate(perm):
-        below = pos[x - 1] if x > 0 else i  # i stands for a draft neighbour x lacks
-        above = pos[x + 1] if x < n - 1 else i
+        shift = lambda_pos * k
+        up[k] = f + shift
+        down[k] = f - shift
+    up_min = list(itertools.accumulate(reversed(up), min))[::-1]  # [k] == min(up[k:])
+    label, flip_min = inst.cluster_of, inst.flip_min
+    right = [float("inf")] * n
+    near = [-1] + pos + [-1]  # near[x], near[x + 2]: where x - 1 and x + 1 stand, -1 for none
+    for i in range(n - 1):
+        x = perm[i]
         turn = lambda_pos * x
-        if i < n - 1:
-            reach = up_right_min[max(i + 1, x)] - turn
-            if x > i + 1:
-                reach = min(reach, min(down_right[i + 1 : x + 1]) + turn)
-            here = (up_right[i] - turn if i >= x else down_right[i] + turn) - broken[i]
-            right[i] = (
-                reach
-                - here
-                + lambda_raw * relief_right[x]
-                - lambda_edge * (seam[i] + (below > i) + (above > i + 1))
-                + lambda_cluster * (n - 1 - i) * flip_min[label[x]]
-            )
-        if i > 0:
-            reach = down_left_min[min(i - 1, x)] + turn
-            if x < i - 1:
-                reach = min(reach, min(up_left[x:i]) - turn)
-            here = (up_left[i] - turn if i >= x else down_left[i] + turn) - broken[i - 1]
-            left[i] = (
-                reach
-                - here
-                + lambda_raw * relief_left[x]
-                - lambda_edge * (seam[i] + (above < i) + (below < i - 1))
-                - lambda_cluster * i * flip_max[label[x]]
-            )
+        if x > i + 1:
+            reach = min(up_min[x] - turn, min(down[i + 1 : x + 1]) + turn)
+            here = down[i] + turn - broken[i]
+        else:
+            reach = up_min[i + 1] - turn
+            here = (up[i] - turn if i >= x else down[i] + turn) - broken[i]
+        right[i] = (
+            reach
+            - here
+            + lambda_raw * relief[x]
+            - lambda_edge * (seam[i] + (near[x] > i) + (near[x + 2] > i + 1))
+            + lambda_cluster * (n - 1 - i) * flip_min[label[x]]
+        )
 
-    def sweep(i: int, right: bool, left: bool, d_total: list[float]) -> None:
+    def sweep(i: int) -> list[float]:
         x = perm[i]
         # rel[e]: constraints between x and e, as (x, e) + (e, x) in gap
         # mode and (x, e) - (e, x) in binary mode
@@ -455,45 +437,61 @@ def _scan(inst: _Instance, perm: list[int]):
         # Gap mode: how much x's own violated gaps grow per step as x starts
         # moving right (successors before x lengthen, predecessors after x
         # shorten); each crossed step then adds its rel entry.
-        growing = sum(pos[y] < i for y in inst.succs[x]) - sum(pos[y] > i for y in inst.preds[x])
+        active = sum(pos[y] < i for y in inst.succs[x]) - sum(pos[y] > i for y in inst.preds[x])
         # flip[b]: change of cluster inversions when x moves right past a step of label b
         flip = inst.cluster_flip[label[x]]
         seam_i = seam[i]
         base = abs(i - x)
+        d_total = []
+        run_pos = run_cluster = run_raw = 0
+        for j in range(i + 1, n):
+            e = ext[j]
+            run_pos += 1 if e >= j else -1
+            run_cluster += flip[label[e]]
+            if gap_mode:
+                active += rel[e]
+                run_raw += active - net[e]
+            else:
+                run_raw += rel[e]
+            dp = run_pos + abs(j - x) - base
+            d_edge = kept[j] - seam_i - (e + 1 == x) - (x + 1 == ext[j + 1])
+            d_total.append(lambda_pos * dp + lambda_edge * d_edge + lambda_cluster * run_cluster + lambda_raw * run_raw)
+        return d_total
 
+    return right, sweep
+
+
+def _scan(inst: _Instance, perm: list[int]):
+    """Prepare one scan of perm's reinsertions: ``(right, left, sweep)``.
+
+    ``sweep(i, right, left, d_total)`` sets ``d_total[j]`` to the exact
+    change of the total cost when the element at position i is
+    reinserted at position j, for every j > i if ``right`` and every
+    j < i if ``left``: the two half-rows of row i.  It leaves the other
+    entries as they are.  ``right[i]`` lies at or below every move of row
+    i with j > i, and ``left[i]`` at or below every one with j < i; both
+    are inf where the half-row is empty.
+
+    :func:`_rightward` computes the right half-rows and their bounds.
+    The left half-rows are the right half-rows of the mirrored problem,
+    :attr:`_Instance.mirror`: moving the step at position i to j < i is
+    the mirror's move from n - 1 - i to n - 1 - j, at the same cost.
+
+    The preparation, bounds included, costs O(n + m) plus the slices
+    between i and x, which add the permutation's displacement; sweeping
+    every row costs O(n² + m) for n steps and m constraints.
+    """
+    n = inst.n
+    right_floor, sweep_right = _rightward(inst, perm)
+    mirrored_floor, sweep_mirrored = _rightward(inst.mirror, [n - 1 - e for e in reversed(perm)])
+
+    def sweep(i: int, right: bool, left: bool, d_total: list[float]) -> None:
         if right:
-            run_pos = run_cluster = run_raw = 0
-            active = growing
-            for j in range(i + 1, n):
-                e = ext[j]
-                run_pos += 1 if e >= j else -1
-                run_cluster += flip[label[e]]
-                if gap_mode:
-                    active += rel[e]
-                    run_raw += active - net[e]
-                else:
-                    run_raw += rel[e]
-                dp = run_pos + abs(j - x) - base
-                d_edge = kept[j] - seam_i - (e + 1 == x) - (x + 1 == ext[j + 1])
-                d_total[j] = lambda_pos * dp + lambda_edge * d_edge + lambda_cluster * run_cluster + lambda_raw * run_raw
-
+            d_total[i + 1 :] = sweep_right(i)
         if left:
-            run_pos = run_cluster = run_raw = 0
-            active = -growing
-            for j in range(i - 1, -1, -1):
-                e = ext[j]
-                run_pos += 1 if e <= j else -1
-                run_cluster -= flip[label[e]]
-                if gap_mode:
-                    active += rel[e]
-                    run_raw += active + net[e]
-                else:
-                    run_raw -= rel[e]
-                dp = run_pos + abs(j - x) - base
-                d_edge = kept[j - 1] - seam_i - (x + 1 == e) - (ext[j - 1] + 1 == x)
-                d_total[j] = lambda_pos * dp + lambda_edge * d_edge + lambda_cluster * run_cluster + lambda_raw * run_raw
+            d_total[:i] = sweep_mirrored(n - 1 - i)[::-1]
 
-    return right, left, sweep
+    return right_floor, mirrored_floor[::-1], sweep
 
 
 def _best_move(inst: _Instance, perm: list[int]):
@@ -505,10 +503,10 @@ def _best_move(inst: _Instance, perm: list[int]):
     the draft, then the lexicographically smallest moved permutation,
     then the smallest (i, j), so the move depends only on the set of
     moves, not on the order in which they are compared.  One call of
-    :func:`_scan` prepares the scan and bounds each half-row.  The
-    half-rows are swept in ascending bound order until a bound lies more
-    than a margin above the smallest move swept so far; the rest are
-    skipped.
+    :func:`_scan` prepares the scan and bounds each half-row, the left
+    ones as right half-rows of :attr:`_Instance.mirror`.  The half-rows
+    are swept in ascending bound order until a bound lies more than a
+    margin above the smallest move swept so far; the rest are skipped.
 
     Why this is exact: the margin, 1e-9 times the largest of 1 and the
     weights, covers the rounding of bound and sweep, so every half-row

@@ -357,7 +357,7 @@ def _urllib_transport(url: str, headers: dict[str, str], body: bytes, timeout: f
     req = urllib.request.Request(url, data=body, headers=headers, method="POST")
     try:
         with urllib.request.urlopen(req, timeout=timeout) as resp:
-            return resp.status, resp.read().decode("utf-8")
+            status, data = resp.status, resp.read()
     except urllib.error.HTTPError as exc:
         return exc.code, exc.read().decode("utf-8", errors="replace")
     except urllib.error.URLError as exc:
@@ -368,6 +368,12 @@ def _urllib_transport(url: str, headers: dict[str, str], body: bytes, timeout: f
         # urlopen reads the response outside its URLError wrapper, so a
         # dropped connection or a truncated body arrives here.
         raise EndpointError(f"transport failure: {type(exc).__name__}: {exc}") from exc
+    try:
+        return status, data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        err = EndpointError(f"transport failure: response body is not UTF-8: {exc}")
+        err.raw_text = data.decode("utf-8", errors="replace")  # preserved for audit
+        raise err from exc
 
 
 def _extract_text(doc: object, path: str) -> str:

@@ -187,6 +187,11 @@ def test_raw_slack_binary_and_gap():
     assert raw_slack(cand, []) == 0.0
 
 
+def test_raw_slack_unknown_mode():
+    with pytest.raises(ValueError, match="^unknown raw penalty mode 'gapp'$"):
+        raw_slack(["a", "b"], [("b", "a")], "gapp")
+
+
 def test_raw_slack_unknown_id():
     with pytest.raises(ValidationError, match="^constraint references unknown step id 'a' or 'z'$"):
         raw_slack(["a"], [("a", "z")])

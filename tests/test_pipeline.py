@@ -606,6 +606,7 @@ def test_cli_misspelt_config_key_is_config_error(workdir, capsys, line, typo, ke
         ("n = 250", "n = 250.9", "config key 'sample.n' must be an integer >= 1, got 250.9"),
         ("n = 250", "n = true", "config key 'sample.n' must be an integer >= 1, got True"),
         ('source = "oracle"', "source = 1", "unknown sample source 1"),
+        ('raw_penalty = "gap"', 'raw_penalty = "gapp"', "repair.raw_penalty must be 'binary' or 'gap', got 'gapp'"),
         ("restarts = 8", "restarts = 2.5", "integers restarts >= 1 and max_stale_iters >= 0, got (2.5, 10)"),
         ("restarts = 8", "restarts = true", "integers restarts >= 1 and max_stale_iters >= 0, got (True, 10)"),
         ("max_stale_iters = 10", "max_stale_iters = 1.5", "max_stale_iters >= 0, got (8, 1.5)"),
@@ -634,6 +635,7 @@ def test_cli_misspelt_config_key_is_config_error(workdir, capsys, line, typo, ke
         "fractional-sample-n",
         "boolean-sample-n",
         "non-string-sample-source",
+        "unknown-raw-penalty",
         "fractional-restarts",
         "boolean-restarts",
         "fractional-max-stale-iters",

@@ -110,6 +110,20 @@ def test_gap_mode_counts_positional_deficit():
     assert gap.raw == 3.0
 
 
+def test_constraints_may_be_any_iterable():
+    draft = proc("a", "b", "c")
+    constraints = [PrecedenceConstraint("c", "a")]
+    clusters = [ClusterConstraint("wash", "dry")]
+    want = objective_cost(["a", "b", "c"], draft, constraints, clusters)
+    assert want.raw == 1.0
+    assert objective_cost(["a", "b", "c"], draft, iter(constraints), iter(clusters)) == want
+
+
+def test_unknown_raw_mode_is_rejected():
+    with pytest.raises(ValueError, match="^unknown raw penalty mode 'gapp'$"):
+        objective_cost(["a", "b"], proc("a", "b"), raw_mode="gapp")
+
+
 def test_cluster_term_counts_cross_pair_inversions():
     clusters = {"a": "wash", "b": "wash", "c": "dry", "d": "dry"}
     draft = proc("a", "b", "c", "d", clusters=clusters)
@@ -391,6 +405,19 @@ def test_cost_terms_match_their_definitions(case):
         + weights.lambda_cluster * cost.cluster
         + weights.lambda_raw * cost.raw
     )
+
+
+@settings(max_examples=300, deadline=None)
+@given(permuted_inputs())
+def test_mirror_is_the_problem_read_backwards(case):
+    inputs, perm = case
+    inst = _Instance(*inputs)
+    n = inst.n
+    assert inst.mirror.cost([n - 1 - e for e in reversed(perm)]) == inst.cost(perm)
+    twice = inst.mirror.mirror
+    assert twice.constraints == inst.constraints
+    assert twice.cluster_of == inst.cluster_of
+    assert twice.cluster_counts == inst.cluster_counts
 
 
 @settings(max_examples=300, deadline=None)

@@ -595,3 +595,32 @@ def test_default_transport_retries_a_dropped_connection(pipette_template, monkey
     report = fetch_samples(make_endpoint(), "p", pipette_template)
     assert attempts == ["https://example.test/v1/chat"] * 2
     assert report.batch.samples == ()
+
+
+def test_default_transport_reports_a_body_that_is_not_utf8(pipette_template, monkeypatch):
+    import urllib.request
+
+    monkeypatch.setenv("PROCFORGE_API_KEY", "k")
+    attempts = []
+
+    class Response:
+        status = 200
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def read(self):
+            return b"\xff\xfe"
+
+    def urlopen(req, timeout):
+        attempts.append(req.full_url)
+        return Response()
+
+    monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+    with pytest.raises(EndpointError, match="^transport failure: response body is not UTF-8") as err:
+        fetch_samples(make_endpoint(), "p", pipette_template)
+    assert len(attempts) == 3  # retried like any transport failure
+    assert err.value.raw_text == "\ufffd\ufffd"
