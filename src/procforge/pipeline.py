@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import TextIO
 
 from . import __version__
-from .errors import ValidationError
+from .errors import ValidationError, distinct
 from .inventory import DomainInventory, parse_inventory, resolve_dynamic_domains
 from .metrics import RAW_BINARY, RAW_MODES, evaluate, format_table, sequence_report
 from .perturb import PerturbationSpec, perturb
@@ -249,7 +249,7 @@ def _weight_grid(cfg: PipelineConfig) -> dict[str, list[float]]:
 
 
 def _check_tune_grid(cfg: PipelineConfig) -> None:
-    """Fail at load time on a grid that ``tune`` would reject or run empty."""
+    """Fail at load time on a grid that ``tune`` would reject or run empty, or that repeats a value."""
     for name, values in cfg.tune_grid.items():
         if not isinstance(values, list) or not values:
             raise ValidationError(f"config key 'tune.grid.{name}' must be a non-empty list")
@@ -262,6 +262,8 @@ def _check_tune_grid(cfg: PipelineConfig) -> None:
         RepairWeights(**{name: min(values) for name, values in _weight_grid(cfg).items()})
     except ValueError as exc:
         raise ValidationError(f"invalid config value 'tune.grid': {exc}") from exc
+    for name, values in cfg.tune_grid.items():
+        distinct(values, f"values in config key 'tune.grid.{name}'")
 
 
 # ── artifact io ───────────────────────────────────────────────────────────

@@ -206,65 +206,38 @@ def map_rules_to_constraints(proc: Procedure, rules: list[CausalRule]) -> Mappin
 
 
 class _Instance:
-    """Index-space view of one repair problem, for fast cost evaluation."""
+    """Index-space view of one repair problem, for fast cost evaluation:
+    step e is the draft's e-th step, ``constraints`` lists the (predecessor,
+    successor) index pairs, ``cluster_of[e]`` is step e's label (0: outside
+    the constrained clusters) and ``cluster_counts[a][b]`` counts the
+    constraints "label a before label b".  Its data comes checked."""
 
-    def __init__(self, draft: Procedure, constraints, clusters, weights: RepairWeights, raw_mode: str):
-        if raw_mode not in RAW_MODES:
-            raise ValueError(f"unknown raw penalty mode {raw_mode!r}")
-        self.weights = weights
-        self.raw_mode = raw_mode
-        constraints, clusters = tuple(constraints), tuple(clusters)  # each is read more than once
-        self.problem = (draft, constraints, clusters)
-        self.ids = [s.id for s in draft.steps]
-        self.index = {sid: i for i, sid in enumerate(self.ids)}
-        self.n = len(self.ids)
-        missing = [
-            c for c in constraints if c.predecessor not in self.index or c.successor not in self.index
-        ]
-        if missing:
-            raise ValidationError(f"constraint references unknown step ids: {missing[0]}")
-        self.constraints = [(self.index[c.predecessor], self.index[c.successor]) for c in constraints]
-        self.succs: list[list[int]] = [[] for _ in range(self.n)]
-        self.preds: list[list[int]] = [[] for _ in range(self.n)]
-        for a, b in self.constraints:
+    def __init__(self, n: int, constraints, cluster_of, cluster_counts, weights: RepairWeights, raw_mode: str):
+        self.n, self.constraints, self.cluster_of, self.cluster_counts = n, constraints, cluster_of, cluster_counts
+        self.weights, self.raw_mode = weights, raw_mode
+        self.succs: list[list[int]] = [[] for _ in range(n)]
+        self.preds: list[list[int]] = [[] for _ in range(n)]
+        for a, b in constraints:
             self.succs[a].append(b)
             self.preds[b].append(a)
-        # Label 0 is every step outside the constrained clusters;
-        # cluster_counts[a][b] counts the constraints "a before b".
-        names = sorted({lab for cc in clusters for lab in (cc.earlier, cc.later)})
-        labels = {lab: k for k, lab in enumerate(names, start=1)}
-        self.cluster_of = [labels.get(s.cluster, 0) for s in draft.steps]
-        self.cluster_counts = [[0] * (len(labels) + 1) for _ in range(len(labels) + 1)]
-        for cc in clusters:
-            self.cluster_counts[labels[cc.earlier]][labels[cc.later]] += 1
         # cluster_flip[a][b]: change of cluster inversions when a step of
         # label a moves right past one of label b
         self.cluster_flip = [
-            [ab - ba for ab, ba in zip(row, col)] for row, col in zip(self.cluster_counts, zip(*self.cluster_counts))
+            [ab - ba for ab, ba in zip(row, col)] for row, col in zip(cluster_counts, zip(*cluster_counts))
         ]
         # flip[a] == 0 on the diagonal, so flip_min[a] <= 0
         self.flip_min = [min(flip) for flip in self.cluster_flip]
 
     @functools.cached_property
     def mirror(self) -> "_Instance":
-        """The problem read backwards: the draft reversed, so step e is
-        the mirror's step n - 1 - e, and every constraint turned around.
-        perm and ``[n - 1 - e for e in reversed(perm)]`` cost the same,
-        term for term; moving the step at position i to j is the mirror's
-        move from n - 1 - i to n - 1 - j."""
-        draft, constraints, clusters = self.problem
-        return _Instance(
-            Procedure(steps=draft.steps[::-1]),
-            [PrecedenceConstraint(c.successor, c.predecessor) for c in constraints],
-            [ClusterConstraint(c.later, c.earlier) for c in clusters],
-            self.weights,
-            self.raw_mode,
-        )
-
-    def order_to_indices(self, order: list[str]) -> list[int]:
-        if sorted(order) != sorted(self.ids):
-            raise ValidationError("order is not a permutation of the draft's step ids")
-        return [self.index[sid] for sid in order]
+        """The problem read backwards: step e is the mirror's step n - 1 - e,
+        each constraint turned around and the cluster counts transposed.
+        perm and ``[n - 1 - e for e in reversed(perm)]`` cost the same, term for
+        term; moving position i to j is the mirror's move n - 1 - i to n - 1 - j."""
+        n = self.n
+        pairs = [(n - 1 - b, n - 1 - a) for a, b in self.constraints]
+        counts = [list(col) for col in zip(*self.cluster_counts)]
+        return _Instance(n, pairs, self.cluster_of[::-1], counts, self.weights, self.raw_mode)
 
     def cost(self, perm: list[int]) -> CostBreakdown:
         pos = [0] * self.n
@@ -296,6 +269,27 @@ class _Instance:
         return sum(abs(p - idx) for p, idx in enumerate(perm))
 
 
+def _instance(draft: Procedure, constraints, clusters, weights: RepairWeights, raw_mode: str) -> _Instance:
+    """The problem as an :class:`_Instance`, step e being ``draft.steps[e]``: the one
+    place that reads the constraints' step ids and the cluster names.  The raw
+    mode is checked first; cluster labels are numbered from 1 in name order."""
+    if raw_mode not in RAW_MODES:
+        raise ValueError(f"unknown raw penalty mode {raw_mode!r}")
+    index = {s.id: i for i, s in enumerate(draft.steps)}
+    pairs = []
+    for c in constraints:
+        if c.predecessor not in index or c.successor not in index:
+            raise ValidationError(f"constraint references unknown step ids: {c}")
+        pairs.append((index[c.predecessor], index[c.successor]))
+    clusters = tuple(clusters)  # read twice
+    names = sorted({lab for cc in clusters for lab in (cc.earlier, cc.later)})
+    labels = {lab: k for k, lab in enumerate(names, start=1)}
+    counts = [[0] * (len(labels) + 1) for _ in range(len(labels) + 1)]
+    for cc in clusters:
+        counts[labels[cc.earlier]][labels[cc.later]] += 1
+    return _Instance(len(index), pairs, [labels.get(s.cluster, 0) for s in draft.steps], counts, weights, raw_mode)
+
+
 def objective_cost(
     order: list[str],
     draft: Procedure,
@@ -305,8 +299,11 @@ def objective_cost(
     raw_mode: str = RAW_BINARY,
 ) -> CostBreakdown:
     """Evaluate the four-term objective for one permutation of the draft."""
-    inst = _Instance(draft, constraints, clusters, weights, raw_mode)
-    return inst.cost(inst.order_to_indices(order))
+    inst = _instance(draft, constraints, clusters, weights, raw_mode)
+    index = {sid: i for i, sid in enumerate(draft.step_ids)}
+    if sorted(order) != sorted(index):
+        raise ValidationError("order is not a permutation of the draft's step ids")
+    return inst.cost([index[sid] for sid in order])
 
 
 # ── search ────────────────────────────────────────────────────────────────
@@ -607,7 +604,7 @@ def repair(
     violations are soft penalties and the search simply minimizes them.
     Deterministic given the seed.
     """
-    inst = _Instance(draft, constraints, clusters, weights, raw_mode)
+    inst = _instance(draft, constraints, clusters, weights, raw_mode)
     draft_perm = list(range(inst.n))
     moves: dict[tuple[int, ...], tuple[float, int, int] | None] = {}
     best_perm = None
@@ -625,7 +622,7 @@ def repair(
         cost = inst.cost(perm).total
         if best_cost is None or cost < best_cost - TIE_TOL:
             best_perm, best_cost = perm, cost
-    order = tuple(inst.ids[i] for i in best_perm)
+    order = tuple(draft.steps[i].id for i in best_perm)
     breakdown = inst.cost(best_perm)
     trace = {
         "restarts": search.restarts,
@@ -649,7 +646,7 @@ def brute_force_repair(
     oracle).  Ties break to the lexicographically first permutation in
     draft-index space.
     """
-    inst = _Instance(draft, constraints, clusters, weights, raw_mode)
+    inst = _instance(draft, constraints, clusters, weights, raw_mode)
     if inst.n > limit:
         raise ProcforgeError(f"brute force refuses {inst.n} steps (limit {limit})")
     best_perm = None
@@ -659,7 +656,7 @@ def brute_force_repair(
         if best_total is None or total < best_total - TIE_TOL:
             best_total = total
             best_perm = cand
-    order = tuple(inst.ids[i] for i in best_perm)
+    order = tuple(draft.steps[i].id for i in best_perm)
     return RepairResult(
         order=order,
         cost=inst.cost(list(best_perm)),

@@ -601,6 +601,7 @@ def test_cli_misspelt_config_key_is_config_error(workdir, capsys, line, typo, ke
         (GRID_RAW, "lambda_raw = [0.5, -1.0]", "'tune.grid.lambda_raw' -1.0: weights must be non-negative"),
         (GRID_RAW, "lambda_raw = [nan]", "'tune.grid.lambda_raw' nan: weights must be finite"),
         (GRID_RAW, 'lambda_raw = ["2.0"]', "invalid config value 'tune.grid.lambda_raw' '2.0'"),
+        (GRID_RAW, "lambda_raw = [2.0, 2, 2.0]", "duplicate values in config key 'tune.grid.lambda_raw': 2\n"),
         (GRID, GRID.replace("0.5", "0.0").replace("1.0", "0.0"), "'tune.grid': at least one weight must be positive"),
         ("n = 250", "n = 0", "config key 'sample.n' must be an integer >= 1, got 0"),
         ("n = 250", "n = 250.9", "config key 'sample.n' must be an integer >= 1, got 250.9"),
@@ -630,6 +631,7 @@ def test_cli_misspelt_config_key_is_config_error(workdir, capsys, line, typo, ke
         "negative-grid-value",
         "nan-grid-value",
         "string-grid-value",
+        "repeated-grid-value",
         "grid-row-without-positive-weight",
         "zero-sample-n",
         "fractional-sample-n",

@@ -1,5 +1,6 @@
 import importlib
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -24,7 +25,7 @@ from procforge.repair import (
 from procforge.repair import (
     RepairResult,
     _best_move,
-    _Instance,
+    _instance,
     _reinsert,
     _scan,
     derive_seed,
@@ -122,6 +123,27 @@ def test_constraints_may_be_any_iterable():
 def test_unknown_raw_mode_is_rejected():
     with pytest.raises(ValueError, match="^unknown raw penalty mode 'gapp'$"):
         objective_cost(["a", "b"], proc("a", "b"), raw_mode="gapp")
+
+
+BOUNDARY_CALLS = {
+    "objective_cost": lambda draft, *args, **kwargs: objective_cost(draft.step_ids, draft, *args, **kwargs),
+    "repair": repair,
+    "brute_force_repair": brute_force_repair,
+}
+
+
+@pytest.mark.parametrize("call", BOUNDARY_CALLS.values(), ids=BOUNDARY_CALLS.keys())
+@pytest.mark.parametrize(
+    "unknown", [PrecedenceConstraint("z", "b"), PrecedenceConstraint("b", "z")], ids=["predecessor", "successor"]
+)
+def test_constraint_on_an_unknown_step_is_rejected(call, unknown):
+    draft = proc("a", "b", "c")
+    message = f"^{re.escape(f'constraint references unknown step ids: {unknown}')}$"
+    with pytest.raises(ValidationError, match=message):
+        call(draft, [PrecedenceConstraint("a", "b"), unknown])
+    # the raw mode is checked first
+    with pytest.raises(ValueError, match="^unknown raw penalty mode 'gapp'$"):
+        call(draft, [unknown], raw_mode="gapp")
 
 
 def test_cluster_term_counts_cross_pair_inversions():
@@ -367,7 +389,7 @@ def permuted_inputs(draw):
 
 def neighbourhood_cases():
     """A random permutation of a random instance."""
-    return permuted_inputs().map(lambda case: (_Instance(*case[0]), case[1]))
+    return permuted_inputs().map(lambda case: (_instance(*case[0]), case[1]))
 
 
 def full_rows(inst, perm):
@@ -383,7 +405,7 @@ def full_rows(inst, perm):
 @given(permuted_inputs())
 def test_cost_terms_match_their_definitions(case):
     (draft, constraints, clusters, weights, mode), perm = case
-    inst = _Instance(draft, constraints, clusters, weights, mode)
+    inst = _instance(draft, constraints, clusters, weights, mode)
     draft_ids = [s.id for s in draft.steps]
     order = [draft_ids[k] for k in perm]
     label = {s.id: s.cluster for s in draft.steps}
@@ -411,13 +433,31 @@ def test_cost_terms_match_their_definitions(case):
 @given(permuted_inputs())
 def test_mirror_is_the_problem_read_backwards(case):
     inputs, perm = case
-    inst = _Instance(*inputs)
+    inst = _instance(*inputs)
     n = inst.n
     assert inst.mirror.cost([n - 1 - e for e in reversed(perm)]) == inst.cost(perm)
     twice = inst.mirror.mirror
     assert twice.constraints == inst.constraints
     assert twice.cluster_of == inst.cluster_of
     assert twice.cluster_counts == inst.cluster_counts
+
+
+@settings(max_examples=300, deadline=None)
+@given(instance_inputs())
+def test_mirror_matches_the_problem_built_from_the_reversed_draft(inputs):
+    draft, constraints, clusters, weights, mode = inputs
+    mirror = _instance(*inputs).mirror
+    want = _instance(
+        Procedure(steps=draft.steps[::-1]),
+        [PrecedenceConstraint(c.successor, c.predecessor) for c in constraints],
+        [ClusterConstraint(c.later, c.earlier) for c in clusters],
+        weights,
+        mode,
+    )
+    assert mirror.n == want.n
+    assert mirror.constraints == want.constraints
+    assert mirror.cluster_of == want.cluster_of
+    assert mirror.cluster_counts == want.cluster_counts
 
 
 @settings(max_examples=300, deadline=None)
@@ -472,17 +512,17 @@ def reference_best_move(inst, perm):
 @settings(max_examples=300, deadline=None)
 @given(neighbourhood_cases())
 # an exact plateau: every move ties at 0
-@example((_Instance(proc("a", "b", "c", "d", "e"), [], [], RepairWeights(0, 0, 0, 1), RAW_BINARY), [3, 0, 4, 1, 2]))
+@example((_instance(proc("a", "b", "c", "d", "e"), [], [], RepairWeights(0, 0, 0, 1), RAW_BINARY), [3, 0, 4, 1, 2]))
 # the probe, row 0 moving right, reaches -1; the best move, row 2 to 0, is -2
 @example(
-    (_Instance(proc("a", "b", "c"), [PrecedenceConstraint("c", "b")], [], RepairWeights(1, 1, 0, 1), RAW_BINARY), [2, 1, 0])
+    (_instance(proc("a", "b", "c"), [PrecedenceConstraint("c", "b")], [], RepairWeights(1, 1, 0, 1), RAW_BINARY), [2, 1, 0])
 )
 # the minimum is (3, 0), and (0, 3) lies 6e-13 above it, so both tie; a
 # running tie rule in row order drops (0, 3), the better-ranked one, when
 # (3, 0) undercuts the band that row 0 opened
 @example(
     (
-        _Instance(
+        _instance(
             proc("s0", "s1", "s2", "s3"),
             [PrecedenceConstraint("s1", "s3"), PrecedenceConstraint("s3", "s0")],
             [],
@@ -526,7 +566,7 @@ def reference_descend(inst, start, max_stale):
 
 def reference_repair(draft, constraints, clusters, weights, search, seed, raw_mode):
     """``repair()`` with :func:`reference_descend` for every restart."""
-    inst = _Instance(draft, constraints, clusters, weights, raw_mode)
+    inst = _instance(draft, constraints, clusters, weights, raw_mode)
     draft_perm = list(range(inst.n))
     best_perm = best_cost = None
     iterations = 0
@@ -545,7 +585,7 @@ def reference_repair(draft, constraints, clusters, weights, search, seed, raw_mo
         "draft_cost": inst.cost(draft_perm).total,
         "method": "local_search",
     }
-    return RepairResult(tuple(inst.ids[i] for i in best_perm), inst.cost(best_perm), trace)
+    return RepairResult(tuple(draft.steps[i].id for i in best_perm), inst.cost(best_perm), trace)
 
 
 @settings(max_examples=200, deadline=None)
@@ -676,7 +716,7 @@ def test_scan_sweeps_half_rows_in_bound_order_through_the_margin(monkeypatch, n,
     search = SearchParams(restarts=2, max_stale_iters=2)
     repair(draft, constraints, clusters, weights=weights, search=search, seed=seed, raw_mode=mode)
     monkeypatch.undo()
-    inst = _Instance(draft, constraints, clusters, weights, mode)
+    inst = _instance(draft, constraints, clusters, weights, mode)
     margin = 1e-9 * max(1.0, weights.lambda_pos, weights.lambda_edge, weights.lambda_cluster, weights.lambda_raw)
     for perm, right_floor, left_floor, swept in scans:
         bound = {(i, right): (right_floor if right else left_floor)[i] for i in range(n) for right in (True, False)}
