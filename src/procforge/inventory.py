@@ -12,6 +12,7 @@ All types are immutable; every function here is pure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from .errors import ValidationError, distinct
 from .schemas import first_violation, load_json
@@ -106,11 +107,12 @@ class DomainInventory:
     objects: tuple[LabObject, ...]
     interactions: tuple[Interaction, ...]
 
+    @cached_property
+    def objects_by_id(self) -> dict[str, LabObject]:
+        return {obj.id: obj for obj in self.objects}
+
     def get_object(self, object_id: str) -> LabObject | None:
-        for obj in self.objects:
-            if obj.id == object_id:
-                return obj
-        return None
+        return self.objects_by_id.get(object_id)
 
     def variables(self) -> list[StateVariable]:
         out: list[StateVariable] = []
@@ -128,16 +130,8 @@ class DomainInventory:
 
     def holder_variables(self, ref: str) -> list[StateVariable]:
         """Variables attached directly to an object or component ref."""
-        parts = ref.split(".")
-        obj = self.get_object(parts[0])
-        if obj is None:
-            return []
-        if len(parts) == 1:
-            return list(obj.states)
-        for comp in obj.components:
-            if comp.id == parts[1]:
-                return list(comp.states)
-        return []
+        obj, comp = _resolve_ref(self.objects_by_id, ref, ref)
+        return list(obj.states if comp is None else comp.states)
 
 
 # ── parsing ──────────────────────────────────────────────────────────────
@@ -293,8 +287,12 @@ def _resolved_domain(inv: DomainInventory, var: StateVariable, holder: str) -> S
             kinds.add(inter.kind)
     if not values:
         raise ValidationError(f"dynamic domain of {var.id} cannot be resolved: no interaction targets {holder!r}")
-    kind = "move_to_receptor" if "move_to_receptor" in kinds else "transfer_material"
-    return replace(var, domain=(NONE_VALUE, *sorted(values)), resolved_from=kind)
+    if len(kinds) > 1:
+        raise ValidationError(
+            f"dynamic domain of {var.id} cannot be resolved: {holder!r} is the target of both "
+            f"{' and '.join(sorted(kinds))}"
+        )
+    return replace(var, domain=(NONE_VALUE, *sorted(values)), resolved_from=kinds.pop())
 
 
 def resolve_dynamic_domains(inv: DomainInventory) -> DomainInventory:
@@ -302,7 +300,9 @@ def resolve_dynamic_domains(inv: DomainInventory) -> DomainInventory:
 
     A receptor variable's domain becomes ``none`` plus the ids of objects
     movable onto it; a contained-material variable's domain becomes
-    ``none`` plus the materials transferable into its holder.  Idempotent.
+    ``none`` plus the materials transferable into its holder.  A holder
+    that is both placed into and filled is rejected, since neither rule
+    says which objects' templates see its variable.  Idempotent.
     """
 
     def resolve_states(states: tuple[StateVariable, ...], holder: str) -> tuple[StateVariable, ...]:

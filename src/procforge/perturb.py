@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .errors import ProcforgeError, ValidationError
+from .errors import ValidationError
 from .repair import Procedure, Step
 
 KIND_EARLY_TRANSFER = "early_transfer_before_open"
@@ -165,14 +165,12 @@ def _apply_kind(kind: str, seq: list[Step], rng: random.Random) -> dict | None:
     elif kind == KIND_ADJACENT_SWAP:
         j = rng.randrange(n - 1)
         i = j + 1
-    elif kind == KIND_REINSERT:
+    else:  # KIND_REINSERT: PerturbationSpec admits no other kind
         i = rng.randrange(n)
         offset = rng.choice([-4, -3, -2, -1, 1, 2, 3, 4])
         j = min(n - 1, max(0, i + offset))
         if j == i:
             j = max(0, i - 1) if i == n - 1 else i + 1
-    else:
-        raise ProcforgeError(f"unknown perturbation kind {kind!r}")
     _move(seq, i, j)
     return {"from": i, "to": j}
 

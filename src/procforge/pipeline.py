@@ -100,13 +100,7 @@ class PipelineConfig:
 def _parse_config(text: str, suffix: str) -> dict:
     """The config document in ``text``: TOML for a ``.toml`` file, else JSON."""
     if suffix == ".toml":
-        try:
-            import tomllib  # Python 3.11+
-        except ModuleNotFoundError:
-            try:
-                import tomli as tomllib
-            except ModuleNotFoundError as exc:
-                raise ValidationError("TOML config needs Python 3.11+ or the tomli package") from exc
+        import tomllib
         try:
             return tomllib.loads(text)
         except (tomllib.TOMLDecodeError, RecursionError) as exc:  # nesting deeper than the recursion limit
@@ -192,7 +186,7 @@ def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConf
         repair_doc = _config_table(doc.get("repair", {}), "repair", ("weights", "search", "raw_penalty"))
         raw_penalty = repair_doc.get("raw_penalty", RAW_BINARY)
         if raw_penalty not in RAW_MODES:
-            raise ValidationError(f"repair.raw_penalty must be 'binary' or 'gap', got {raw_penalty!r}")
+            raise ValidationError(f"repair.raw_penalty must be {' or '.join(map(repr, RAW_MODES))}, got {raw_penalty!r}")
         tune_doc = _config_table(doc.get("tune", {}), "tune", ("grid",))
         perturb_doc, endpoint_doc = doc.get("perturb"), doc.get("endpoint")
         cfg = PipelineConfig(
@@ -318,12 +312,9 @@ def write_artifact(
 
 
 def _sha256_file(path: Path) -> str:
-    """The sha256 of a file's bytes, read in fixed-size chunks."""
-    digest = hashlib.sha256()
+    """The sha256 of a file's bytes."""
     with path.open("rb") as handle:
-        for chunk in iter(lambda: handle.read(1 << 16), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
+        return hashlib.file_digest(handle, "sha256").hexdigest()
 
 
 @contextlib.contextmanager

@@ -243,7 +243,7 @@ class _Instance:
         pos = [0] * self.n
         for p, idx in enumerate(perm):
             pos[idx] = p
-        position = float(sum(abs(pos[i] - i) for i in range(self.n)))
+        position = float(self.displacement(perm))
         edge = float(sum(1 for i in range(self.n - 1) if pos[i + 1] != pos[i] + 1))
         # A step inverts, once per constraint, each earlier-placed step
         # whose label should come after its own.  Without cluster

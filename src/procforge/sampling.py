@@ -153,6 +153,8 @@ def simulate_oracle(
         raise ValueError("n must be >= 1")
     oracle.validate_against(tpl)
     bound = tpl.bound_actions()
+    if not bound:
+        raise ValidationError("template has no actions to sample")
     if actions is not None:
         wanted = set(actions)
         unknown = wanted - {b.key for b in bound}

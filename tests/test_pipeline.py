@@ -18,17 +18,22 @@ from procforge.errors import (
     ValidationError,
 )
 from procforge import errors, pipeline, sampling
-from procforge.metrics import kendall_tau
+from procforge.metrics import kendall_tau, raw_slack
 from procforge.pipeline import _open_text, load_config, run_all, run_stage, validate_artifact, write_atomic
+from procforge.repair import derive_seed, map_rules_to_constraints, procedure_from_dict, repair
+from procforge.rules import rule_set_from_dict
 from procforge.sampling import EndpointConfig, NoiseSpec, ingest_samples, simulate_oracle
 from procforge.templates import template_from_dict
 from procforge.world_model import world_model_from_dict
 
 
+BENCHMARK_INPUTS = ("inventory.json", "oracles.json", "truth_procedure.json", "config.toml")
+
+
 @pytest.fixture()
 def workdir(tmp_path, benchmark_dir):
     """A private copy of the benchmark so stages can write freely."""
-    for name in ("inventory.json", "oracles.json", "truth_procedure.json", "config.toml"):
+    for name in BENCHMARK_INPUTS:
         shutil.copy(benchmark_dir / name, tmp_path / name)
     return tmp_path
 
@@ -167,6 +172,56 @@ def test_perturb_then_repair_never_hurts_kendall(cfg):
     draft = [s["id"] for s in read_json(cfg.path("draft_procedure"))["steps"]]
     repaired = [s["id"] for s in read_json(cfg.path("repaired_procedure"))["steps"]]
     assert kendall_tau(repaired, truth) >= kendall_tau(draft, truth)
+
+
+@pytest.fixture(scope="module")
+def shipped_run(tmp_path_factory, benchmark_dir):
+    """The config of a private copy of the benchmark after ``all`` at seed 20240."""
+    root = tmp_path_factory.mktemp("shipped")
+    for name in BENCHMARK_INPUTS:
+        shutil.copy(benchmark_dir / name, root / name)
+    cfg = load_config(root / "config.toml", {"seed": 20240})
+    run_all(cfg)
+    return cfg
+
+
+def test_readme_quotes_the_metrics_table_all_writes(shipped_run, benchmark_dir):
+    readme = (benchmark_dir.parent / "README.md").read_text()
+    quoted = re.search(r"```text\n(Sequence .*?)```", readme, re.S).group(1)
+    assert quoted == shipped_run.path("metrics_table").read_text()
+
+
+def test_truth_is_a_fixed_point_of_repair(shipped_run):
+    """The rules mined on the benchmark, mapped onto the ground truth, hold
+    there, and repair started at the truth keeps it at cost 0."""
+    cfg = shipped_run
+    rule_set = rule_set_from_dict(read_json(cfg.path("rules")))
+    truth = procedure_from_dict(read_json(cfg.path("truth_procedure")))
+    mapping = map_rules_to_constraints(truth, list(rule_set.causal_rules))
+    assert (len(mapping.constraints), len(mapping.unmatched), len(mapping.dropped)) == (36, 2, 0)
+    pairs = [(c.predecessor, c.successor) for c in mapping.constraints]
+    for mode in ("binary", "gap"):
+        assert raw_slack(truth.step_ids, pairs, mode) == 0.0
+        result = repair(truth, mapping.constraints, weights=cfg.weights, search=cfg.search,
+                        seed=derive_seed(cfg.seed, "repair"), raw_mode=mode)
+        assert list(result.order) == truth.step_ids
+        assert result.cost.total == 0.0
+
+
+def test_loading_the_config_imports_no_network_or_dev_module(benchmark_dir):
+    """The import graph behind perfbench's ``setup_s``: the HTTP transport
+    is imported only when an endpoint is called."""
+    script = (
+        "import sys\n"
+        "from procforge.pipeline import load_config\n"
+        f"load_config({str(benchmark_dir / 'config.toml')!r})\n"
+        "names = ('urllib.request', 'http.client', 'ssl', 'email', 'jsonschema', 'hypothesis')\n"
+        "print(sorted(name for name in names if name in sys.modules))\n"
+    )
+    env = {"PYTHONPATH": str(benchmark_dir.parent / "src")}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_sample_stage_rejects_objects_without_a_template(workdir):

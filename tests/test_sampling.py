@@ -117,6 +117,16 @@ def test_action_filter_restricts_generation(pipette_template, pipette_oracle):
     assert {s.action.key for s in batch.samples} == {DRAW}
 
 
+def test_template_without_actions_is_rejected():
+    tpl = MdpTemplate(
+        focal_object="lamp",
+        variables=(TemplateVariable(id="lamp.lit", domain=("no", "yes"), origin="own"),),
+        actions=(),
+    )
+    with pytest.raises(ValidationError, match="^template has no actions to sample$"):
+        simulate_oracle(tpl, OracleSpec(rules={}), 10)
+
+
 # sha256 of to_jsonl() at the mining workload's settings: 5000 samples per
 # object with reward_flip_rate 0.05 and effect_corrupt_rate 0.02, seeded as
 # the sample stage seeds it from the benchmark's master seed 20240.

@@ -48,8 +48,8 @@ def test_scale_contextual_platform_domain(benchmark_dir):
 
 
 def test_receptor_both_placed_into_and_filled():
-    """A holder that is both placed into and filled resolves as a receptor,
-    so only the placed object's template writes its content."""
+    """A holder that is both placed into and filled has no one kind to
+    resolve as, so resolution fails naming the variable and both kinds."""
     doc = {
         "schema_version": "1",
         "objects": [
@@ -70,14 +70,13 @@ def test_receptor_both_placed_into_and_filled():
             {"kind": "transfer_material", "source": "bottle", "target": "beaker.mouth", "material": "water"},
         ],
     }
-    inv = resolve_dynamic_domains(parse_inventory(json.dumps(doc)))
-    content = {v.id: v for v in inv.variables()}["beaker.mouth.content"]
-    assert content.domain == ("none", "stirrer", "water")
-    assert content.resolved_from == "move_to_receptor"
-    assert "beaker.mouth.content" in build_template(inv, "stirrer").variable_ids
-    assert "beaker.mouth.content" not in build_template(inv, "bottle").variable_ids
-    beaker = build_template(inv, "beaker")
-    assert {v.id: v.origin for v in beaker.variables} == {"beaker.mouth.content": "own", "bottle.cap.state": "contextual"}
+    inv = parse_inventory(json.dumps(doc))
+    with pytest.raises(ValidationError) as err:
+        resolve_dynamic_domains(inv)
+    assert str(err.value) == (
+        "dynamic domain of beaker.mouth.content cannot be resolved: 'beaker.mouth' is the target of both "
+        "move_to_receptor and transfer_material"
+    )
 
 
 def test_object_without_interactions_has_no_contextual_entries():
