@@ -103,6 +103,11 @@ class RepairWeights:
 
 @dataclass(frozen=True)
 class SearchParams:
+    """``restarts`` counts the descents of one :func:`repair` call: one from
+    the draft, then up to ``restarts - 1`` from the draft's cheapest pair
+    exchanges, or from seeded shuffles when ``lambda_pos`` is 0.  A descent
+    stops after ``max_stale_iters`` equal-cost moves in a row."""
+
     restarts: int = 4
     max_stale_iters: int = 10
 
@@ -547,13 +552,13 @@ def _descend(
     or start when none does.  Each move comes from :func:`_best_move`,
     which scans a permutation: :func:`_scan` prepares it and its half-row
     bounds once, then it sweeps, lowest bound first, only the half-rows
-    that could hold the best move or a tie with it, about 4.5% of them on
+    that could hold the best move or a tie with it, about 5.2% of them on
     the benchmark's ``all`` + ``tune``.
 
     ``moves`` maps each permutation already scanned to its best move, and
     is shared by every descent of one :func:`repair` call: the move
     depends only on the permutation, so a plateau walk that returns to a
-    permutation, or a restart that reaches one an earlier restart
+    permutation, or a descent that reaches one an earlier descent
     scanned, costs O(n) for the reinsertion, not a scan.  The scan's
     deltas alone decide the walk; no cost is recomputed.
     """
@@ -584,6 +589,22 @@ def _descend(
     return best, iterations
 
 
+def _cheapest_exchanges(inst: _Instance, count: int) -> list[list[int]]:
+    """The draft with one pair of steps (a, b) exchanged, for the ``count``
+    pairs whose exchange costs least by the full :meth:`_Instance.cost`,
+    ties broken by (a, b): the sort is stable and the pairs come in that
+    order.  Ranks all n(n - 1)/2 exchanges."""
+
+    def exchanged(pair: tuple[int, int]) -> list[int]:
+        perm = list(range(inst.n))
+        a, b = pair
+        perm[a], perm[b] = b, a
+        return perm
+
+    pairs = sorted(itertools.combinations(range(inst.n), 2), key=lambda pair: inst.cost(exchanged(pair)).total)
+    return [exchanged(pair) for pair in pairs[:count]]
+
+
 def repair(
     draft: Procedure,
     constraints=(),
@@ -595,28 +616,35 @@ def repair(
 ) -> RepairResult:
     """Local-search repair warm-started at the draft ordering.
 
-    The first restart begins at the draft, so the result never costs more
-    than the draft does; later restarts begin at seeded shuffles.  All
-    restarts share one move table, so each distinct permutation the call
-    visits is scanned once; a revisit costs O(n) for the reinsertion.
-    Each descent's result is costed once, to compare the restarts.  The
-    table lives only for the call.  Contradictory constraints are not an error:
-    violations are soft penalties and the search simply minimizes them.
-    Deterministic given the seed.
+    ``search.restarts`` counts the descents.  The first begins at the
+    draft, so the result never costs more than the draft does.  When
+    ``weights.lambda_pos > 0`` the others begin at the draft's cheapest
+    pair exchanges (:func:`_cheapest_exchanges`), one per pair when the
+    draft has fewer than ``restarts - 1`` pairs, and ``seed`` is not read.  With ``lambda_pos == 0`` a
+    step's draft position costs nothing and better orders can lie far
+    from the draft, so the others begin at shuffles seeded by ``seed``.
+    All descents share one move table, so each distinct permutation the
+    call visits is scanned once; a revisit costs O(n) for the
+    reinsertion.  Each descent's result is costed once, to compare them.
+    The table lives only for the call.  Contradictory constraints are not
+    an error: violations are soft penalties and the search simply
+    minimizes them.  Deterministic given the seed.
     """
     inst = _instance(draft, constraints, clusters, weights, raw_mode)
     draft_perm = list(range(inst.n))
+    starts = [draft_perm]
+    if search.restarts > 1 and weights.lambda_pos > 0:
+        starts += _cheapest_exchanges(inst, search.restarts - 1)
+    else:
+        for r in range(1, search.restarts):
+            start = list(draft_perm)
+            random.Random(derive_seed(seed, f"restart:{r}")).shuffle(start)
+            starts.append(start)
     moves: dict[tuple[int, ...], tuple[float, int, int] | None] = {}
     best_perm = None
     best_cost = None
     total_iterations = 0
-    for r in range(search.restarts):
-        if r == 0:
-            start = draft_perm
-        else:
-            rng = random.Random(derive_seed(seed, f"restart:{r}"))
-            start = list(draft_perm)
-            rng.shuffle(start)
+    for start in starts:
         perm, iters = _descend(inst, start, search.max_stale_iters, moves)
         total_iterations += iters
         cost = inst.cost(perm).total

@@ -92,7 +92,7 @@ def test_shipped_weights_on_forty_drafts(benchmark_rules):
     assert report.worse_than_draft == 0
 
 
-def test_shuffled_restarts_lower_cost_on_two_drafts(benchmark_rules):
+def test_restarts_lower_cost_on_two_drafts(benchmark_rules):
     """What restarts 1-7 buy over restart 0 alone: shipped weights, gap
     mode, ``repair``'s default seed.  Any change to the restarts shows here."""
     cfg, truth, rules = benchmark_rules

@@ -564,16 +564,37 @@ def reference_descend(inst, start, max_stale):
     return best, best_cost, iterations
 
 
+def exchange(n, a, b):
+    perm = list(range(n))
+    perm[a], perm[b] = b, a
+    return perm
+
+
+def reference_starts(inst, search, seed):
+    """The descents' starts: the draft, then at lambda_pos > 0 the draft
+    with one pair (a, b) exchanged for the restarts - 1 cheapest pairs by
+    ``inst.cost``, ties broken by (a, b), and at lambda_pos == 0 the draft
+    shuffled by ``derive_seed(seed, "restart:r")`` for r = 1 … restarts - 1."""
+    n = inst.n
+    draft_perm = list(range(n))
+    if inst.weights.lambda_pos > 0:
+        ranked = sorted((inst.cost(exchange(n, a, b)).total, a, b) for a in range(n) for b in range(a + 1, n))
+        return [draft_perm] + [exchange(n, a, b) for _, a, b in ranked[: search.restarts - 1]]
+    starts = [draft_perm]
+    for r in range(1, search.restarts):
+        start = list(draft_perm)
+        random.Random(derive_seed(seed, f"restart:{r}")).shuffle(start)
+        starts.append(start)
+    return starts
+
+
 def reference_repair(draft, constraints, clusters, weights, search, seed, raw_mode):
     """``repair()`` with :func:`reference_descend` for every restart."""
     inst = _instance(draft, constraints, clusters, weights, raw_mode)
     draft_perm = list(range(inst.n))
     best_perm = best_cost = None
     iterations = 0
-    for r in range(search.restarts):
-        start = list(draft_perm)
-        if r:
-            random.Random(derive_seed(seed, f"restart:{r}")).shuffle(start)
+    for start in reference_starts(inst, search, seed):
         perm, cost, iters = reference_descend(inst, start, search.max_stale_iters)
         iterations += iters
         if best_cost is None or cost < best_cost - 1e-12:
@@ -636,6 +657,54 @@ def test_each_permutation_is_scanned_once_per_call(monkeypatch, draft, constrain
     assert result.trace["iterations"] == want.trace["iterations"]
     assert len(scanned) == len(set(scanned))
     assert len(scanned) < result.trace["iterations"]
+
+
+def recorded_starts(monkeypatch):
+    """Patch ``_descend`` to record each start it receives; return the list."""
+    starts = []
+    descend = repair_module._descend
+
+    def recorded(inst, start, max_stale, moves):
+        starts.append(list(start))
+        return descend(inst, start, max_stale, moves)
+
+    monkeypatch.setattr(repair_module, "_descend", recorded)
+    return starts
+
+
+@pytest.mark.parametrize("lambda_pos", [0.5, 0.0], ids=["exchanges", "shuffles"])
+def test_descents_start_at_the_draft_then_its_cheapest_exchanges_or_shuffles(monkeypatch, lambda_pos):
+    """At lambda_pos > 0 the descents after the first start at the draft's
+    cheapest pair exchanges, ties broken by the pair; at lambda_pos == 0 at
+    the seeded shuffles."""
+    draft = proc(*"abcdefgh")
+    constraints = [PrecedenceConstraint("f", "b")]
+    weights = RepairWeights(lambda_pos, 1.0, 0.0, 2.0)
+    search = SearchParams(restarts=6, max_stale_iters=3)
+    starts = recorded_starts(monkeypatch)
+    repair(draft, constraints, weights=weights, search=search, seed=11, raw_mode=RAW_GAP)
+    assert starts == reference_starts(_instance(draft, constraints, (), weights, RAW_GAP), search, 11)
+    if lambda_pos:
+        # costs 8.0, 8.0, then 9.0 three times; the draft costs 8.0 too
+        pairs = [(0, 5), (1, 5), (1, 4), (1, 6), (1, 7)]
+        assert starts == [list(range(8))] + [exchange(8, a, b) for a, b in pairs]
+
+
+def test_one_descent_starts_at_the_draft_and_ranks_no_exchange(monkeypatch):
+    starts = recorded_starts(monkeypatch)
+    costed = []
+    cost = repair_module._Instance.cost
+
+    def counted(inst, perm):
+        costed.append(list(perm))
+        return cost(inst, perm)
+
+    monkeypatch.setattr(repair_module._Instance, "cost", counted)
+    draft = proc(*"abcdefgh")
+    weights = RepairWeights(0.5, 1.0, 0.0, 2.0)
+    repair(draft, [PrecedenceConstraint("f", "b")], weights=weights, search=SearchParams(restarts=1), seed=11)
+    assert starts == [list(range(8))]
+    assert len(costed) == 3  # the descent's result, the returned breakdown and the draft's cost
 
 
 def scale_instance(rng, n):
